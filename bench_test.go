@@ -157,29 +157,6 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
 }
 
-// BenchmarkInterpreterNoFuse measures the same kernel with
-// superinstruction fusion disabled — the PR 2 pure-block loop alone.
-// The gap to BenchmarkInterpreter is the fused tier's win; the
-// fusion-smoke ratio floor (fused >= 1.0x unfused, cmd/benchab)
-// guards it from regressing into a pessimization.
-func BenchmarkInterpreterNoFuse(b *testing.B) {
-	prog := bench.Compress(benchScale)
-	res, err := compile.Compile(prog, compile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		out, err := vm.New(res.Prog, vm.Config{Fusion: vm.FusionOff}).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += out.Stats.Instrs
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
-}
-
 // BenchmarkInterpreterReference measures the retained reference dispatch
 // on the same kernel; the gap to BenchmarkInterpreter is the fast path's
 // win (precomputed cost table, pooled frames, hoisted budget checks).
@@ -295,7 +272,7 @@ func BenchmarkSampledRun(b *testing.B) {
 // BenchmarkSampledRunTelemetry measures the same sampled run with the
 // full telemetry chain attached (trace recorder + metrics meter). The
 // gap to BenchmarkSampledRun is the price of observation: the observer
-// disables pure-block batching and every hook records an event.
+// turns fused streams off and every hook records an event.
 func BenchmarkSampledRunTelemetry(b *testing.B) {
 	res := sampledCompress(b)
 	b.ResetTimer()

@@ -1,18 +1,17 @@
-// Command benchab runs the interleaved A/B/C interpreter comparison
-// behind BENCH_PR7.json and the `make bench-ab` / `make fusion-smoke`
-// targets.
+// Command benchab runs the interleaved A/B interpreter comparison
+// behind the `make bench-ab` / `make fusion-smoke` targets.
 //
 // The host is shared and its available throughput swings between time
 // windows, so absolute numbers from separate runs are only indicative
-// (see BENCHMARKING.md). benchab therefore measures all three
-// configurations — fused fast path, unfused fast path, retained
-// reference dispatcher — inside one process, rotating through them
-// within each round so every configuration samples every time window,
-// and reports per-round SAME-WINDOW ratios with their median. That
-// median is the number the 2x interpreter target is judged on.
+// (see BENCHMARKING.md). benchab therefore measures both dispatchers —
+// the fast path (per-instruction dispatch plus fused streams) and the
+// retained reference dispatcher — inside one process, alternating them
+// within each round so both sample every time window, and reports
+// per-round SAME-WINDOW ratios with their median. That median is the
+// number the 2x interpreter target is judged on.
 //
-//	go run ./cmd/benchab                  # ratio table on stdout
-//	go run ./cmd/benchab -o BENCH_PR7.json
+//	go run ./cmd/benchab                     # ratio table on stdout
+//	go run ./cmd/benchab -o report.json      # plus a JSON report
 //	go run ./cmd/benchab -quick -floor 1.0   # CI fusion-smoke gate
 //
 // Besides the compress ratio rounds, benchab runs every suite benchmark
@@ -44,7 +43,6 @@ type config struct {
 func configs() []config {
 	return []config{
 		{"fused", vm.Config{}},
-		{"unfused", vm.Config{Fusion: vm.FusionOff}},
 		{"reference", vm.Config{Reference: true}},
 	}
 }
@@ -109,9 +107,7 @@ type report struct {
 	Scale         float64              `json:"scale"`
 	Throughput    map[string][]float64 `json:"m_instrs_per_sec_by_round"`
 	RatioFusedRef []float64            `json:"ratio_fused_vs_reference_by_round"`
-	RatioFusedUnf []float64            `json:"ratio_fused_vs_unfused_by_round"`
 	RatioSameWin  float64              `json:"ratio_same_window"`
-	RatioUnfused  float64              `json:"ratio_fused_vs_unfused"`
 	Target        float64              `json:"target"`
 	TargetMet     bool                 `json:"target_met"`
 	Fractions     []fractionRow        `json:"fused_fraction_by_benchmark"`
@@ -137,7 +133,7 @@ func main() {
 	rounds := flag.Int("rounds", 7, "interleaved measurement rounds")
 	legMS := flag.Int("leg-ms", 150, "target duration of one timed leg, milliseconds")
 	quick := flag.Bool("quick", false, "CI mode: fewer, shorter rounds and a tiny suite sweep")
-	floor := flag.Float64("floor", 0, "exit nonzero unless median fused/unfused ratio >= floor")
+	floor := flag.Float64("floor", 0, "exit nonzero unless median fused/reference ratio >= floor")
 	target := flag.Float64("target", 2.0, "fused-vs-reference ratio target")
 	out := flag.String("o", "", "write the JSON report to this file")
 	pr := flag.Int("pr", 7, "PR number recorded in the report")
@@ -202,7 +198,7 @@ func main() {
 	}
 
 	tput := map[string][]float64{}
-	var ratioRef, ratioUnf []float64
+	var ratioRef []float64
 	for r := 0; r < *rounds; r++ {
 		window := map[string]float64{}
 		for _, c := range configs() {
@@ -212,19 +208,17 @@ func main() {
 			tput[name] = append(tput[name], r2(v))
 		}
 		ratioRef = append(ratioRef, r2(window["fused"]/window["reference"]))
-		ratioUnf = append(ratioUnf, r2(window["fused"]/window["unfused"]))
 	}
-	medRef, medUnf := r2(median(ratioRef)), r2(median(ratioUnf))
+	medRef := r2(median(ratioRef))
 
-	fmt.Printf("compress scale=%g, %d rounds x %d reps/leg, interleaved fused/unfused/reference\n\n",
+	fmt.Printf("compress scale=%g, %d rounds x %d reps/leg, interleaved fused/reference\n\n",
 		*scale, *rounds, reps)
-	fmt.Printf("%-10s %14s %14s %14s\n", "round", "fused M-i/s", "unfused M-i/s", "reference M-i/s")
+	fmt.Printf("%-10s %14s %14s\n", "round", "fused M-i/s", "reference M-i/s")
 	for r := 0; r < *rounds; r++ {
-		fmt.Printf("%-10d %14.1f %14.1f %14.1f\n", r, tput["fused"][r], tput["unfused"][r], tput["reference"][r])
+		fmt.Printf("%-10d %14.1f %14.1f\n", r, tput["fused"][r], tput["reference"][r])
 	}
 	fmt.Printf("\n%-28s %8s %8s\n", "same-window ratio", "median", "range")
 	fmt.Printf("%-28s %8.2f %.2f-%.2f\n", "fused vs reference", medRef, min(ratioRef), max(ratioRef))
-	fmt.Printf("%-28s %8.2f %.2f-%.2f\n", "fused vs unfused", medUnf, min(ratioUnf), max(ratioUnf))
 	fmt.Printf("%-28s %8.2f (target_met=%v)\n\n", "target", *target, medRef >= *target)
 
 	// Fusion coverage across the whole suite, one fused run each.
@@ -268,27 +262,26 @@ func main() {
 			PR:    *pr,
 			Title: "Superinstruction fusion + threaded dispatch for the fast interpreter",
 			Host:  hostName(),
-			Methodology: "All three configurations run interleaved in one process, rotating " +
+			Methodology: "Both dispatchers run interleaved in one process, alternating " +
 				"within each round so each samples every time window; ratios are computed " +
 				"per round (same window) and the median is reported. The reference " +
 				"dispatcher is the seed interpreter retained unchanged, so " +
 				"ratio_same_window is the honest fast-vs-seed comparison. See BENCHMARKING.md.",
 			Rounds: *rounds, RepsPerLeg: reps, Scale: *scale,
 			Throughput:    tput,
-			RatioFusedRef: ratioRef, RatioFusedUnf: ratioUnf,
-			RatioSameWin: medRef, RatioUnfused: medUnf,
+			RatioFusedRef: ratioRef, RatioSameWin: medRef,
 			Target: *target, TargetMet: medRef >= *target,
 			Fractions: rows,
-			Notes: "Fusion rides on the PR 2 pure-block tier: seal-time peephole pass " +
+			Notes: "The fast path runs pure blocks as fused streams: a peephole pass " +
 				"rewrites hot pairs/triples (measured on the suite's dynamic pair profile) " +
 				"into 32-byte superinstructions dispatched by a dense switch the compiler " +
 				"lowers to a jump table. A [numToks]func handler table was measured and " +
 				"rejected (BenchmarkFusedDispatchStyle: indirect calls force loop state " +
 				"through memory). Every fused run is differentially bit-identical to the " +
 				"reference dispatcher; traps, cancellation and quantum expiry inside a " +
-				"superinstruction reconstruct the original pc via the same prefix-sum " +
-				"discipline as pure.go. Observers disable fusion (graceful degradation, " +
-				"DESIGN.md §12).",
+				"superinstruction reconstruct the original pc and counters from per-block " +
+				"prefix sums. Observers disable fusion (graceful degradation, " +
+				"DESIGN.md §7.6).",
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -302,8 +295,8 @@ func main() {
 		fmt.Printf("\nwrote %s\n", *out)
 	}
 
-	if *floor > 0 && medUnf < *floor {
-		fmt.Fprintf(os.Stderr, "benchab: FAIL: median fused/unfused ratio %.2f below floor %.2f\n", medUnf, *floor)
+	if *floor > 0 && medRef < *floor {
+		fmt.Fprintf(os.Stderr, "benchab: FAIL: median fused/reference ratio %.2f below floor %.2f\n", medRef, *floor)
 		os.Exit(1)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // full-duplication framework, counter trigger) executes under three
 // observer configurations interleaved within each round —
 //
-//	bare        nil observer (the PR 4 baseline: pure-block batching stays on)
+//	bare        nil observer (the PR 4 baseline: fused streams stay on)
 //	trace       telemetry.Trace ring recorder (every hook records)
 //	suppressed  telemetry.Suppressor in front of the same Trace ring
 //
@@ -205,7 +205,7 @@ func telemetryMain(scale float64, rounds, legMS int, window uint64, out string, 
 				"(forwarded+elided equals the VM's own event counters, enforced by " +
 				"TestSuppressorEndToEnd), so consumers reconstructing counts lose nothing. " +
 				"The residual cost over bare is the observer seam itself: any installed " +
-				"observer disables pure-block batching (DESIGN.md §9), which no amount of " +
+				"observer disables fused streams (DESIGN.md §7.6, §9), which no amount of " +
 				"record dropping recovers.",
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")

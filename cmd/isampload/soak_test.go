@@ -35,8 +35,10 @@ func smokeMix(t *testing.T, seed int64, ops int) (load.Mix, string) {
 // self-hosted daemon on an ephemeral port, with the regression gates
 // enforced — relaxed timing ceilings for shared CI hosts, but the exact
 // gates (zero failed jobs, zero leaked goroutines, zero transport
-// errors) at full strength. The small self-queue forces the 429-retry
-// path to actually run.
+// errors) at full strength. The small self-queue behind a single worker
+// forces the 429-retry path to actually run; with one worker per core,
+// as the daemon defaults to, whether the queue ever filled depended on
+// the host.
 func TestSoakSmoke(t *testing.T) {
 	mix, mixPath := smokeMix(t, 1, 600)
 	out := filepath.Join(t.TempDir(), "bench.json")
@@ -48,6 +50,7 @@ func TestSoakSmoke(t *testing.T) {
 		"-mix", mixPath,
 		"-duration", "2500ms",
 		"-clients", "6",
+		"-self-j", "1",
 		"-self-queue", "4",
 		"-o", out,
 		"-min-throughput", "3",

@@ -26,9 +26,8 @@ func FuzzVariations(f *testing.F) {
 	f.Add(uint64(13), uint16(64), uint16(5), uint16(2))
 	f.Add(uint64(42), uint16(9), uint16(2), uint16(0))
 	// Fusion-leaning seeds: loop-heavy single-thread programs (even seeds)
-	// where the pure-block tier — and with it the superinstruction pass —
-	// covers most of the execution, under the trigger families whose
-	// checks interleave with fused blocks most often.
+	// where fused streams cover most of the execution, under the trigger
+	// families whose checks interleave with fused blocks most often.
 	f.Add(uint64(6), uint16(2), uint16(0), uint16(0))
 	f.Add(uint64(20), uint16(33), uint16(3), uint16(0))
 	f.Add(uint64(58), uint16(4), uint16(5), uint16(3))
@@ -103,38 +102,32 @@ func FuzzVariations(f *testing.F) {
 			}
 
 			// Fused leg: observers disable superinstruction fusion, so the
-			// runs above never exercise it. Re-run observer-free under
-			// fusion-on / fusion-off / reference and require the three to
-			// agree; when the observed runs completed, the fused run must
-			// also reproduce their Stats bit-for-bit (observer hooks and
-			// fusion must both be invisible to the architected state).
-			var fouts [3]*vm.Result
-			var ferrs [3]error
-			for i, fcfg := range []vm.Config{
-				{},
-				{Fusion: vm.FusionOff},
-				{Reference: true},
-			} {
-				fcfg.Trigger = newTrig()
-				fcfg.Handlers = res.Handlers
-				fcfg.MaxCycles = 1 << 32
-				fcfg.IterBudget = int64(iterBudget)
-				fouts[i], ferrs[i] = vm.New(res.Prog, fcfg).Run()
+			// runs above never exercise it. Re-run observer-free on the
+			// fast path and the reference dispatcher and require the two
+			// to agree; when the observed runs completed, the fused run
+			// must also reproduce their Stats bit-for-bit (observer hooks
+			// and fusion must both be invisible to the architected state).
+			var fouts [2]*vm.Result
+			var ferrs [2]error
+			for i, ref := range []bool{false, true} {
+				fouts[i], ferrs[i] = vm.New(res.Prog, vm.Config{
+					Trigger:    newTrig(),
+					Handlers:   res.Handlers,
+					MaxCycles:  1 << 32,
+					Reference:  ref,
+					IterBudget: int64(iterBudget),
+				}).Run()
 			}
-			for i := 1; i < 3; i++ {
-				if (ferrs[0] == nil) != (ferrs[i] == nil) {
-					t.Fatalf("%s: fused err %v, leg %d err %v", variation, ferrs[0], i, ferrs[i])
+			if (ferrs[0] == nil) != (ferrs[1] == nil) {
+				t.Fatalf("%s: fused err %v, reference err %v", variation, ferrs[0], ferrs[1])
+			}
+			if ferrs[0] != nil {
+				if ferrs[0].Error() != ferrs[1].Error() {
+					t.Fatalf("%s: fused traps differ:\n  fused:     %v\n  reference: %v", variation, ferrs[0], ferrs[1])
 				}
-				if ferrs[0] != nil {
-					if ferrs[0].Error() != ferrs[i].Error() {
-						t.Fatalf("%s: fused traps differ:\n  fused: %v\n  leg %d: %v", variation, ferrs[0], i, ferrs[i])
-					}
-					continue
-				}
-				if fouts[0].Stats != fouts[i].Stats || fouts[0].Return != fouts[i].Return {
-					t.Fatalf("%s: fused run diverges from leg %d:\n  fused: %+v\n  other: %+v",
-						variation, i, fouts[0].Stats, fouts[i].Stats)
-				}
+			} else if fouts[0].Stats != fouts[1].Stats || fouts[0].Return != fouts[1].Return {
+				t.Fatalf("%s: fused run diverges from reference:\n  fused:     %+v\n  reference: %+v",
+					variation, fouts[0].Stats, fouts[1].Stats)
 			}
 			if errs[0] == nil && ferrs[0] == nil && fouts[0].Stats != outs[0].Stats {
 				t.Fatalf("%s: fused observer-free run diverges from observed run:\n  fused:    %+v\n  observed: %+v",

@@ -174,9 +174,10 @@ func runSpec(ctx context.Context, spec JobSpec, events *job, full bool) (*experi
 	}
 	// ModeFull: flight-record the run's sampling-relevant VM events so
 	// the job's merged Chrome trace spans HTTP-to-opcode. The metrics
-	// meter above already holds the observer seam open (fusion and
-	// pure-block batching are off for any observed run — the price of
-	// watching, DESIGN.md §14); the recording hangs off the publisher
+	// meter above already holds the observer seam open (fused streams
+	// are off and every block runs per instruction in any observed run
+	// — the price of watching, DESIGN.md §14); the recording hangs off
+	// the publisher
 	// so the hot path stays one observer, filtered to fired samples.
 	var vtr *telemetry.Trace
 	if full && tr != nil && pub != nil {

@@ -81,8 +81,8 @@ func TestCancelArmedUnfiredIdentical(t *testing.T) {
 // TestCancelPrefired fires the token before Run: both dispatchers must
 // stop at the very first observation point with the identical
 // CancelError and identical partial Stats. The plain variant keeps the
-// fast dispatcher on the pure-block batching path, so this also covers
-// the prefix-sum counter reconstruction in pure.go.
+// fast dispatcher on fused streams, so this also covers the prefix-sum
+// counter reconstruction in fuse.go.
 func TestCancelPrefired(t *testing.T) {
 	prog := ir.RandomProgram(11, ir.RandomProgramConfig{})
 	for _, v := range []diffVariant{diffVariants()[0], diffVariants()[2]} {

@@ -74,9 +74,8 @@ func diffInstrumenters() []instr.Instrumenter {
 }
 
 // diffRun compiles the program fresh (so instrumentation runtimes start
-// empty) and runs it under one dispatcher. fusion selects the fast
-// path's superinstruction tier; the reference dispatcher ignores it.
-func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, reference bool, fusion vm.FusionMode) (*vm.Result, []instr.Runtime, error) {
+// empty) and runs it under one dispatcher.
+func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, reference bool) (*vm.Result, []instr.Runtime, error) {
 	t.Helper()
 	opts := compile.Options{Framework: v.fw}
 	if v.inst {
@@ -91,7 +90,6 @@ func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, referen
 		MaxCycles: 1 << 33,
 		ICache:    v.ic,
 		Reference: reference,
-		Fusion:    fusion,
 	}
 	if v.trig != nil {
 		cfg.Trigger = v.trig(seed)
@@ -150,23 +148,18 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				t.Fatalf("generated program invalid: %v", err)
 			}
 			for _, v := range diffVariants() {
-				ref, refRT, rerr := diffRun(t, prog, v, seed, true, vm.FusionAuto)
-				// The fast dispatcher runs under both fusion modes; each
-				// must match the reference bit for bit.
-				for _, fusion := range []vm.FusionMode{vm.FusionAuto, vm.FusionOff} {
-					label := fmt.Sprintf("%s/fusion=%d", v.name, fusion)
-					fast, fastRT, ferr := diffRun(t, prog, v, seed, false, fusion)
-					if (ferr == nil) != (rerr == nil) {
-						t.Fatalf("%s: fast err %v, reference err %v", label, ferr, rerr)
-					}
-					if ferr != nil {
-						if ferr.Error() != rerr.Error() {
-							t.Fatalf("%s: traps differ:\n  fast:      %v\n  reference: %v", label, ferr, rerr)
-						}
-						continue
-					}
-					compareRuns(t, label, fast, ref, fastRT, refRT)
+				ref, refRT, rerr := diffRun(t, prog, v, seed, true)
+				fast, fastRT, ferr := diffRun(t, prog, v, seed, false)
+				if (ferr == nil) != (rerr == nil) {
+					t.Fatalf("%s: fast err %v, reference err %v", v.name, ferr, rerr)
 				}
+				if ferr != nil {
+					if ferr.Error() != rerr.Error() {
+						t.Fatalf("%s: traps differ:\n  fast:      %v\n  reference: %v", v.name, ferr, rerr)
+					}
+					continue
+				}
+				compareRuns(t, v.name, fast, ref, fastRT, refRT)
 			}
 		})
 	}
@@ -230,7 +223,6 @@ func TestDifferentialTraps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgs := []vm.Config{
 				{MaxStack: 64},
-				{MaxStack: 64, Fusion: vm.FusionOff},
 				{MaxStack: 64, Reference: true},
 			}
 			msgs := make([]string, len(cfgs))
@@ -244,8 +236,8 @@ func TestDifferentialTraps(t *testing.T) {
 				}
 				msgs[i] = err.Error()
 			}
-			if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
-				t.Fatalf("traps differ:\n  fused:     %s\n  unfused:   %s\n  reference: %s", msgs[0], msgs[1], msgs[2])
+			if msgs[0] != msgs[1] {
+				t.Fatalf("traps differ:\n  fast:      %s\n  reference: %s", msgs[0], msgs[1])
 			}
 		})
 	}

@@ -6,31 +6,36 @@ import (
 	"instrsample/internal/ir"
 )
 
-// Superinstruction fusion: the third dispatch tier of the fast path.
+// Fused streams: the fast path's block-granular tier.
 //
-// The pure-block tier (pure.go) already removed per-instruction cost
-// accounting; what remains per instruction is the fetch + switch
-// dispatch itself. This file removes a measured share of *that*: after
-// blockInfo marks a block pure, the fusion pass peephole-scans it for
-// the hot opcode pairs/triples observed in the benchmark suite
-// (const+ALU, ALU+ALU, compare+branch, field/array pairs, and the
-// add+yield+jmp loop latch), rewrites the block into a parallel stream
-// of fixed-width fused instructions (fInstr), and the fused loop
-// executes that stream with one dispatch per superinstruction.
+// The fast dispatcher runs every block one of two ways. Blocks that can
+// call, check, probe, spawn or join run per instruction in runThread.
+// Pure blocks (pureBlock: plain computation and yieldpoints ending in a
+// jump or branch) are translated once per VM into a fused stream and
+// run by runFusedBlocks, which removes two per-instruction costs:
+//
+//   - cost accounting: the whole block's cycle cost and instruction
+//     count are charged at the terminator from precomputed prefix sums,
+//     which also reconstruct the exact per-instruction counters at every
+//     early exit (trap, quantum-expired yieldpoint, cancellation);
+//   - dispatch: a peephole pass matches the hot opcode pairs/triples
+//     observed in the benchmark suite (const+ALU, ALU+ALU,
+//     compare+branch, field/array pairs, and the add+yield+jmp loop
+//     latch) and rewrites the block into a stream of fixed-width fused
+//     instructions (fInstr), one dispatch per superinstruction.
 //
 // Dispatch is token-threaded: fInstr.tok is a dense token index and the
 // executor switches over it, which the Go compiler lowers to a jump
 // table — the closest safe analogue of computed-goto threading (a
 // [numToks]func handler table was measured and rejected: indirect calls
 // force the loop's cycle/icount/pc locals out of registers; see
-// BenchmarkFusedDispatchStyle and DESIGN.md §12).
+// BenchmarkFusedDispatchStyle and DESIGN.md §7.6).
 //
-// Correctness contract (DESIGN.md §12): fusion must be invisible in
+// Correctness contract (DESIGN.md §7.6): fusion must be invisible in
 // every Result. The fused stream is a *side table* on the VM — the
 // ir.Program is never mutated, the reference dispatcher never sees it —
 // and each fInstr records the original pc of its first sub-instruction,
-// so every early exit reconstructs the exact per-instruction counters
-// with the same prefix-sum discipline as pure.go:
+// so every early exit reconstructs the exact per-instruction counters:
 //
 //   - sub-instructions execute in original order with original
 //     semantics (all destination registers are written, traps use the
@@ -44,25 +49,12 @@ import (
 //     counters for the yield's own original pc, so a resumed frame
 //     restarts at the exact instruction the generic loop would have.
 //
-// Blocks whose operands do not fit the compact encoding fall back to
-// the pure-block tier (fuse[gid] == nil); blocks that are not pure were
-// never eligible. An installed Observer disables fusion entirely along
-// with pure-block batching (graceful degradation: every transfer and
-// yield stays individually observable; Results are bit-identical either
-// way).
-
-// FusionMode selects the fused dispatch tier in Config.
-type FusionMode uint8
-
-const (
-	// FusionAuto (the default) fuses pure blocks whenever the pure-block
-	// tier itself is active: fast dispatcher, cost scale 1, no observer.
-	FusionAuto FusionMode = iota
-	// FusionOff disables the fused tier; the fast path runs the PR 2
-	// pure-block loop unchanged. The reference dispatcher never fuses
-	// under either mode.
-	FusionOff
-)
+// A pure block whose operands do not fit the compact encoding gets no
+// stream (fuse[gid] == nil) and runs per instruction, like every impure
+// block. An installed Observer disables fusion entirely (every transfer
+// and yield stays individually observable; Results are bit-identical
+// either way), and so does a frame whose method runs at a cost scale
+// other than 1.
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -255,19 +247,20 @@ type kindCount struct {
 // fusedBlock is the fused stream for one pure block.
 type fusedBlock struct {
 	code []fInstr
-	// total, count and prefix duplicate the block's blockInfo cost
-	// table, and targets/mask cache the terminator's Targets slice and
-	// BackedgeMask (a pure block has exactly one terminator, so they
-	// are exit-invariant): steady-state fused execution touches only
-	// this struct, never blockInfo or the 112-byte original
-	// instructions.
+	// total is the summed cycle cost of the whole block at cost scale
+	// 1; count is len(Instrs); prefix[i] is the summed cycle cost of
+	// Instrs[:i], so prefix[count] == total. targets/mask cache the
+	// terminator's Targets slice and BackedgeMask (a pure block has
+	// exactly one terminator, so they are exit-invariant): steady-state
+	// fused execution touches only this struct, never the 112-byte
+	// original instructions.
 	total   uint64
 	count   uint64
 	prefix  []uint64
 	targets []*ir.Block
-	// next[i] is targets[i]'s fused stream (nil when that block is
-	// unfused), precomputed so a fused->fused transfer is one pointer
-	// load instead of a blockInfo lookup.
+	// next[i] is targets[i]'s fused stream (nil when that block runs
+	// per instruction), precomputed so a fused->fused transfer is one
+	// pointer load instead of a side-table lookup.
 	next []*fusedBlock
 	mask uint8
 	// execs counts fused-tier entries into this block, entry-granular
@@ -314,7 +307,7 @@ type FusionStats struct {
 // result is never nil-mapped; with fusion disabled all fields are zero.
 func (v *VM) FusionStats() FusionStats {
 	fs := FusionStats{ByKind: make(map[string]uint64)}
-	for gid, fb := range v.fuse {
+	for _, fb := range v.fuse {
 		if fb == nil {
 			continue
 		}
@@ -327,7 +320,7 @@ func (v *VM) FusionStats() FusionStats {
 		}
 		fs.BlockRuns += runs
 		fs.Dispatches += runs * uint64(len(fb.code))
-		fs.Instrs += runs * v.blockInfo[gid].count
+		fs.Instrs += runs * fb.count
 		fs.Fused += runs * uint64(fb.covered)
 		for _, kc := range fb.kinds {
 			fs.ByKind[superNames[kc.tok]] += runs * uint64(kc.n)
@@ -336,27 +329,63 @@ func (v *VM) FusionStats() FusionStats {
 	return fs
 }
 
-// buildFusion builds the fused streams for every pure block. Called
-// once per VM alongside buildBlockInfo, only when the config enables
-// fusion (see Run); blockInfo's GID validation has already run, so a
-// pure mark implies a trustworthy GID.
+// buildFusion computes the GID-indexed fused-stream table v.fuse under
+// the VM's cost model. Called once per VM, lazily from Run.
+//
+// A program mutated after its last Seal can carry stale or colliding
+// GIDs. The table must never charge one block with another block's
+// costs, so GIDs are validated first (in-range and collision-free); on
+// any violation no block is fused, which keeps the whole run on the
+// always-correct per-instruction path. An installed observer must see
+// every block transfer, which fused chains would hide, so it also
+// leaves the table empty; the per-instruction dispatch then emits a
+// hook at each transfer (the Observer cost contract).
 func (v *VM) buildFusion() {
-	v.fuse = make([]*fusedBlock, len(v.blockInfo))
+	size := v.prog.NumBlocks()
+	valid := true
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
-			if !v.blockInfo[b.GID].pure {
+			if b.GID < 0 {
+				valid = false
+			} else if b.GID >= size {
+				valid = false
+				size = b.GID + 1
+			}
+		}
+	}
+	v.fuse = make([]*fusedBlock, size)
+	if valid {
+		seen := make([]bool, size)
+		for _, m := range v.prog.Methods() {
+			for _, b := range m.Blocks {
+				if seen[b.GID] {
+					valid = false
+				}
+				seen[b.GID] = true
+			}
+		}
+	}
+	if !valid || v.obs != nil {
+		return
+	}
+	for _, m := range v.prog.Methods() {
+		for _, b := range m.Blocks {
+			if !pureBlock(b) {
 				continue
 			}
 			fb := fuseBlock(b)
 			if fb == nil {
 				continue
 			}
-			bi := &v.blockInfo[b.GID]
-			fb.total, fb.count, fb.prefix = bi.total, bi.count, bi.prefix
+			fb.prefix = make([]uint64, len(b.Instrs)+1)
+			for i := range b.Instrs {
+				fb.prefix[i+1] = fb.prefix[i] + uint64(v.costTab[b.Instrs[i].Op])
+			}
+			fb.count = uint64(len(b.Instrs))
+			fb.total = fb.prefix[fb.count]
 			term := &b.Instrs[len(b.Instrs)-1]
 			fb.targets, fb.mask = term.Targets, term.BackedgeMask
 			v.fuse[b.GID] = fb
-			bi.fb = fb
 		}
 	}
 	// Second pass: wire fused->fused successor pointers (all streams
@@ -372,10 +401,41 @@ func (v *VM) buildFusion() {
 	}
 }
 
+// pureBlock reports whether b may be fused: every instruction is plain
+// computation or a yieldpoint, ending in a jump or branch. Anything
+// that can switch frames, poll the sample trigger, or run a probe
+// disqualifies the block.
+func pureBlock(b *ir.Block) bool {
+	n := len(b.Instrs)
+	if n == 0 {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		switch b.Instrs[i].Op {
+		case ir.OpJump, ir.OpBranch:
+			if i != n-1 {
+				return false
+			}
+		case ir.OpNop, ir.OpConst, ir.OpMove,
+			ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+			ir.OpNeg, ir.OpNot,
+			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
+			ir.OpClassOf, ir.OpNew, ir.OpGetField, ir.OpPutField,
+			ir.OpNewArray, ir.OpArrayLoad, ir.OpArrayStore, ir.OpArrayLen,
+			ir.OpIO, ir.OpPrint, ir.OpYield:
+		default:
+			return false
+		}
+	}
+	op := b.Instrs[n-1].Op
+	return op == ir.OpJump || op == ir.OpBranch
+}
+
 // fuseBlock translates one pure block into a fused stream, greedily
 // matching superinstructions left to right (triples before pairs). It
 // returns nil when any operand overflows the compact fInstr encoding;
-// the block then stays on the pure-block tier.
+// the block then runs per instruction.
 func fuseBlock(b *ir.Block) *fusedBlock {
 	ins := b.Instrs
 	if len(ins) > 0xFFFF {
@@ -506,7 +566,7 @@ var pairToks = map[[2]ir.Op]fuseTok{
 
 // matchSuper reports the superinstruction starting at ins[pc], or
 // (fuseInvalid, 0) when none matches. The set is chosen from the
-// dynamic pair profile of the benchmark suite (DESIGN.md §12 records
+// dynamic pair profile of the benchmark suite (DESIGN.md §7.6 records
 // the measurement): on compress — the 2x-gate benchmark — the selected
 // pairs cover over half of all pure-tier instructions.
 func matchSuper(ins []ir.Instr, pc int) (fuseTok, int) {
@@ -598,37 +658,20 @@ func field16(f int) (int16, bool) {
 	return int16(f), true
 }
 
-// runLinear is the straight-line dispatcher selector behind every
-// pure-block entry point in runThread: it routes each chain segment to
-// the fused tier when the current block has a fused stream and to the
-// pure-block tier otherwise. Preconditions match runPureBlocks: f.Block
-// is pure, f.PC == 0, cost scale 1.
-func (v *VM) runLinear(t *Thread, f *Frame, cycles, icount uint64) (uint64, uint64, bool, error) {
-	for {
-		if fb := v.blockInfo[f.Block.GID].fb; fb != nil {
-			var sched bool
-			var err error
-			cycles, icount, sched, err = v.runFusedBlocks(t, f, fb, cycles, icount)
-			if sched || err != nil {
-				return cycles, icount, sched, err
-			}
-			if v.blockInfo[f.Block.GID].pure {
-				// Encoding-overflow fallback block: run it (and any
-				// pure successors) on the pure-block tier.
-				continue
-			}
-			return cycles, icount, false, nil
-		}
-		return v.runPureBlocks(t, f, cycles, icount)
-	}
-}
-
-// runFusedBlocks executes a chain of fused pure blocks starting at
-// f.Block (which must have a fused stream, with f.PC == 0 and cost
-// scale 1). Cost accounting is identical to runPureBlocks — whole-block
-// precharge at terminators, prefix-sum reconstruction at early exits —
-// except that each loop iteration dispatches one fused token instead of
-// one original instruction. Return conventions match runPureBlocks.
+// runFusedBlocks executes a chain of fused blocks starting at f.Block,
+// whose stream is fb (f.PC == 0, cost scale 1), charging cycles and
+// instruction counts a block at a time. It returns the updated local
+// counters plus how the caller should proceed: err != nil means trap or
+// cancellation (counters already flushed), sched means runThread should
+// return (true, nil) (counters already flushed), and otherwise dispatch
+// continues per instruction at f.Block/f.PC.
+//
+// Within a block, cost additions that merely accumulate (OpIO, the
+// OpNewArray zeroing charge) are applied immediately; they commute with
+// the deferred block charge, so every observation point still sees the
+// reference-exact value. Early exits charge prefix[pc+1]: the cost of
+// every instruction up to and including the current one, matching the
+// reference's charge-before-execute order.
 func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount uint64) (uint64, uint64, bool, error) {
 	regs := f.Regs
 	limit := v.cfg.MaxCycles
@@ -656,13 +699,13 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fDiv:
 				d := regs[in.b].I
 				if d == 0 {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "division by zero")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "division by zero")
 				}
 				regs[in.dst] = Value{I: regs[in.a].I / d}
 			case fRem:
 				d := regs[in.b].I
 				if d == 0 {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "remainder by zero")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "remainder by zero")
 				}
 				regs[in.dst] = Value{I: regs[in.a].I % d}
 			case fAnd:
@@ -696,7 +739,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fClassOf:
 				o := regs[in.a].R
 				if o == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "classof on null")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "classof on null")
 				}
 				if o.Class != nil {
 					regs[in.dst] = Value{I: int64(o.Class.ID)}
@@ -708,19 +751,19 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fGetField:
 				o := regs[in.a].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
 				}
 				regs[in.dst] = o.Fields[in.b]
 			case fPutField:
 				o := regs[in.b].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
 				}
 				o.Fields[in.dst] = regs[in.a]
 			case fNewArray:
 				n := regs[in.a].I
 				if n < 0 || n > 1<<28 {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("newarray with length %d", n))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("newarray with length %d", n))
 				}
 				regs[in.dst] = RefVal(NewArray(int(n)))
 				// Charge a small per-element cost for zeroing.
@@ -728,27 +771,27 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fALoad:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				regs[in.dst] = a.Elems[i]
 			case fAStore:
 				a := regs[in.dst].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				a.Elems[i] = regs[in.a]
 			case fALen:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "alen on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "alen on null or non-array")
 				}
 				regs[in.dst] = Value{I: int64(len(a.Elems))}
 
@@ -954,44 +997,44 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fGetFieldConst:
 				o := regs[in.a].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
 				}
 				regs[in.dst] = o.Fields[in.b]
 				regs[in.c] = Value{I: in.imm2}
 			case fPutFieldGetField:
 				o := regs[in.b].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
 				}
 				o.Fields[in.dst] = regs[in.a]
 				o2 := regs[in.d].R
 				if o2 == nil || o2.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
 				}
 				regs[in.c] = o2.Fields[in.e]
 			case fALoadGetField:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				regs[in.dst] = a.Elems[i]
 				o := regs[in.d].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
 				}
 				regs[in.c] = o.Fields[in.e]
 			case fALoadMul:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				regs[in.dst] = a.Elems[i]
 				regs[in.c] = Value{I: regs[in.d].I * regs[in.e].I}
@@ -999,66 +1042,66 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
 				a := regs[in.d].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.e].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				regs[in.c] = a.Elems[i]
 			case fAddPutField:
 				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
 				}
 				o.Fields[in.c] = regs[in.d]
 			case fAndPutField:
 				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
 				}
 				o.Fields[in.c] = regs[in.d]
 			case fXorPutField:
 				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
 				}
 				o.Fields[in.c] = regs[in.d]
 			case fAndAStore:
 				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
 				a := regs[in.c].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.e].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				a.Elems[i] = regs[in.d]
 			case fAStoreJmp:
 				a := regs[in.dst].R
 				if a == nil || a.Elems == nil {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
 				a.Elems[i] = regs[in.a]
 				tgt = 0
 				goto transfer
 
 			default:
-				return v.pureTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum,
+				return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum,
 					fmt.Sprintf("fused dispatch: invalid token %d", in.tok))
 			}
 		}
 		// Unreachable: fuseBlock always emits a terminator token last,
 		// and every terminator jumps to transfer.
-		return v.pureTrap(t, f, 0, fb.prefix, cycles, icount, quantum, "fused dispatch: stream without terminator")
+		return v.fusedTrap(t, f, 0, fb.prefix, cycles, icount, quantum, "fused dispatch: stream without terminator")
 
 	transfer:
 		cycles += fb.total
@@ -1086,4 +1129,17 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 		fb.execs++
 		code = fb.code
 	}
+}
+
+// fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the
+// exact per-instruction counters for the partially executed block,
+// flushes everything the per-instruction path keeps current, and builds
+// the trap.
+func (v *VM) fusedTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, bool, error) {
+	cycles += prefix[pc+1]
+	icount += uint64(pc) + 1
+	v.quantum = quantum
+	f.PC = pc
+	v.cycles, v.stats.Instrs = cycles, icount
+	return cycles, icount, false, v.trap(t, reason)
 }

@@ -1,17 +1,19 @@
 package vm_test
 
 // Fusion edge-case tests: the superinstruction tier's correctness
-// contract (DESIGN.md §12) says a fused run is observationally identical
+// contract (DESIGN.md §7.6) says a fused run is observationally identical
 // to the reference dispatcher even when execution stops *inside* a
 // superinstruction — a trap in the first or second sub-op, a
 // cancellation or quantum expiry at a fused-in yieldpoint — and that an
 // installed observer degrades gracefully by disabling fusion outright.
 // Each test here pins one of those seams with a hand-built program whose
-// fused encoding is known, then requires bit-identical results across
-// fused, unfused and reference configurations.
+// fused encoding is known, then requires bit-identical results between
+// the fast path and the reference dispatcher.
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"instrsample/internal/bench"
@@ -20,43 +22,53 @@ import (
 	"instrsample/internal/vm"
 )
 
-// tripleRun executes prog under the fused fast path, the unfused fast
-// path and the reference dispatcher, with base applied to all three, and
-// returns the VMs, results and errors in that order.
-func tripleRun(t *testing.T, prog func() *ir.Program, base vm.Config) ([3]*vm.VM, [3]*vm.Result, [3]error) {
+// pairRun executes prog under the fast path and the reference
+// dispatcher, with base applied to both, and returns the VMs, results
+// and errors in that order.
+func pairRun(t *testing.T, prog func() *ir.Program, base vm.Config) ([2]*vm.VM, [2]*vm.Result, [2]error) {
 	t.Helper()
-	var ms [3]*vm.VM
-	var rs [3]*vm.Result
-	var errs [3]error
-	for i, mod := range []func(*vm.Config){
-		func(*vm.Config) {},
-		func(c *vm.Config) { c.Fusion = vm.FusionOff },
-		func(c *vm.Config) { c.Reference = true },
-	} {
+	var ms [2]*vm.VM
+	var rs [2]*vm.Result
+	var errs [2]error
+	for i, reference := range []bool{false, true} {
 		cfg := base
-		mod(&cfg)
+		cfg.Reference = reference
 		ms[i] = vm.New(prog(), cfg)
 		rs[i], errs[i] = ms[i].Run()
 	}
 	return ms, rs, errs
 }
 
-// requireIdenticalStop asserts all three runs trapped with the same
-// message and left identical Stats.
-func requireIdenticalStop(t *testing.T, ms [3]*vm.VM, errs [3]error, want string) {
+// requireIdenticalStop asserts both runs stopped with the same error,
+// which contains want, and left identical Stats.
+func requireIdenticalStop(t *testing.T, ms [2]*vm.VM, errs [2]error, want string) {
 	t.Helper()
-	names := [3]string{"fused", "unfused", "reference"}
+	names := [2]string{"fast", "reference"}
 	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("%s: run completed, want error containing %q", names[i], want)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got error %v, want one containing %q", names[i], err, want)
 		}
 	}
-	if errs[0].Error() != errs[1].Error() || errs[1].Error() != errs[2].Error() {
-		t.Fatalf("errors differ:\n  fused:     %v\n  unfused:   %v\n  reference: %v", errs[0], errs[1], errs[2])
+	if errs[0].Error() != errs[1].Error() {
+		t.Fatalf("errors differ:\n  fast:      %v\n  reference: %v", errs[0], errs[1])
 	}
-	if ms[0].Stats() != ms[1].Stats() || ms[1].Stats() != ms[2].Stats() {
-		t.Fatalf("stats diverge:\n  fused:     %+v\n  unfused:   %+v\n  reference: %+v",
-			ms[0].Stats(), ms[1].Stats(), ms[2].Stats())
+	if ms[0].Stats() != ms[1].Stats() {
+		t.Fatalf("stats diverge:\n  fast:      %+v\n  reference: %+v", ms[0].Stats(), ms[1].Stats())
+	}
+}
+
+// requireIdenticalResult asserts both runs completed with the same
+// Result: return value, output sequence and Stats.
+func requireIdenticalResult(t *testing.T, rs [2]*vm.Result, errs [2]error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+	}
+	if rs[0].Return != rs[1].Return || !slices.Equal(rs[0].Output, rs[1].Output) || rs[0].Stats != rs[1].Stats {
+		t.Fatalf("results diverge:\n  fast:      ret=%d out=%v %+v\n  reference: ret=%d out=%v %+v",
+			rs[0].Return, rs[0].Output, rs[0].Stats, rs[1].Return, rs[1].Output, rs[1].Stats)
 	}
 }
 
@@ -108,7 +120,7 @@ func TestFusedTrapInsidePair(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ms, _, errs := tripleRun(t, tc.prog, vm.Config{MaxCycles: 1 << 20})
+			ms, _, errs := pairRun(t, tc.prog, vm.Config{MaxCycles: 1 << 20})
 			requireIdenticalStop(t, ms, errs, tc.want)
 			fs := ms[0].FusionStats()
 			if fs.ByKind[tc.kind] == 0 {
@@ -148,21 +160,15 @@ func latchLoop(iters int64) func() *ir.Program {
 // TestFusedCancelMidSuperinstruction pre-fires a cancel token so the
 // stop lands on the yieldpoint buried inside the add+yield+jmp triple:
 // the fused path must reconstruct the same resume pc and flushed
-// counters as both the unfused tier and the reference dispatcher.
+// counters as the reference dispatcher.
 func TestFusedCancelMidSuperinstruction(t *testing.T) {
 	prog := latchLoop(1 << 40) // effectively unbounded without cancel
-	var ms [3]*vm.VM
-	var errs [3]error
-	for i, mod := range []func(*vm.Config){
-		func(*vm.Config) {},
-		func(c *vm.Config) { c.Fusion = vm.FusionOff },
-		func(c *vm.Config) { c.Reference = true },
-	} {
+	var ms [2]*vm.VM
+	var errs [2]error
+	for i, reference := range []bool{false, true} {
 		tok := vm.NewCancel()
 		tok.Fire()
-		cfg := vm.Config{MaxCycles: 1 << 20, Cancel: tok}
-		mod(&cfg)
-		ms[i] = vm.New(prog(), cfg)
+		ms[i] = vm.New(prog(), vm.Config{MaxCycles: 1 << 20, Cancel: tok, Reference: reference})
 		_, errs[i] = ms[i].Run()
 	}
 	requireIdenticalStop(t, ms, errs, "cancelled")
@@ -179,29 +185,113 @@ func TestFusedCancelMidSuperinstruction(t *testing.T) {
 // TestFusedQuantumRotation drives the same latch loop to completion
 // under small quanta, so the scheduler's quantum-expiry path repeatedly
 // suspends execution at the yieldpoint inside the fused triple and
-// resumes mid-block through the generic loop. All three configurations
-// must agree on the full Result.
+// resumes mid-block through the per-instruction loop. The fast path
+// and the reference dispatcher must agree on the full Result.
 func TestFusedQuantumRotation(t *testing.T) {
 	const iters = 40
 	for _, q := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("quantum=%d", q), func(t *testing.T) {
-			ms, rs, errs := tripleRun(t, latchLoop(iters), vm.Config{MaxCycles: 1 << 20, Quantum: q})
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("config %d: %v", i, err)
-				}
-			}
-			for i := 1; i < 3; i++ {
-				if rs[i].Return != rs[0].Return {
-					t.Errorf("config %d: return %d, want %d", i, rs[i].Return, rs[0].Return)
-				}
-			}
-			if ms[0].Stats() != ms[1].Stats() || ms[1].Stats() != ms[2].Stats() {
-				t.Fatalf("stats diverge:\n  fused:     %+v\n  unfused:   %+v\n  reference: %+v",
-					ms[0].Stats(), ms[1].Stats(), ms[2].Stats())
-			}
+			ms, rs, errs := pairRun(t, latchLoop(iters), vm.Config{MaxCycles: 1 << 20, Quantum: q})
+			requireIdenticalResult(t, rs, errs)
 			if fs := ms[0].FusionStats(); fs.ByKind["add+yield+jmp"] < iters {
 				t.Errorf("latch entered %d times fused, want >= %d", fs.ByKind["add+yield+jmp"], iters)
+			}
+		})
+	}
+}
+
+// overflowLoop builds a counted loop whose body block L writes and
+// reads register big:
+//
+//	entry: r1=1; r2=iters; r7=trapAt; jmp L
+//	L:     r0=r0+r1; big=r0-r7; r5=r1/big; print big; yield; jmp M
+//	M:     r3=r0<r2; br r3 [L, done]
+//	done:  return r0
+//
+// Every block but done is pure. With big > 0x7FFF, L overflows the
+// fused encoding and runs per instruction between two fused blocks.
+// The division traps in the iteration where r0 == trapAt; a negative
+// trapAt never traps. With threads > 1, main spawns threads-1 workers
+// running the same loop, calls it itself, and joins them.
+func overflowLoop(big ir.Reg, iters, trapAt int64, threads int) func() *ir.Program {
+	return func() *ir.Program {
+		lb := ir.NewFunc("loop", 0)
+		lb.M.NumRegs = int(big) + 1
+		entry := lb.EntryBlock()
+		loop := lb.Block("L")
+		mid := lb.Block("M")
+		done := lb.Block("done")
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 1})
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 2, Imm: iters})
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 7, Imm: trapAt})
+		entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{loop}})
+		loop.Append(ir.Instr{Op: ir.OpAdd, Dst: 0, A: 0, B: 1})
+		loop.Append(ir.Instr{Op: ir.OpSub, Dst: big, A: 0, B: 7})
+		loop.Append(ir.Instr{Op: ir.OpDiv, Dst: 5, A: 1, B: big})
+		loop.Append(ir.Instr{Op: ir.OpPrint, A: big})
+		loop.Append(ir.Instr{Op: ir.OpYield})
+		loop.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{mid}})
+		mid.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 0, B: 2})
+		mid.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{loop, done}})
+		lb.At(done).Return(0)
+
+		mb := ir.NewFunc("main", 0)
+		mc := mb.At(mb.EntryBlock())
+		var handles []ir.Reg
+		for i := 1; i < threads; i++ {
+			handles = append(handles, mc.Spawn(lb.M))
+		}
+		sum := mc.Call(lb.M)
+		for _, h := range handles {
+			sum = mc.Bin(ir.OpAdd, sum, mc.Join(h))
+		}
+		mc.Return(sum)
+		p := &ir.Program{Name: "overflow", Funcs: []*ir.Method{lb.M, mb.M}, Main: mb.M}
+		p.Seal()
+		return p
+	}
+}
+
+// TestFuseBlockOperandOverflow runs a loop whose body block uses a
+// register beyond the fused encoding's int16 range end to end: to
+// completion, with a trap inside the overflowing block, and with two
+// threads rotating at its yieldpoint. The block must stay unfused (its
+// pure neighbours still fuse) and every run must match the reference
+// dispatcher bit for bit.
+func TestFuseBlockOperandOverflow(t *testing.T) {
+	const big, iters = 0x9C40, 40 // register 40000 > 0x7FFF
+	cases := []struct {
+		name    string
+		trapAt  int64
+		threads int
+		quantum int
+	}{
+		{"complete", -1, 1, 0},
+		{"trap", iters / 2, 1, 0},
+		{"threads", -1, 2, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			turns := 0 // scheduling turns across both runs
+			cfg := vm.Config{MaxCycles: 1 << 24, Quantum: tc.quantum, Sched: func(int) { turns++ }}
+			ms, rs, errs := pairRun(t, overflowLoop(big, iters, tc.trapAt, tc.threads), cfg)
+			if tc.threads > 1 && turns < 2*iters {
+				t.Fatalf("%d scheduling turns over both runs; the quantum never rotated at L's yieldpoint", turns)
+			}
+			if tc.trapAt >= 0 {
+				requireIdenticalStop(t, ms, errs, "division by zero at loop:L(b1):2")
+			} else {
+				requireIdenticalResult(t, rs, errs)
+			}
+			// entry and M fuse, L does not.
+			if fs := ms[0].FusionStats(); fs.FusedBlocks != 2 || fs.Instrs == 0 {
+				t.Fatalf("want exactly entry and M fused and run, got %+v", fs)
+			}
+			// Control: the same program with a small register fuses L too.
+			ctl := vm.New(overflowLoop(8, iters, tc.trapAt, tc.threads)(), cfg)
+			_, _ = ctl.Run() // the trap case traps; only the stream count matters here
+			if fs := ctl.FusionStats(); fs.FusedBlocks != 3 {
+				t.Fatalf("control run fused %d blocks, want 3", fs.FusedBlocks)
 			}
 		})
 	}
@@ -219,8 +309,9 @@ func (noopObserver) OnProbe(*vm.Thread, *vm.Frame, *ir.Probe)         {}
 func (noopObserver) OnYield(*vm.Thread, *vm.Frame)                    {}
 
 // TestObserverDisablesFusion pins the degradation choice documented in
-// DESIGN.md §12: FusionAuto with an observer installed runs zero fused
-// blocks, and the observed run's results still match the fused run.
+// DESIGN.md §7.6: with an observer installed the fast path runs zero
+// fused blocks, and the observed run's results still match the fused
+// run.
 func TestObserverDisablesFusion(t *testing.T) {
 	prog := latchLoop(100)
 	plain := vm.New(prog(), vm.Config{MaxCycles: 1 << 20})
@@ -275,9 +366,9 @@ func TestFusedFractionCompress(t *testing.T) {
 // fusion-smoke`: random programs (threaded and not) across a variant
 // subset, healthy and cancelled, fused always compared bit-for-bit
 // against the reference dispatcher. It subsumes nothing — the broad
-// differential tests already run both fusion modes — but gives CI a
-// single -run target that forces fusion through every variation under
-// -race.
+// differential tests already compare the fast path with the reference —
+// but gives CI a single -run target that forces fusion through every
+// variation under -race.
 func TestFusionDifferentialSweep(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -295,8 +386,8 @@ func TestFusionDifferentialSweep(t *testing.T) {
 			}
 			for _, pi := range picks {
 				v := variants[pi]
-				ref, refRT, rerr := diffRun(t, prog, v, seed, true, vm.FusionAuto)
-				fast, fastRT, ferr := diffRun(t, prog, v, seed, false, vm.FusionAuto)
+				ref, refRT, rerr := diffRun(t, prog, v, seed, true)
+				fast, fastRT, ferr := diffRun(t, prog, v, seed, false)
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s: fused err %v, reference err %v", v.name, ferr, rerr)
 				}

@@ -112,28 +112,16 @@ func TestFuseBlockMatching(t *testing.T) {
 	}
 }
 
-// TestFuseBlockOperandOverflow checks the encoding bail-out: a register
-// beyond int16 keeps the whole block on the pure tier rather than
-// truncating silently.
-func TestFuseBlockOperandOverflow(t *testing.T) {
-	b := fuseTestBlock(t, []ir.Instr{
-		{Op: ir.OpConst, Dst: 40000, Imm: 1},
-	})
-	if fb := fuseBlock(b); fb != nil {
-		t.Fatalf("fuseBlock encoded an out-of-range register: %+v", fb.code)
-	}
-}
-
 // --- dispatch-style measurement ---
 //
 // The fused executor dispatches with a dense switch over fuseTok, which
-// the compiler lowers to a jump table; the ISSUE's alternative — a
+// the compiler lowers to a jump table; the alternative — a
 // dense [numToks]func handler table — costs an indirect call per token
 // and forces the interpreter state (cycle counter, pc, register base)
 // through memory. BenchmarkFusedDispatchStyle measures both styles on
 // the same synthetic token stream so the choice stays justified by a
 // number in this repo rather than folklore; BENCH_PR7.json and
-// DESIGN.md §12 record the result.
+// DESIGN.md §7.6 record the result.
 
 type dispatchState struct {
 	regs   [8]int64

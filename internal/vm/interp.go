@@ -29,6 +29,10 @@ import (
 //   - The frame position (f.PC) is tracked in a local and written back
 //     only where something else can observe it: traps, probes, calls,
 //     and scheduler returns.
+//   - Every entry into a block with a fused stream (thread entry at pc
+//     0, calls and block transfers, at cost scale 1) hands the chain of
+//     fused blocks to runFusedBlocks (fuse.go); all other blocks run
+//     here, one instruction per dispatch.
 func (v *VM) runThread(t *Thread) (bool, error) {
 	f := t.Top()
 	if f.PC == 0 {
@@ -44,10 +48,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 	instrs := f.Block.Instrs
 	pc := f.PC
 	scale := f.costScale
-	if pc == 0 && scale == 1 && v.blockInfo[f.Block.GID].pure {
+	if fb := v.fuse[f.Block.GID]; fb != nil && pc == 0 && scale == 1 {
 		var sched bool
 		var err error
-		cycles, icount, sched, err = v.runLinear(t, f, cycles, icount)
+		cycles, icount, sched, err = v.runFusedBlocks(t, f, fb, cycles, icount)
 		if err != nil {
 			return false, err
 		}
@@ -192,10 +196,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[nf.Block.GID].pure {
+			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -229,10 +233,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[nf.Block.GID].pure {
+			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -341,10 +345,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -375,10 +379,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -421,10 +425,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -457,10 +461,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}

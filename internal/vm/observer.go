@@ -17,10 +17,11 @@ import "instrsample/internal/ir"
 //     events — and never inside the per-instruction dispatch. Adding a
 //     hook site that tests the observer per instruction is a contract
 //     violation.
-//   - With an observer installed, the fast path disables pure-block
-//     batching (pure.go) so that every intra-frame transfer is visible;
-//     observed runs are therefore slower, but their Results are
-//     bit-identical to unobserved runs under both dispatchers.
+//   - With an observer installed, the fast path builds no fused streams
+//     (fuse.go) and runs every block per instruction, so that every
+//     intra-frame transfer is visible; observed runs are therefore
+//     slower, but their Results are bit-identical to unobserved runs
+//     under both dispatchers.
 //
 // Hooks run synchronously on the VM's goroutine. They must not mutate
 // VM state and must not retain *Frame or Frame.Regs/Scratch past the

@@ -63,9 +63,10 @@ type Config struct {
 	// Observer, when non-nil, receives execution events (frame pushes and
 	// pops, block transfers, checks, probes) for runtime verification;
 	// package oracle is the standard implementation. A nil Observer costs
-	// nothing (see Observer's cost contract). Installing one disables the
-	// fast path's pure-block batching so every transfer is observable;
-	// Results remain bit-identical to unobserved runs.
+	// nothing (see Observer's cost contract). Installing one keeps every
+	// block of the fast path on per-instruction dispatch (no fused
+	// streams) so every transfer is observable; Results remain
+	// bit-identical to unobserved runs.
 	Observer Observer
 	// Cancel, when non-nil, is an externally armed stop request polled at
 	// observation points (yieldpoints and sample checks) by both
@@ -93,21 +94,13 @@ type Config struct {
 	Sched func(threadID int)
 	// Reference selects the retained simple dispatch loop instead of the
 	// fast path: per-instruction opCost switch and cycle-budget check, a
-	// freshly allocated frame per call, and the re-slicing scheduler
-	// queue. It is slower and allocates per call but is deliberately
-	// boring; the differential tests run every program under both
-	// dispatchers and require identical results (see ref.go and
-	// DESIGN.md §7).
+	// freshly allocated frame per call, the re-slicing scheduler queue,
+	// and no fused streams (fuse.go). It is slower and allocates per call
+	// but is deliberately boring; the differential tests run every
+	// program under both dispatchers and require identical results (see
+	// ref.go and DESIGN.md §7). Fused-stream coverage of a fast-path run
+	// is reported by VM.FusionStats, never in Stats.
 	Reference bool
-	// Fusion selects the superinstruction-fusion tier of the fast
-	// dispatcher. Under the default FusionAuto, pure blocks are rewritten
-	// into token-threaded superinstruction streams whenever pure-block
-	// batching itself is active (fast path, no observer); FusionOff keeps
-	// the plain pure-block loop. The reference dispatcher never fuses,
-	// and Results are bit-identical under every mode (see fuse.go and
-	// DESIGN.md §12). Coverage is reported by VM.FusionStats, never in
-	// Stats.
-	Fusion FusionMode
 }
 
 // Stats aggregates execution counters for one run.
@@ -190,14 +183,10 @@ type VM struct {
 	// the cost model at New time, so the hot loop never re-runs the
 	// opCost switch (see CostModel.table).
 	costTab [ir.NumOpcodes]uint32
-	// blockInfo is the GID-indexed per-block side table for block-granular
-	// cost accounting (see pure.go). Built lazily on the first Run.
-	blockInfo []blockInfo
-	// fuse is the GID-indexed fused-stream side table (nil when fusion
-	// is disabled; nil entries mark unfused blocks), used by
-	// buildFusion and FusionStats; the dispatch loop reaches streams
-	// through blockInfo.fb instead. Like blockInfo, it is per-VM: the
-	// shared ir.Program is never mutated.
+	// fuse is the GID-indexed fused-stream side table (see fuse.go),
+	// built lazily on the first fast-path Run. A nil entry means the
+	// block runs per instruction. It is per-VM: the shared ir.Program is
+	// never mutated.
 	fuse []*fusedBlock
 
 	threads []*Thread
@@ -253,14 +242,8 @@ func (v *VM) Run() (*Result, error) {
 	if v.cfg.Reference {
 		return v.runReference()
 	}
-	if v.blockInfo == nil {
-		v.buildBlockInfo()
-		// Fusion rides on pure-block batching: an installed observer has
-		// already disabled that (no block is pure), so building fused
-		// streams would be dead weight.
-		if v.cfg.Fusion == FusionAuto && v.obs == nil {
-			v.buildFusion()
-		}
+	if v.fuse == nil {
+		v.buildFusion()
 	}
 	main := v.newThread(v.prog.Main)
 	v.runq.push(main)
