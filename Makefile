@@ -137,13 +137,14 @@ doc-lint:
 # Fusion smoke for ci, two halves. (1) Correctness: the seeded
 # differential sweep plus every fused-block edge-case test (trap inside
 # a superinstruction, cancellation/quantum mid-pair, the operand-overflow
-# fallback to per-instruction dispatch, observer degradation, coverage
-# floors) under -race. (2) Performance floor: a quick interleaved A/B
+# fallback to per-instruction dispatch, observer degradation, sparse
+# observers kept fused with exact yield wakes and episode boundaries,
+# coverage floors) under -race. (2) Performance floor: a quick interleaved A/B
 # run that fails if the median same-window fused/reference ratio drops
 # below 1.0 — the fast path must never be slower than the reference
 # dispatcher.
 fusion-smoke:
-	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestFused|TestFuseBlockOperandOverflow|TestObserverDisablesFusion)' \
+	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestFused|TestFuseBlockOperandOverflow|TestAllEventsObserverDisablesFusion|TestSparseObserverKeepsFusion)' \
 		./internal/vm/
 	$(GO) run ./cmd/benchab -quick -floor 1.0
 

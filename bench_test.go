@@ -269,10 +269,34 @@ func BenchmarkSampledRun(b *testing.B) {
 	}
 }
 
+// BenchmarkSampledRunMeter measures the same sampled run with the
+// metrics meter alone attached, the way every service job runs. The
+// meter declares a sparse event mask and a capture deadline, so the run
+// stays on fused streams; the gap to BenchmarkSampledRun is what the
+// meter costs.
+func BenchmarkSampledRunMeter(b *testing.B) {
+	res := sampledCompress(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meter := telemetry.NewMeter(telemetry.NewRegistry(), "counter/1000", 1<<16, nil)
+		v := vm.New(res.Prog, vm.Config{
+			Trigger:  trigger.NewCounter(1000),
+			Handlers: res.Handlers,
+			Observer: meter,
+		})
+		meter.SetClock(v)
+		if _, err := v.Run(); err != nil {
+			b.Fatal(err)
+		}
+		meter.Finish()
+	}
+}
+
 // BenchmarkSampledRunTelemetry measures the same sampled run with the
 // full telemetry chain attached (trace recorder + metrics meter). The
-// gap to BenchmarkSampledRun is the price of observation: the observer
-// turns fused streams off and every hook records an event.
+// gap to BenchmarkSampledRunMeter is the price of tracing: the trace
+// recorder declares no event mask, so it turns fused streams off and
+// every hook records an event.
 func BenchmarkSampledRunTelemetry(b *testing.B) {
 	res := sampledCompress(b)
 	b.ResetTimer()

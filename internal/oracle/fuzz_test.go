@@ -101,8 +101,8 @@ func FuzzVariations(f *testing.F) {
 				t.Fatalf("%s: returns diverge: %d vs %d", variation, outs[0].Return, outs[1].Return)
 			}
 
-			// Fused leg: observers disable superinstruction fusion, so the
-			// runs above never exercise it. Re-run observer-free on the
+			// Fused leg: the oracle declares no event mask, so it disables
+			// superinstruction fusion and the runs above never exercise it. Re-run observer-free on the
 			// fast path and the reference dispatcher and require the two
 			// to agree; when the observed runs completed, the fused run
 			// must also reproduce their Stats bit-for-bit (observer hooks

@@ -192,6 +192,20 @@ func TestObsChainCancelledRunning(t *testing.T) {
 	s, h := obsServer(t, obs.ModeSpans, Config{})
 	id := mustAccept(t, h.URL, JobSpec{Source: slowSrc(1<<61 + 31)})
 	waitRunning(t, h.URL, id, 10*time.Second)
+	// A job turns running at worker pickup, before the run opens its
+	// compile stage; wait for the open stage to be vm-run, so the cancel
+	// cannot land in between on a loaded host.
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if rows := j.trace.Ledger().Rows; rows[len(rows)-1].Stage == obs.StageVMRun {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached vm-run", id)
+		}
+	}
 	req, _ := http.NewRequest(http.MethodDelete, h.URL+"/v1/jobs/"+id, nil)
 	if _, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
@@ -467,6 +481,54 @@ func TestObsFullMergedTrace(t *testing.T) {
 	}
 	if c, ok := doc.OtherData["vmCycles"].(float64); !ok || c <= 0 {
 		t.Errorf("otherData vmCycles = %v, want > 0", doc.OtherData["vmCycles"])
+	}
+}
+
+// TestObsFullTraceCountsSamples: the full-mode flight recorder sees every
+// fired check and probe although the metered run stays on fused streams
+// (the publisher widens the meter's event mask by EvCheck|EvProbe). On
+// a run that fits the ring, the VM trace holds exactly Stats.CheckFires
+// sample records and Stats.Probes probe records — for OpCheck samples
+// (full duplication) and for guard samples (no duplication) alike.
+func TestObsFullTraceCountsSamples(t *testing.T) {
+	t.Parallel()
+	s, h := obsServer(t, obs.ModeFull, Config{})
+	for _, tc := range []struct {
+		variation string
+		interval  int64
+	}{{"full", 977}, {"nodup", 31}} {
+		variation := tc.variation
+		id := mustAccept(t, h.URL, JobSpec{Bench: "db", Scale: 0.005, Instrument: []string{"call-edge", "field-access"},
+			Variation: variation, Interval: tc.interval})
+		v := waitTerminal(t, h.URL, id, 60*time.Second)
+		if v.Status != StatusDone {
+			t.Fatalf("%s job %s: %s (%s)", variation, id, v.Status, v.Error)
+		}
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		events, _, total, drops, _, _, _, attached := j.trace.VM()
+		if !attached || drops != 0 || total != uint64(len(events)) {
+			t.Fatalf("%s: trace attached=%v, %d of %d events kept, %d dropped; want the whole run in the ring",
+				variation, attached, len(events), total, drops)
+		}
+		var samples, probes uint64
+		for _, e := range events {
+			switch e.Kind {
+			case telemetry.EvCheckFired:
+				samples++
+			case telemetry.EvProbe:
+				probes++
+			}
+		}
+		st := v.Result.Stats
+		if st.CheckFires == 0 || st.Probes == 0 {
+			t.Fatalf("%s: run produced no samples (%+v)", variation, st)
+		}
+		if samples != st.CheckFires || probes != st.Probes {
+			t.Errorf("%s: trace holds %d samples and %d probes, Stats report %d and %d",
+				variation, samples, probes, st.CheckFires, st.Probes)
+		}
 	}
 }
 

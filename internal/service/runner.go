@@ -46,6 +46,9 @@ func jobProgram(spec JobSpec) (*ir.Program, error) {
 // then publishes any freshly captured Series rows to the job's event log.
 // It runs on the VM goroutine, so reading the meter's series here is
 // race-free; subscribers only ever see rows through job.appendEvents.
+// It declares the meter's event mask and capture deadline, so a metered
+// run stays on fused streams and the publisher runs only where the meter
+// does.
 //
 // When vtr is non-nil (obs ModeFull) it also flight-records the samples
 // themselves — fired checks and probes, the events the paper's
@@ -55,9 +58,10 @@ func jobProgram(spec JobSpec) (*ir.Program, error) {
 // yields, transfers — 2x-costly to record in aggregate, BENCH_PR4/PR8)
 // is deliberately NOT recorded, and the recording rides inside this
 // observer rather than as a second one so the VM keeps
-// CombineObservers' single-observer dispatch path. Both together keep
-// -obs=full's marginal cost proportional to the sample rate, not the
-// block rate (BENCH_PR9).
+// CombineObservers' single-observer dispatch path. To see every fired
+// check and probe, the recording adds EvCheck|EvProbe to the mask; the
+// run stays fused. Both together keep -obs=full's marginal cost
+// proportional to the sample rate, not the block rate (BENCH_PR9).
 type meterPublisher struct {
 	m    *telemetry.Meter
 	j    *job
@@ -73,11 +77,25 @@ func (p *meterPublisher) publish() {
 	}
 }
 
+// Events implements vm.EventFilter.
+func (p *meterPublisher) Events() vm.EventMask {
+	ev := p.m.Events()
+	if p.vtr != nil {
+		ev |= vm.EvCheck | vm.EvProbe
+	}
+	return ev
+}
+
+// NextWake implements vm.EventFilter.
+func (p *meterPublisher) NextWake() uint64 { return p.m.NextWake() }
+
 func (p *meterPublisher) OnEnter(t *vm.Thread, f *vm.Frame) { p.m.OnEnter(t, f); p.publish() }
 func (p *meterPublisher) OnExit(t *vm.Thread, f *vm.Frame)  { p.m.OnExit(t, f); p.publish() }
+
+// OnTransfer forwards without publishing: the meter never captures on a
+// transfer.
 func (p *meterPublisher) OnTransfer(t *vm.Thread, f *vm.Frame, in *ir.Instr, target int) {
 	p.m.OnTransfer(t, f, in, target)
-	p.publish()
 }
 func (p *meterPublisher) OnCheck(t *vm.Thread, f *vm.Frame, in *ir.Instr, fired bool) {
 	p.m.OnCheck(t, f, in, fired)
@@ -173,12 +191,10 @@ func runSpec(ctx context.Context, spec JobSpec, events *job, full bool) (*experi
 		observers = append(observers, pub)
 	}
 	// ModeFull: flight-record the run's sampling-relevant VM events so
-	// the job's merged Chrome trace spans HTTP-to-opcode. The metrics
-	// meter above already holds the observer seam open (fused streams
-	// are off and every block runs per instruction in any observed run
-	// — the price of watching, DESIGN.md §14); the recording hangs off
-	// the publisher
-	// so the hot path stays one observer, filtered to fired samples.
+	// the job's merged Chrome trace spans HTTP-to-opcode. The recording
+	// hangs off the publisher, so the hot path stays one observer whose
+	// event mask keeps fused streams on (DESIGN.md §14), filtered to
+	// fired samples. Set it before vm.New, which reads the mask.
 	var vtr *telemetry.Trace
 	if full && tr != nil && pub != nil {
 		// A small per-job ring: the recorder keeps the end of the run

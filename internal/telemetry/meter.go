@@ -21,8 +21,9 @@ const (
 	MetricOverhead     = "vm.overhead.cycles"     // counter: modelled instrumentation cycles
 	MetricCheckRate    = "vm.checks_per_interval" // histogram: checks between captures
 
-	// Fusion coverage, recorded post-run via RecordFusion (the fused
-	// tier only runs observer-free, so these cannot arrive as events).
+	// Fusion coverage, recorded post-run via RecordFusion: the fused
+	// tier retires instructions a block at a time with no per-instruction
+	// event, so coverage is read from vm.VM.FusionStats after the run.
 	MetricFusionInstrs     = "vm.fusion.instrs"       // counter: instructions retired on the fused tier
 	MetricFusionFused      = "vm.fusion.fused"        // counter: instructions retired inside superinstructions
 	MetricFusionDispatches = "vm.fusion.dispatches"   // counter: fused-stream tokens dispatched
@@ -32,6 +33,15 @@ const (
 
 // Meter feeds a metrics Registry from the vm.Observer event stream and
 // captures a Series row every Interval cycles.
+//
+// The meter samples its own input, the way the paper samples
+// instrumentation: it declares only EvProbe and a wake deadline at its
+// next capture boundary (vm.EventFilter), so a metered run
+// keeps the VM's fused streams and the meter runs only at probes,
+// sampling-episode boundaries and capture deadlines. At each capture it
+// reads entries, exits, checks, samples and yields from the VM's own
+// counters — its clock must be the observed *vm.VM — so the Series is
+// byte-identical to the one a meter fed every event would capture.
 //
 // Derived metrics:
 //
@@ -53,9 +63,10 @@ const (
 // Like every telemetry consumer, the Meter is driven by simulated
 // cycles, so its output is deterministic for a given program + trigger.
 type Meter struct {
-	reg    *Registry
-	clock  Clock
-	series *Series
+	reg     *Registry
+	clock   Clock
+	machine *vm.VM
+	series  *Series
 
 	interval uint64
 	next     uint64
@@ -75,9 +86,18 @@ type Meter struct {
 	residency  *Gauge
 	checkRate  *Histogram
 
+	// probeCost sums the executed probes' modelled cost; the check and
+	// yield parts of vm.overhead.cycles come from the VM's counters.
+	probeCost       uint64
 	checksAtCapture uint64
 	threads         []meterThread
 }
+
+// pending counts events a hook is delivering that the VM adds to its
+// counters only after the hook returns: the exit inside OnExit (its
+// frame is still live) and a guard's fire inside OnCheck
+// (Stats.CheckFires counts an OpCheckedProbe fire after the hook).
+type pending struct{ exits, fires uint64 }
 
 type meterThread struct {
 	dupDepth int
@@ -119,8 +139,19 @@ func NewMeter(reg *Registry, triggerName string, interval uint64, cost *vm.CostM
 }
 
 // SetClock installs the timestamp source; call it right after vm.New,
-// with the VM itself.
-func (m *Meter) SetClock(c Clock) { m.clock = c }
+// with the VM itself. The VM is also where captures read the event
+// counters from; with any other clock they stay zero.
+func (m *Meter) SetClock(c Clock) {
+	m.clock = c
+	m.machine, _ = c.(*vm.VM)
+}
+
+// Events implements vm.EventFilter: the meter counts probes itself and
+// reads every other count from the VM at capture time.
+func (m *Meter) Events() vm.EventMask { return vm.EvProbe }
+
+// NextWake implements vm.EventFilter: the next capture boundary.
+func (m *Meter) NextWake() uint64 { return m.next }
 
 // Series returns the captured time series.
 func (m *Meter) Series() *Series { return m.series }
@@ -143,17 +174,27 @@ func (m *Meter) threadState(tid int) *meterThread {
 }
 
 // tick captures a series row when the capture boundary has passed.
-func (m *Meter) tick(now uint64) {
+func (m *Meter) tick(now uint64, p pending) {
 	if now < m.next {
 		return
 	}
-	m.capture(now)
+	m.capture(now, p)
 	m.next = (now/m.interval + 1) * m.interval
 }
 
-// capture refreshes the derived gauges and snapshots the registry.
-func (m *Meter) capture(now uint64) {
+// capture brings the event counters up to the VM's, refreshes the
+// derived gauges and snapshots the registry.
+func (m *Meter) capture(now uint64, p pending) {
 	m.cycles.Set(int64(now))
+	if m.machine != nil {
+		s := m.machine.Stats()
+		advance(m.entries, s.MethodEntries)
+		advance(m.exits, s.MethodEntries-uint64(m.machine.LiveFrames())+p.exits)
+		advance(m.checks, s.Checks)
+		advance(m.samples, s.CheckFires+p.fires)
+		advance(m.yields, s.Yields)
+		advance(m.overhead, m.probeCost+s.Checks*uint64(m.cost.Check)+s.Yields*uint64(m.cost.Yield))
+	}
 	checks := m.checks.Value()
 	m.checkRate.Observe(checks - m.checksAtCapture)
 	m.checksAtCapture = checks
@@ -173,16 +214,20 @@ func (m *Meter) capture(now uint64) {
 	m.series.Capture(now)
 }
 
+// advance raises c to total, a monotone VM-side count.
+func advance(c *Counter, total uint64) { c.Add(total - c.Value()) }
+
 // Finish folds open state and captures a final row at the current
 // cycle. Call it once after the run completes.
-func (m *Meter) Finish() { m.capture(m.now()) }
+func (m *Meter) Finish() { m.capture(m.now(), pending{}) }
 
 // RecordFusion publishes a run's superinstruction coverage
-// (vm.VM.FusionStats) into the registry. Installing any observer — the
-// Meter included — disables fusion, so fused runs are observer-free and
-// their coverage arrives here after the fact rather than as events:
-// call it once per fused run, with the run's Stats().Instrs as
-// totalInstrs. Calling it with all-zero stats (fusion off or degraded)
+// (vm.VM.FusionStats) into the registry. The fused tier emits no
+// per-instruction events, so coverage arrives here after the fact: call
+// it once per run, with the run's Stats().Instrs as totalInstrs. A run
+// the meter alone observes stays fused; one that also carries an
+// observer without an event mask (the trace recorder, the oracle) does
+// not, and calling it with all-zero stats (fusion off or degraded)
 // records nothing.
 func (m *Meter) RecordFusion(fs vm.FusionStats, totalInstrs uint64) {
 	if fs.Instrs == 0 {
@@ -221,21 +266,21 @@ func (m *Meter) dupExit(tid int, now uint64) {
 
 // OnEnter implements vm.Observer.
 func (m *Meter) OnEnter(t *vm.Thread, f *vm.Frame) {
-	m.entries.Inc()
-	m.tick(m.now())
+	m.tick(m.now(), pending{})
 }
 
-// OnExit implements vm.Observer.
+// OnExit implements vm.Observer. The VM always delivers an exit from
+// duplicated code, which closes a residency interval.
 func (m *Meter) OnExit(t *vm.Thread, f *vm.Frame) {
-	m.exits.Inc()
 	now := m.now()
 	if f.Block != nil && f.Block.Kind == ir.KindDuplicated {
 		m.dupExit(t.ID, now)
 	}
-	m.tick(now)
+	m.tick(now, pending{exits: 1})
 }
 
-// OnTransfer implements vm.Observer.
+// OnTransfer implements vm.Observer. The VM always delivers a transfer
+// between checking and duplicated code, the only ones the meter uses.
 func (m *Meter) OnTransfer(t *vm.Thread, f *vm.Frame, in *ir.Instr, target int) {
 	to := in.Targets[target]
 	fromDup := f.Block != nil && f.Block.Kind == ir.KindDuplicated
@@ -250,24 +295,21 @@ func (m *Meter) OnTransfer(t *vm.Thread, f *vm.Frame, in *ir.Instr, target int) 
 
 // OnCheck implements vm.Observer.
 func (m *Meter) OnCheck(t *vm.Thread, f *vm.Frame, in *ir.Instr, fired bool) {
-	m.checks.Inc()
-	m.overhead.Add(uint64(m.cost.Check))
-	if fired {
-		m.samples.Inc()
+	var p pending
+	if fired && in.Op == ir.OpCheckedProbe {
+		p.fires = 1
 	}
-	m.tick(m.now())
+	m.tick(m.now(), p)
 }
 
 // OnProbe implements vm.Observer.
 func (m *Meter) OnProbe(t *vm.Thread, f *vm.Frame, p *ir.Probe) {
 	m.probes.Inc()
-	m.overhead.Add(uint64(p.Cost))
-	m.tick(m.now())
+	m.probeCost += uint64(p.Cost)
+	m.tick(m.now(), pending{})
 }
 
 // OnYield implements vm.Observer.
 func (m *Meter) OnYield(t *vm.Thread, f *vm.Frame) {
-	m.yields.Inc()
-	m.overhead.Add(uint64(m.cost.Yield))
-	m.tick(m.now())
+	m.tick(m.now(), pending{})
 }

@@ -51,10 +51,18 @@ import (
 //
 // A pure block whose operands do not fit the compact encoding gets no
 // stream (fuse[gid] == nil) and runs per instruction, like every impure
-// block. An installed Observer disables fusion entirely (every transfer
-// and yield stays individually observable; Results are bit-identical
-// either way), and so does a frame whose method runs at a cost scale
-// other than 1.
+// block, and so does a frame whose method runs at a cost scale other
+// than 1.
+//
+// Observers (DESIGN.md §7.6): one whose event mask has EvTransfer —
+// every observer that declares no mask — disables fusion entirely, since
+// a fused chain hides its intra-chain transfers. Any other observer
+// keeps fused streams, with two changes that a nil observer never pays
+// for: the yieldpoint tokens are swapped for wake variants (fYieldWake
+// and friends) that deliver OnYield when the observer's deadline is due,
+// at the exact cycle per-instruction dispatch would report, and a chain
+// ends at every checking↔duplicated edge, so leaveFused delivers that
+// sampling-episode boundary. Results are bit-identical either way.
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -154,8 +162,22 @@ const (
 	fAndAStore
 	fAStoreJmp
 
+	// Wake variants of the yieldpoint tokens, emitted instead of them
+	// when an observer is installed: each delivers a due OnYield, then
+	// falls through to its plain token.
+	fYieldWake
+	fYieldJmpWake
+	fAddYieldJmpWake
+
 	fuseNumToks
 )
+
+// wakeToks maps each yieldpoint token to its wake variant.
+var wakeToks = map[fuseTok]fuseTok{
+	fYield:       fYieldWake,
+	fYieldJmp:    fYieldJmpWake,
+	fAddYieldJmp: fAddYieldJmpWake,
+}
 
 // superNames names the superinstruction tokens for FusionStats.ByKind
 // and the telemetry meter. Base tokens are intentionally absent.
@@ -336,10 +358,12 @@ func (v *VM) FusionStats() FusionStats {
 // GIDs. The table must never charge one block with another block's
 // costs, so GIDs are validated first (in-range and collision-free); on
 // any violation no block is fused, which keeps the whole run on the
-// always-correct per-instruction path. An installed observer must see
-// every block transfer, which fused chains would hide, so it also
-// leaves the table empty; the per-instruction dispatch then emits a
-// hook at each transfer (the Observer cost contract).
+// always-correct per-instruction path. An observer whose mask has
+// EvTransfer must see every block transfer, which fused chains would
+// hide, so it also leaves the table empty; the per-instruction dispatch
+// then emits a hook at each transfer (the Observer cost contract). Any
+// other observer gets wake yieldpoint tokens and chains cut at
+// sampling-episode boundaries.
 func (v *VM) buildFusion() {
 	size := v.prog.NumBlocks()
 	valid := true
@@ -365,7 +389,7 @@ func (v *VM) buildFusion() {
 			}
 		}
 	}
-	if !valid || v.obs != nil {
+	if !valid || v.evMask&EvTransfer != 0 {
 		return
 	}
 	for _, m := range v.prog.Methods() {
@@ -385,18 +409,31 @@ func (v *VM) buildFusion() {
 			fb.total = fb.prefix[fb.count]
 			term := &b.Instrs[len(b.Instrs)-1]
 			fb.targets, fb.mask = term.Targets, term.BackedgeMask
+			if v.obs != nil {
+				for i := range fb.code {
+					if w, ok := wakeToks[fb.code[i].tok]; ok {
+						fb.code[i].tok = w
+					}
+				}
+			}
 			v.fuse[b.GID] = fb
 		}
 	}
 	// Second pass: wire fused->fused successor pointers (all streams
-	// exist now).
-	for _, fb := range v.fuse {
-		if fb == nil {
-			continue
-		}
-		fb.next = make([]*fusedBlock, len(fb.targets))
-		for i, tb := range fb.targets {
-			fb.next[i] = v.fuse[tb.GID]
+	// exist now). Under an observer a chain never crosses a
+	// sampling-episode boundary, so leaveFused can deliver it.
+	for _, m := range v.prog.Methods() {
+		for _, b := range m.Blocks {
+			fb := v.fuse[b.GID]
+			if fb == nil {
+				continue
+			}
+			fb.next = make([]*fusedBlock, len(fb.targets))
+			for i, tb := range fb.targets {
+				if v.obs == nil || !episodeEdge(b, tb) {
+					fb.next[i] = v.fuse[tb.GID]
+				}
+			}
 		}
 	}
 }
@@ -800,6 +837,11 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fPrint:
 				v.output = append(v.output, regs[in.a].I)
 
+			case fYieldWake:
+				if now := cycles + fb.prefix[int(in.pc)+1]; v.due(EvYield, now) {
+					v.wakeYield(t, f, now)
+				}
+				fallthrough
 			case fYield:
 				v.stats.Yields++
 				if v.cancelled() {
@@ -952,6 +994,11 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 				}
 				goto transfer
 
+			case fYieldJmpWake:
+				if now := cycles + fb.prefix[int(in.pc)+1]; v.due(EvYield, now) {
+					v.wakeYield(t, f, now)
+				}
+				fallthrough
 			case fYieldJmp:
 				v.stats.Yields++
 				if v.cancelled() {
@@ -972,6 +1019,18 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 				}
 				tgt = 0
 				goto transfer
+			case fAddYieldJmpWake:
+				if now := cycles + fb.prefix[int(in.pc)+2]; v.due(EvYield, now) {
+					// The hook sees the add applied, as under
+					// per-instruction dispatch; restoring the destination
+					// lets the fallthrough redo the add from the same
+					// operands.
+					old := regs[in.dst]
+					regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
+					v.wakeYield(t, f, now)
+					regs[in.dst] = old
+				}
+				fallthrough
 			case fAddYieldJmp:
 				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
 				v.stats.Yields++
@@ -1106,6 +1165,11 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 	transfer:
 		cycles += fb.total
 		icount += fb.count
+		nfb := fb.next[tgt]
+		if nfb == nil {
+			v.quantum = quantum
+			return v.leaveFused(t, f, fb, tgt, cycles, icount)
+		}
 		if fb.mask&(1<<uint(tgt)) != 0 {
 			v.stats.Backedges++
 		}
@@ -1120,15 +1184,47 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			v.quantum = quantum
 			return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
 		}
-		nfb := fb.next[tgt]
-		if nfb == nil {
-			v.quantum = quantum
-			return cycles, icount, false, nil
-		}
 		fb = nfb
 		fb.execs++
 		code = fb.code
 	}
+}
+
+// leaveFused is the cold chain exit of runFusedBlocks: fb's terminator
+// transfers to target tgt, which has no stream or, under an observer,
+// lies across a sampling-episode boundary. It performs the transfer the
+// way per-instruction dispatch does — the OnTransfer hook sees the source
+// block — and returns runFusedBlocks' results.
+func (v *VM) leaveFused(t *Thread, f *Frame, fb *fusedBlock, tgt int, cycles, icount uint64) (uint64, uint64, bool, error) {
+	if v.obs != nil {
+		v.observeTransfer(t, f, &f.Block.Instrs[len(f.Block.Instrs)-1], tgt, cycles)
+	}
+	if fb.mask&(1<<uint(tgt)) != 0 {
+		v.stats.Backedges++
+	}
+	b := fb.targets[tgt]
+	f.Block, f.PC = b, 0
+	if v.ic != nil {
+		v.cycles = cycles
+		v.touchCode(b)
+		cycles = v.cycles
+	}
+	if cycles > v.cfg.MaxCycles {
+		return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
+	}
+	return cycles, icount, false, nil
+}
+
+// wakeYield delivers a due OnYield from a fused yieldpoint at its exact
+// cycle now. Per-instruction dispatch counts the yield before its hook,
+// so the hook sees it counted here too; the token's fallthrough body
+// then counts it for real.
+func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
+	v.cycles = now
+	v.stats.Yields++
+	v.obs.OnYield(t, f)
+	v.stats.Yields--
+	v.rewake()
 }
 
 // fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the

@@ -5,7 +5,9 @@ package vm_test
 // to the reference dispatcher even when execution stops *inside* a
 // superinstruction — a trap in the first or second sub-op, a
 // cancellation or quantum expiry at a fused-in yieldpoint — and that an
-// installed observer degrades gracefully by disabling fusion outright.
+// installed observer either degrades gracefully by disabling fusion
+// outright (no event mask) or keeps it with exact yield wakes and
+// episode boundaries (a sparse mask).
 // Each test here pins one of those seams with a hand-built program whose
 // fused encoding is known, then requires bit-identical results between
 // the fast path and the reference dispatcher.
@@ -18,7 +20,10 @@ import (
 
 	"instrsample/internal/bench"
 	"instrsample/internal/compile"
+	"instrsample/internal/core"
+	"instrsample/internal/instr"
 	"instrsample/internal/ir"
+	"instrsample/internal/trigger"
 	"instrsample/internal/vm"
 )
 
@@ -130,31 +135,59 @@ func TestFusedTrapInsidePair(t *testing.T) {
 	}
 }
 
-// latchLoop builds: entry(const,const,jmp) -> L(add,yield,jmp) ->
-// M(cmplt,branch[L,done]) -> done(return). L fuses to the
-// add+yield+jmp triple and M to cmplt+br, so every yieldpoint the
-// program executes sits inside a superinstruction.
+// latchLoop builds a program whose main is one latch loop (latchMethod).
 func latchLoop(iters int64) func() *ir.Program {
 	return func() *ir.Program {
-		fb := ir.NewFunc("main", 0)
-		fb.M.NumRegs = 8
-		entry := fb.EntryBlock()
-		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 1})
-		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 2, Imm: iters})
-		loop := fb.Block("L")
-		mid := fb.Block("M")
-		done := fb.Block("done")
-		entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{loop}})
-		loop.Append(ir.Instr{Op: ir.OpAdd, Dst: 0, A: 0, B: 1})
-		loop.Append(ir.Instr{Op: ir.OpYield})
-		loop.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{mid}})
-		mid.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 0, B: 2})
-		mid.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{loop, done}})
-		fb.At(done).Return(0)
-		p := &ir.Program{Name: "latch", Funcs: []*ir.Method{fb.M}, Main: fb.M}
+		m := latchMethod("main", iters)
+		p := &ir.Program{Name: "latch", Funcs: []*ir.Method{m}, Main: m}
 		p.Seal()
 		return p
 	}
+}
+
+// latchThreads builds a program whose main spawns a thread running the
+// latch loop, runs the loop itself, and joins: two threads rotating at
+// the fused yieldpoints.
+func latchThreads(iters int64) func() *ir.Program {
+	return func() *ir.Program {
+		loop := latchMethod("loop", iters)
+		mb := ir.NewFunc("main", 0)
+		c := mb.At(mb.EntryBlock())
+		h := c.Spawn(loop)
+		c.Return(c.Bin(ir.OpAdd, c.Call(loop), c.Join(h)))
+		p := &ir.Program{Name: "latch2", Funcs: []*ir.Method{loop, mb.M}, Main: mb.M}
+		p.Seal()
+		return p
+	}
+}
+
+// latchMethod builds: entry(const,const,jmp) -> L(add,yield,jmp) ->
+// M(yield,jmp) -> N(const,yield,cmplt,branch[L,done]) -> done(return).
+// L fuses to the add+yield+jmp triple, M to yield+jmp, and N to a plain
+// yield token between const and cmplt+br, so every yieldpoint the loop
+// executes sits in a fused stream, one per yield token kind.
+func latchMethod(name string, iters int64) *ir.Method {
+	fb := ir.NewFunc(name, 0)
+	fb.M.NumRegs = 8
+	entry := fb.EntryBlock()
+	entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 1})
+	entry.Append(ir.Instr{Op: ir.OpConst, Dst: 2, Imm: iters})
+	loop := fb.Block("L")
+	mid := fb.Block("M")
+	next := fb.Block("N")
+	done := fb.Block("done")
+	entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{loop}})
+	loop.Append(ir.Instr{Op: ir.OpAdd, Dst: 0, A: 0, B: 1})
+	loop.Append(ir.Instr{Op: ir.OpYield})
+	loop.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{mid}})
+	mid.Append(ir.Instr{Op: ir.OpYield})
+	mid.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{next}})
+	next.Append(ir.Instr{Op: ir.OpConst, Dst: 4, Imm: 1})
+	next.Append(ir.Instr{Op: ir.OpYield})
+	next.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 0, B: 2})
+	next.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{loop, done}})
+	fb.At(done).Return(0)
+	return fb.M
 }
 
 // TestFusedCancelMidSuperinstruction pre-fires a cancel token so the
@@ -297,8 +330,9 @@ func TestFuseBlockOperandOverflow(t *testing.T) {
 	}
 }
 
-// noopObserver is the cheapest possible observer: its mere installation
-// must disable fusion (graceful degradation) without changing results.
+// noopObserver is the cheapest possible observer that declares no event
+// mask: its mere installation must disable fusion (graceful
+// degradation) without changing results.
 type noopObserver struct{}
 
 func (noopObserver) OnEnter(*vm.Thread, *vm.Frame)                    {}
@@ -308,12 +342,10 @@ func (noopObserver) OnCheck(*vm.Thread, *vm.Frame, *ir.Instr, bool)   {}
 func (noopObserver) OnProbe(*vm.Thread, *vm.Frame, *ir.Probe)         {}
 func (noopObserver) OnYield(*vm.Thread, *vm.Frame)                    {}
 
-// TestObserverDisablesFusion pins the degradation choice documented in
-// DESIGN.md §7.6: with an observer installed the fast path runs zero
-// fused blocks, and the observed run's results still match the fused
-// run.
-func TestObserverDisablesFusion(t *testing.T) {
-	prog := latchLoop(100)
+// runPlainAndObserved runs prog without an observer and with obs, and
+// requires identical results; it returns the observed VM.
+func runPlainAndObserved(t *testing.T, prog func() *ir.Program, obs vm.Observer) *vm.VM {
+	t.Helper()
 	plain := vm.New(prog(), vm.Config{MaxCycles: 1 << 20})
 	pres, perr := plain.Run()
 	if perr != nil {
@@ -322,18 +354,223 @@ func TestObserverDisablesFusion(t *testing.T) {
 	if fs := plain.FusionStats(); fs.FusedBlocks == 0 || fs.Instrs == 0 {
 		t.Fatalf("control run did not fuse: %+v", fs)
 	}
-	obs := vm.New(prog(), vm.Config{MaxCycles: 1 << 20, Observer: noopObserver{}})
-	ores, oerr := obs.Run()
+	observed := vm.New(prog(), vm.Config{MaxCycles: 1 << 20, Observer: obs})
+	ores, oerr := observed.Run()
 	if oerr != nil {
 		t.Fatalf("observed run: %v", oerr)
 	}
+	if ores.Return != pres.Return || observed.Stats() != plain.Stats() {
+		t.Fatalf("observed run diverged:\n  fused:    ret=%d %+v\n  observed: ret=%d %+v",
+			pres.Return, plain.Stats(), ores.Return, observed.Stats())
+	}
+	return observed
+}
+
+// TestAllEventsObserverDisablesFusion pins the degradation choice
+// documented in DESIGN.md §7.6: with an observer that declares no event
+// mask the fast path runs zero fused blocks, and the observed run's
+// results still match the fused run.
+func TestAllEventsObserverDisablesFusion(t *testing.T) {
+	obs := runPlainAndObserved(t, latchLoop(100), noopObserver{})
 	if fs := obs.FusionStats(); fs.FusedBlocks != 0 || fs.Supers != 0 || fs.Covered != 0 ||
 		fs.BlockRuns != 0 || fs.Dispatches != 0 || fs.Instrs != 0 || fs.Fused != 0 || len(fs.ByKind) != 0 {
 		t.Fatalf("observer did not disable fusion: %+v", fs)
 	}
-	if ores.Return != pres.Return || obs.Stats() != plain.Stats() {
-		t.Fatalf("observed run diverged:\n  fused:    ret=%d %+v\n  observed: ret=%d %+v",
-			pres.Return, plain.Stats(), ores.Return, obs.Stats())
+}
+
+// wakeObserver is a sparse observer: no hook classes, only a deadline
+// every period cycles. Like the telemetry meter it acts only on the
+// first non-transfer event at or after its deadline, so it records the
+// same wakes whether the VM filters events for it (fast path) or
+// delivers every one (reference dispatcher). It also logs every
+// sampling-episode boundary transfer, which the VM always delivers.
+type wakeObserver struct {
+	v      *vm.VM
+	period uint64
+	next   uint64
+	// wakes holds (Now, Stats().Yields) at each wake.
+	wakes [][2]uint64
+	// edges holds (Now, target) at each checking↔duplicated transfer.
+	edges  [][2]uint64
+	onWake func(n int)
+}
+
+func newWakeObserver(period uint64) *wakeObserver {
+	return &wakeObserver{period: period, next: period}
+}
+
+func (o *wakeObserver) Events() vm.EventMask { return 0 }
+func (o *wakeObserver) NextWake() uint64     { return o.next }
+
+func (o *wakeObserver) tick() {
+	now := o.v.Now()
+	if now < o.next {
+		return
+	}
+	o.wakes = append(o.wakes, [2]uint64{now, o.v.Stats().Yields})
+	o.next = (now/o.period + 1) * o.period
+	if o.onWake != nil {
+		o.onWake(len(o.wakes))
+	}
+}
+
+func (o *wakeObserver) OnEnter(*vm.Thread, *vm.Frame)                  { o.tick() }
+func (o *wakeObserver) OnExit(*vm.Thread, *vm.Frame)                   { o.tick() }
+func (o *wakeObserver) OnCheck(*vm.Thread, *vm.Frame, *ir.Instr, bool) { o.tick() }
+func (o *wakeObserver) OnProbe(*vm.Thread, *vm.Frame, *ir.Probe)       { o.tick() }
+func (o *wakeObserver) OnYield(*vm.Thread, *vm.Frame)                  { o.tick() }
+
+func (o *wakeObserver) OnTransfer(_ *vm.Thread, f *vm.Frame, in *ir.Instr, target int) {
+	if (f.Block.Kind == ir.KindDuplicated) != (in.Targets[target].Kind == ir.KindDuplicated) {
+		o.edges = append(o.edges, [2]uint64{o.v.Now(), uint64(in.Targets[target].GID)})
+	}
+}
+
+// runWake runs prog under a fresh wakeObserver on the fast path or the
+// reference dispatcher.
+func runWake(prog func() *ir.Program, cfg vm.Config, period uint64, reference bool) (*vm.VM, *wakeObserver, *vm.Result, error) {
+	o := newWakeObserver(period)
+	cfg.Observer = o
+	cfg.Reference = reference
+	o.v = vm.New(prog(), cfg)
+	res, err := o.v.Run()
+	return o.v, o, res, err
+}
+
+// TestSparseObserverKeepsFusion pins the other half of the observer
+// contract: an observer whose mask lacks EvTransfer keeps fused streams
+// — results unchanged — and still sees every sampling-episode boundary
+// transfer at the cycle the reference dispatcher reports, because fused
+// chains end at checking↔duplicated edges.
+func TestSparseObserverKeepsFusion(t *testing.T) {
+	obs := runPlainAndObserved(t, latchLoop(100), newWakeObserver(1<<40))
+	if fs := obs.FusionStats(); fs.Instrs == 0 || fs.ByKind["add+yield+jmp"] == 0 {
+		t.Fatalf("sparse observer disabled fusion: %+v", fs)
+	}
+
+	prog := func() *ir.Program {
+		res, err := compile.Compile(bench.Compress(0.005), compile.Options{
+			Instrumenters: []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}},
+			Framework:     &core.Options{Variation: core.FullDuplication},
+		})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return res.Prog
+	}
+	cfg := vm.Config{Trigger: trigger.NewCounter(97), MaxCycles: 1 << 34}
+	fast, fo, fres, ferr := runWake(prog, cfg, 1<<12, false)
+	cfg.Trigger = trigger.NewCounter(97)
+	_, ro, rres, rerr := runWake(prog, cfg, 1<<12, true)
+	if ferr != nil || rerr != nil {
+		t.Fatalf("runs failed: fast %v, reference %v", ferr, rerr)
+	}
+	if fres.Stats != rres.Stats || fres.Return != rres.Return {
+		t.Fatalf("results diverge:\n  fast:      %+v\n  reference: %+v", fres.Stats, rres.Stats)
+	}
+	if fast.FusionStats().Instrs == 0 {
+		t.Fatal("sparse observer disabled fusion on the sampled run")
+	}
+	if fres.Stats.DupEntries == 0 || len(fo.edges) < int(fres.Stats.DupEntries) {
+		t.Fatalf("saw %d boundary transfers for %d duplicated-code entries", len(fo.edges), fres.Stats.DupEntries)
+	}
+	if !slices.Equal(fo.edges, ro.edges) {
+		t.Fatalf("boundary transfers differ: fast saw %d, reference %d", len(fo.edges), len(ro.edges))
+	}
+	if len(fo.wakes) == 0 || !slices.Equal(fo.wakes, ro.wakes) {
+		t.Fatalf("wakes differ: fast saw %d, reference %d", len(fo.wakes), len(ro.wakes))
+	}
+}
+
+// TestFusedYieldWakeExact requires a deadline observer on the latch loop
+// — every yieldpoint inside a fused add+yield+jmp, yield+jmp or plain
+// yield token — to wake at the same cycle with the same yield count as
+// on the reference dispatcher, across deadlines from every yield to a
+// few per run.
+func TestFusedYieldWakeExact(t *testing.T) {
+	for _, period := range []uint64{1, 5, 7, 64, 1000} {
+		t.Run(fmt.Sprintf("period=%d", period), func(t *testing.T) {
+			cfg := vm.Config{MaxCycles: 1 << 20}
+			fast, fo, fres, ferr := runWake(latchLoop(200), cfg, period, false)
+			_, ro, rres, rerr := runWake(latchLoop(200), cfg, period, true)
+			requireIdenticalResult(t, [2]*vm.Result{fres, rres}, [2]error{ferr, rerr})
+			if len(fo.wakes) == 0 || !slices.Equal(fo.wakes, ro.wakes) {
+				t.Fatalf("wakes differ:\n  fast:      %v\n  reference: %v", fo.wakes, ro.wakes)
+			}
+			fs := fast.FusionStats()
+			for _, kind := range []string{"add+yield+jmp", "yield+jmp"} {
+				if fs.ByKind[kind] == 0 {
+					t.Fatalf("%s never ran fused: %+v", kind, fs)
+				}
+			}
+		})
+	}
+}
+
+// TestFusedWakeCancel fires a cancel token from inside the n-th wake's
+// hook, so the stop lands on the fused yieldpoint that delivered it:
+// both dispatchers must stop there with identical counters.
+func TestFusedWakeCancel(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		t.Run(fmt.Sprintf("wake=%d", n), func(t *testing.T) {
+			var ms [2]*vm.VM
+			var errs [2]error
+			var wakes [2][][2]uint64
+			for i, reference := range []bool{false, true} {
+				tok := vm.NewCancel()
+				o := newWakeObserver(13)
+				o.onWake = func(k int) {
+					if k == n {
+						tok.Fire()
+					}
+				}
+				ms[i] = vm.New(latchLoop(1<<40)(), vm.Config{MaxCycles: 1 << 20, Cancel: tok, Observer: o, Reference: reference})
+				o.v = ms[i]
+				_, errs[i] = ms[i].Run()
+				wakes[i] = o.wakes
+			}
+			requireIdenticalStop(t, ms, errs, "cancelled")
+			if len(wakes[0]) != n || !slices.Equal(wakes[0], wakes[1]) {
+				t.Fatalf("wakes differ:\n  fast:      %v\n  reference: %v", wakes[0], wakes[1])
+			}
+			if ms[0].FusionStats().Instrs == 0 {
+				t.Fatal("cancel did not land in a fused run")
+			}
+		})
+	}
+}
+
+// TestFusedWakeQuantum runs two threads through the latch loop with tiny
+// quanta, so quantum expiry lands on the fused yieldpoints that deliver
+// wakes: the scheduling, the wakes and the Result must match the
+// reference dispatcher.
+func TestFusedWakeQuantum(t *testing.T) {
+	for _, q := range []int{1, 2, 3} {
+		for _, period := range []uint64{1, 11} {
+			t.Run(fmt.Sprintf("quantum=%d/period=%d", q, period), func(t *testing.T) {
+				var turns [2][]int
+				var res [2]*vm.Result
+				var errs [2]error
+				var wakes [2][][2]uint64
+				var ms [2]*vm.VM
+				for i, reference := range []bool{false, true} {
+					cfg := vm.Config{MaxCycles: 1 << 20, Quantum: q, Sched: func(id int) { turns[i] = append(turns[i], id) }}
+					var o *wakeObserver
+					ms[i], o, res[i], errs[i] = runWake(latchThreads(40), cfg, period, reference)
+					wakes[i] = o.wakes
+				}
+				requireIdenticalResult(t, res, errs)
+				if len(turns[0]) < 40 || !slices.Equal(turns[0], turns[1]) {
+					t.Fatalf("schedules differ or never rotated: fast %d turns, reference %d", len(turns[0]), len(turns[1]))
+				}
+				if len(wakes[0]) == 0 || !slices.Equal(wakes[0], wakes[1]) {
+					t.Fatalf("wakes differ:\n  fast:      %v\n  reference: %v", wakes[0], wakes[1])
+				}
+				if ms[0].FusionStats().Instrs == 0 {
+					t.Fatal("the observed two-thread run did not fuse")
+				}
+			})
+		}
 	}
 }
 

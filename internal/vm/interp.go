@@ -287,8 +287,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 		case ir.OpYield:
 			v.stats.Yields++
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnYield(t, f)
+				v.observeYield(t, f, cycles)
 			}
 			if v.cancelled() {
 				f.PC = pc
@@ -317,8 +316,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			v.stats.Checks++
 			fired := v.trig.Poll(t.ID, cycles)
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnCheck(t, f, in, fired)
+				v.observeCheck(t, f, in, fired, cycles)
 			}
 			if fired {
 				v.stats.CheckFires++
@@ -330,8 +328,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 
 		case ir.OpJump:
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnTransfer(t, f, in, 0)
+				v.observeTransfer(t, f, in, 0, cycles)
 			}
 			v.countBackedge(in, 0)
 			b := in.Targets[0]
@@ -364,8 +361,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 				i = 0
 			}
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnTransfer(t, f, in, i)
+				v.observeTransfer(t, f, in, i, cycles)
 			}
 			v.countBackedge(in, i)
 			b := in.Targets[i]
@@ -409,9 +405,8 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 				target = 0
 			}
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnCheck(t, f, in, target == 0)
-				v.obs.OnTransfer(t, f, in, target)
+				v.observeCheck(t, f, in, target == 0, cycles)
+				v.observeTransfer(t, f, in, target, cycles)
 			}
 			v.countBackedge(in, target)
 			b := in.Targets[target]
@@ -446,8 +441,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 				target = 0
 			}
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnTransfer(t, f, in, target)
+				v.observeTransfer(t, f, in, target, cycles)
 			}
 			v.countBackedge(in, target)
 			b := in.Targets[target]
@@ -482,8 +476,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			}
 			retDst := f.RetDst
 			if v.obs != nil {
-				v.cycles = cycles
-				v.obs.OnExit(t, f)
+				v.observeExit(t, f, cycles)
 			}
 			t.Frames = t.Frames[:len(t.Frames)-1]
 			v.releaseFrame(f)
@@ -556,7 +549,7 @@ func (v *VM) pushCall(t *Thread, f *Frame, in *ir.Instr, m *ir.Method) (*Frame, 
 	t.Frames = append(t.Frames, nf)
 	v.stats.MethodEntries++
 	if v.obs != nil {
-		v.obs.OnEnter(t, nf)
+		v.observeEnter(t, nf)
 	}
 	v.touchCode(nf.Block)
 	return nf, nil
@@ -570,7 +563,7 @@ func (v *VM) countBackedge(in *ir.Instr, target int) {
 
 func (v *VM) execProbe(t *Thread, f *Frame, p *ir.Probe) {
 	if v.obs != nil {
-		v.obs.OnProbe(t, f, p)
+		v.observeProbe(t, f, p)
 	}
 	v.cycles += uint64(p.Cost)
 	v.stats.Probes++

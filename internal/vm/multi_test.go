@@ -3,6 +3,7 @@ package vm_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"instrsample/internal/compile"
@@ -164,6 +165,43 @@ func (o *orderObserver) OnCheck(*vm.Thread, *vm.Frame, *ir.Instr, bool) {
 }
 func (o *orderObserver) OnProbe(*vm.Thread, *vm.Frame, *ir.Probe) { *o.out = append(*o.out, o.id) }
 func (o *orderObserver) OnYield(*vm.Thread, *vm.Frame)            { *o.out = append(*o.out, o.id) }
+
+// TestMultiObserverEvents pins how a fan-out declares events: its mask
+// is the union of its elements' (an element without one counts as every
+// event) and its deadline the earliest of theirs. Installed on the fast
+// path, two sparse elements with different deadlines each record the
+// same wakes as on the reference dispatcher, though each also sees the
+// events its sibling woke for.
+func TestMultiObserverEvents(t *testing.T) {
+	a, b := newWakeObserver(37), newWakeObserver(100)
+	if got := (vm.MultiObserver{a, b}).Events(); got != 0 {
+		t.Errorf("mask of two empty masks = %b, want 0", got)
+	}
+	if got := (vm.MultiObserver{a, &logObserver{}}).Events(); got != vm.EvAll {
+		t.Errorf("mask beside an observer without one = %b, want EvAll", got)
+	}
+	if got := (vm.MultiObserver{b, a}).NextWake(); got != 37 {
+		t.Errorf("deadline = %d, want the earliest, 37", got)
+	}
+	var wakes [2][2][][2]uint64
+	for i, reference := range []bool{false, true} {
+		a, b := newWakeObserver(37), newWakeObserver(100)
+		v := vm.New(latchLoop(60)(), vm.Config{Observer: vm.MultiObserver{a, b}, Reference: reference})
+		a.v, b.v = v, v
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wakes[i] = [2][][2]uint64{a.wakes, b.wakes}
+		if !reference && v.FusionStats().Instrs == 0 {
+			t.Error("two sparse elements disabled fusion")
+		}
+	}
+	for e := range wakes[0] {
+		if len(wakes[0][e]) == 0 || !slices.Equal(wakes[0][e], wakes[1][e]) {
+			t.Errorf("element %d wakes differ:\n  fast:      %v\n  reference: %v", e, wakes[0][e], wakes[1][e])
+		}
+	}
+}
 
 // TestCombineObservers covers the nil-elision rules the CLIs rely on.
 func TestCombineObservers(t *testing.T) {

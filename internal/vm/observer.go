@@ -1,6 +1,10 @@
 package vm
 
-import "instrsample/internal/ir"
+import (
+	"math"
+
+	"instrsample/internal/ir"
+)
 
 // Observer receives execution events from the interpreter. It exists
 // for runtime observation — package oracle implements it to check the
@@ -16,12 +20,18 @@ import "instrsample/internal/ir"
 //     or frame push/pop — all of which are block-terminator or cold-path
 //     events — and never inside the per-instruction dispatch. Adding a
 //     hook site that tests the observer per instruction is a contract
-//     violation.
-//   - With an observer installed, the fast path builds no fused streams
-//     (fuse.go) and runs every block per instruction, so that every
-//     intra-frame transfer is visible; observed runs are therefore
-//     slower, but their Results are bit-identical to unobserved runs
-//     under both dispatchers.
+//     violation. A nil observer's fused streams (fuse.go) carry no
+//     observation work at all.
+//   - An observer that declares nothing (no EventFilter) gets every
+//     event: the fast path builds no fused streams and runs every block
+//     per instruction, so that every intra-frame transfer is visible.
+//     Such runs are slower, but their Results are bit-identical to
+//     unobserved runs under both dispatchers.
+//   - An observer may narrow its event stream (EventFilter): the
+//     fast path then delivers only what it asked for, plus the sampling
+//     episode boundaries, and keeps fused streams unless the mask has
+//     EvTransfer. The reference dispatcher ignores the declaration and
+//     delivers every event, which makes it the differential check.
 //
 // Hooks run synchronously on the VM's goroutine. They must not mutate
 // VM state and must not retain *Frame or Frame.Regs/Scratch past the
@@ -37,9 +47,10 @@ import "instrsample/internal/ir"
 //
 // Both dispatchers (interp.go, ref.go) emit the same event sequence for
 // the same program and trigger; the oracle's differential tests rely on
-// this when comparing fast against reference runs. To install more than
-// one observer on a run, fan out through a MultiObserver
-// (CombineObservers).
+// this when comparing fast against reference runs. For an observer with
+// a narrow EventFilter the fast path emits a subsequence of it, each
+// delivered event at the same timestamp. To install more than one
+// observer on a run, fan out through a MultiObserver (CombineObservers).
 type Observer interface {
 	// OnEnter fires after a frame is pushed: thread roots (including
 	// main), calls, and spawns — exactly the events Stats.MethodEntries
@@ -71,12 +82,87 @@ type Observer interface {
 	OnYield(t *Thread, f *Frame)
 }
 
+// EventMask is a set of Observer hook classes, one bit per hook.
+type EventMask uint8
+
+// Hook classes: EvEnter is OnEnter, EvExit OnExit, and so on.
+const (
+	EvEnter EventMask = 1 << iota
+	EvExit
+	EvTransfer
+	EvCheck
+	EvProbe
+	EvYield
+
+	// EvAll is every hook class: what an observer without an
+	// EventFilter gets.
+	EvAll = EvEnter | EvExit | EvTransfer | EvCheck | EvProbe | EvYield
+)
+
+// EventFilter is implemented by an observer that needs only some hook
+// classes. Events is the mask, read once at New. NextWake is a cycle
+// deadline, re-read after every delivered hook: the masked-out classes
+// other than EvTransfer are delivered at the first such event at or
+// after it (NoWake: never). A fused yieldpoint reports the exact cycle
+// it would under per-instruction dispatch, so a wake lands on the same
+// event either way. Outside the mask and the deadline, the fast path
+// delivers only the sampling-episode boundaries: a transfer between
+// checking and duplicated code, and an OnExit from a duplicated block.
+type EventFilter interface {
+	Events() EventMask
+	NextWake() uint64
+}
+
+// NoWake is the deadline of an EventFilter that wants nothing outside
+// its mask.
+const NoWake = math.MaxUint64
+
+// observerEvents returns the hook classes o declares (EvAll when it
+// declares none) and its filter, which is nil when every event is
+// delivered anyway.
+func observerEvents(o Observer) (EventMask, EventFilter) {
+	f, ok := o.(EventFilter)
+	if !ok || f.Events() == EvAll {
+		return EvAll, nil
+	}
+	return f.Events(), f
+}
+
+// episodeEdge reports whether a transfer from a to b enters or leaves
+// duplicated code: the sampling-episode boundary every observer sees.
+func episodeEdge(a, b *ir.Block) bool {
+	return (a.Kind == ir.KindDuplicated) != (b.Kind == ir.KindDuplicated)
+}
+
 // MultiObserver fans every event out to each element in order. The VM
 // tests Config.Observer for nil exactly once per event either way, so a
 // MultiObserver costs one indirect call per element and nothing else;
 // event order within each element matches what the element would see
-// installed alone.
+// installed alone, except that an element with a narrow EventFilter
+// also sees the events its siblings asked for.
 type MultiObserver []Observer
+
+// Events implements EventFilter: the union of the elements' masks.
+func (m MultiObserver) Events() EventMask {
+	var mask EventMask
+	for _, o := range m {
+		ev, _ := observerEvents(o)
+		mask |= ev
+	}
+	return mask
+}
+
+// NextWake implements EventFilter: the earliest of the elements'
+// deadlines.
+func (m MultiObserver) NextWake() uint64 {
+	wake := uint64(NoWake)
+	for _, o := range m {
+		if _, f := observerEvents(o); f != nil {
+			wake = min(wake, f.NextWake())
+		}
+	}
+	return wake
+}
 
 // OnEnter implements Observer.
 func (m MultiObserver) OnEnter(t *Thread, f *Frame) {
@@ -117,6 +203,71 @@ func (m MultiObserver) OnProbe(t *Thread, f *Frame, p *ir.Probe) {
 func (m MultiObserver) OnYield(t *Thread, f *Frame) {
 	for _, o := range m {
 		o.OnYield(t, f)
+	}
+}
+
+// Event delivery. The hook sites test v.obs for nil themselves and call
+// these only with an observer installed; each flushes the cycle counter
+// (now) for the hook and refreshes the wake deadline afterwards. The
+// reference dispatcher calls the hooks directly instead: it delivers
+// every event.
+
+// due reports whether an event of class ev at cycle now goes to the
+// observer.
+func (v *VM) due(ev EventMask, now uint64) bool {
+	return v.evMask&ev != 0 || now >= v.wake
+}
+
+// rewake re-reads the observer's deadline after a delivered hook.
+func (v *VM) rewake() {
+	if v.filter != nil {
+		v.wake = v.filter.NextWake()
+	}
+}
+
+func (v *VM) observeEnter(t *Thread, f *Frame) {
+	if v.due(EvEnter, v.cycles) {
+		v.obs.OnEnter(t, f)
+		v.rewake()
+	}
+}
+
+func (v *VM) observeExit(t *Thread, f *Frame, now uint64) {
+	if v.due(EvExit, now) || f.Block.Kind == ir.KindDuplicated {
+		v.cycles = now
+		v.obs.OnExit(t, f)
+		v.rewake()
+	}
+}
+
+func (v *VM) observeTransfer(t *Thread, f *Frame, in *ir.Instr, target int, now uint64) {
+	if v.evMask&EvTransfer != 0 || episodeEdge(f.Block, in.Targets[target]) {
+		v.cycles = now
+		v.obs.OnTransfer(t, f, in, target)
+		v.rewake()
+	}
+}
+
+func (v *VM) observeCheck(t *Thread, f *Frame, in *ir.Instr, fired bool, now uint64) {
+	if v.due(EvCheck, now) {
+		v.cycles = now
+		v.obs.OnCheck(t, f, in, fired)
+		v.rewake()
+	}
+}
+
+func (v *VM) observeProbe(t *Thread, f *Frame, p *ir.Probe) {
+	if v.due(EvProbe, v.cycles) {
+		v.obs.OnProbe(t, f, p)
+		v.rewake()
+	}
+}
+
+func (v *VM) observeYield(t *Thread, f *Frame, now uint64) {
+	if v.due(EvYield, now) {
+		v.cycles = now
+		v.obs.OnYield(t, f)
+		v.rewake()
 	}
 }
 

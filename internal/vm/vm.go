@@ -63,10 +63,11 @@ type Config struct {
 	// Observer, when non-nil, receives execution events (frame pushes and
 	// pops, block transfers, checks, probes) for runtime verification;
 	// package oracle is the standard implementation. A nil Observer costs
-	// nothing (see Observer's cost contract). Installing one keeps every
-	// block of the fast path on per-instruction dispatch (no fused
-	// streams) so every transfer is observable; Results remain
-	// bit-identical to unobserved runs.
+	// nothing (see Observer's cost contract). An observer that declares
+	// no EventFilter keeps every block of the fast path on
+	// per-instruction dispatch (no fused streams) so every transfer is
+	// observable; one whose mask lacks EvTransfer keeps fused streams.
+	// Results remain bit-identical to unobserved runs either way.
 	Observer Observer
 	// Cancel, when non-nil, is an externally armed stop request polled at
 	// observation points (yieldpoints and sample checks) by both
@@ -179,6 +180,14 @@ type VM struct {
 	obs    Observer
 	cancel *Cancel
 
+	// evMask is the hook classes obs declares (EvAll for the reference
+	// dispatcher, which delivers everything); wake is its cached
+	// deadline, refreshed from filter after every delivered hook (see
+	// observer.go). filter is nil when every event is delivered anyway.
+	evMask EventMask
+	wake   uint64
+	filter EventFilter
+
 	// costTab is the opcode-indexed cycle-cost side table flattened from
 	// the cost model at New time, so the hot loop never re-runs the
 	// opCost switch (see CostModel.table).
@@ -224,6 +233,13 @@ func New(prog *ir.Program, cfg Config) *VM {
 		cfg.Quantum = 64
 	}
 	v := &VM{prog: prog, cfg: cfg, cost: cfg.Cost, trig: cfg.Trigger, obs: cfg.Observer, cancel: cfg.Cancel}
+	v.wake = NoWake
+	if v.obs != nil {
+		v.evMask = EvAll
+		if !cfg.Reference {
+			v.evMask, v.filter = observerEvents(v.obs)
+		}
+	}
 	v.costTab = cfg.Cost.table()
 	if cfg.ICache != nil {
 		v.ic = newICache(cfg.ICache)
@@ -239,6 +255,7 @@ func (v *VM) Run() (*Result, error) {
 	}
 	v.trig.Reset()
 	v.quantum = v.cfg.Quantum
+	v.rewake()
 	if v.cfg.Reference {
 		return v.runReference()
 	}
@@ -300,6 +317,18 @@ func (v *VM) finalStats() Stats {
 // Stats returns the counters accumulated so far.
 func (v *VM) Stats() Stats { return v.finalStats() }
 
+// LiveFrames returns the number of frames on all threads' stacks: the
+// method entries no return has popped yet, so MethodEntries minus
+// LiveFrames is the number of method exits so far. Inside OnExit the
+// popped frame still counts as live.
+func (v *VM) LiveFrames() int {
+	n := 0
+	for _, t := range v.threads {
+		n += len(t.Frames)
+	}
+	return n
+}
+
 // Now returns the current simulated cycle count. At every observer hook
 // the value is exact — both dispatchers flush their lazily tracked
 // counter before invoking a hook (see Observer) — which makes the VM
@@ -318,7 +347,7 @@ func (v *VM) newThread(m *ir.Method) *Thread {
 	v.threads = append(v.threads, t)
 	v.stats.MethodEntries++
 	if v.obs != nil {
-		v.obs.OnEnter(t, f)
+		v.observeEnter(t, f)
 	}
 	return t
 }
