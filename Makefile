@@ -29,8 +29,11 @@ test:
 # the VM's differential tests run parallel subtests over the frame pools
 # and scheduler, the oracle tests exercise the observer hooks from
 # parallel seeds, the trigger tests drive fault-injected timers under
-# threaded programs, and the service daemon runs its queue/worker/SSE
-# machinery against live HTTP clients; keep all five race-clean.
+# threaded programs, the service daemon runs its queue/worker/SSE
+# machinery against live HTTP clients, the scenario sweep records and
+# replays generated programs in parallel, and the fleet coordinator
+# dispatches, relays and cancels across workers; keep all seven
+# race-clean.
 race:
 	$(GO) test -race ./internal/experiment/ ./internal/vm/ \
 		./internal/oracle/ ./internal/trigger/ ./internal/service/ \
@@ -82,11 +85,14 @@ service-smoke:
 # answer. (2) In-process: the full-mode merged trace must carry
 # cycle-aligned VM events inside the vm-run span, the ledger must equal
 # the job's end-to-end extent, and the completed chain must be gap-free
-# with zero ring drops.
+# with zero ring drops. (3) The fleet: a coordinator job's /trace must
+# parse as Chrome trace-event JSON with a dispatch span, its ledger must
+# sum exactly to total_ns, and PUT /v1/obs must turn ledgers off.
 obs-smoke:
 	$(GO) test -race -run '^TestDaemonObservability$$' -v ./cmd/isampd/ | grep -q 'PASS: TestDaemonObservability'
 	$(GO) test -race -run '^(TestObsFullMergedTrace|TestObsLedgerSumEqualsJobLatency|TestObsChainCompleted)$$' \
 		./internal/service/
+	$(GO) test -race -run '^TestFleetTraceAndLedger$$' -v ./internal/fabric/ | grep -q 'PASS: TestFleetTraceAndLedger'
 
 # Sustained soak: a 30-second seeded mixed-traffic run against a
 # self-hosted daemon, gates asserted in code, BENCH_PR6.json emitted by

@@ -1,8 +1,10 @@
 // Command isampfleet is the distributed experiment fabric's coordinator:
-// it fronts a fleet of isampd workers behind the exact single-daemon
-// POST /v1/jobs surface, adding cluster-wide single-flight, rendezvous
-// sharding with work stealing, propagated backpressure, and a network
-// content-addressed result store shared by every node (DESIGN.md §15).
+// it serves the single daemon's job surface — the same service.Server
+// isampd runs, with the fleet executor in place of the local worker
+// pool — over a fleet of isampd workers, adding cluster-wide
+// single-flight, rendezvous sharding with work stealing, propagated
+// backpressure, and a network content-addressed result store shared by
+// every node (DESIGN.md §15).
 //
 //	isampfleet -config fleet.json                # coordinate the fleet
 //	isampfleet -worker http://h1:8347 \
@@ -13,8 +15,11 @@
 //
 //	POST   /v1/jobs             submit (dedup, shard, 429 + Retry-After)
 //	GET    /v1/jobs/{id}        job status, result, attribution ledger
-//	GET    /v1/jobs/{id}/events proxied live metrics stream (SSE)
+//	GET    /v1/jobs/{id}/events relayed live metrics stream (SSE)
+//	GET    /v1/jobs/{id}/trace  the job's Chrome trace (coordinator spans)
 //	DELETE /v1/jobs/{id}        cancel (duplicates detach; last rider aborts)
+//	GET    /v1/obs              observability mode and span-ring accounting
+//	PUT    /v1/obs              flip the mode at runtime: {"mode":"off|spans|full"}
 //	GET    /v1/cas/{addr}       read the coordinator's CAS replica
 //	PUT    /v1/cas/{addr}       replicate a result (integrity-checked)
 //	GET    /healthz             fleet state: per-worker health + accounting
@@ -48,6 +53,7 @@ import (
 	"instrsample/internal/experiment"
 	"instrsample/internal/fabric"
 	"instrsample/internal/obs"
+	"instrsample/internal/service"
 )
 
 func main() {
@@ -125,22 +131,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		return err
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "isampfleet: "+format+"\n", a...) }
-	cfg := fabric.Config{
+	c, err := fabric.New(fabric.Config{
 		Fleet:          fc,
 		Slots:          *slots,
-		QueueDepth:     *queue,
 		CacheDir:       *cacheDir,
 		CacheMaxBytes:  *cacheMax,
 		HealthInterval: *health,
-		Obs:            obs.NewState(obs.Options{Mode: mode}),
-	}
-	if !*quiet {
-		cfg.Logf = logf
-	}
-	c, err := fabric.New(cfg)
+	})
 	if err != nil {
 		return err
 	}
+	scfg := service.Config{
+		Executor:   c,
+		QueueDepth: *queue,
+		Obs:        obs.NewState(obs.Options{Mode: mode}),
+	}
+	if !*quiet {
+		scfg.Logf = logf
+	}
+	s := service.New(scfg)
 
 	// SIGHUP: hot-reload the fleet topology from -config.
 	hup := make(chan os.Signal, 1)
@@ -171,7 +180,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	if onReady != nil {
 		onReady(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -184,7 +193,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	logf("draining (budget %s)", *drain)
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if derr := c.Shutdown(dctx); derr != nil {
+	if derr := s.Shutdown(dctx); derr != nil {
 		logf("drain budget exceeded; in-flight cells cancelled")
 	}
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -77,10 +77,8 @@ func selfHostFleet(n, perWorker, queue int, mode obs.Mode, logf func(string, ...
 	dirs = append(dirs, casDir)
 	c, err := fabric.New(fabric.Config{
 		Fleet:          fabric.FleetConf{Workers: confs},
-		QueueDepth:     queue,
 		CacheDir:       casDir,
 		HealthInterval: 100 * time.Millisecond,
-		Obs:            obs.NewState(obs.Options{Mode: mode}),
 	})
 	if err != nil {
 		cleanup()
@@ -91,7 +89,12 @@ func selfHostFleet(n, perWorker, queue int, mode obs.Mode, logf func(string, ...
 		cleanup()
 		return "", nil, nil, err
 	}
-	front := &http.Server{Handler: c.Handler()}
+	coord := service.New(service.Config{
+		Executor:   c,
+		QueueDepth: queue,
+		Obs:        obs.NewState(obs.Options{Mode: mode}),
+	})
+	front := &http.Server{Handler: coord.Handler()}
 	go front.Serve(ln) //nolint:errcheck // closed in shutdown
 
 	killOne := func() {
@@ -104,7 +107,7 @@ func selfHostFleet(n, perWorker, queue int, mode obs.Mode, logf func(string, ...
 	shutdown := func() {
 		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		c.Shutdown(dctx)     //nolint:errcheck
+		coord.Shutdown(dctx) //nolint:errcheck
 		front.Shutdown(dctx) //nolint:errcheck
 		for _, d := range daemons {
 			d.Shutdown(dctx) //nolint:errcheck

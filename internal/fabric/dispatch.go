@@ -62,8 +62,8 @@ func (c *Coordinator) claimLocked(w *worker) (fl *flight, stolen string) {
 	if prev != nil {
 		c.reg.Gauge(workerMetric(prev.name, "pending")).Add(-1)
 	}
-	c.drain.Record(c.now())
-	fl.running = w
+	c.srv.RecordDrain()
+	c.setRunningLocked(fl, w)
 	fl.tried[w.name] = true
 	w.inflight++
 	c.reg.Gauge(workerMetric(w.name, "inflight")).Add(1)
@@ -103,22 +103,22 @@ func (c *Coordinator) dispatchLoop(w *worker) {
 	}
 }
 
-// beginStageLocked advances the flight's trace chain — the chains of
-// every attached job that is still live. Caller holds c.mu.
+// beginStageLocked advances the trace chain of every rider. Caller
+// holds c.mu.
 func (c *Coordinator) beginStageLocked(fl *flight, s obs.Stage, cause string) {
 	for _, j := range fl.attached {
-		j.trace.Begin(s, cause)
+		j.Trace().Begin(s, cause)
 	}
 }
 
-// markStartedLocked stamps the attached jobs running. Caller holds c.mu.
+// markStartedLocked stamps the riders running from the flight's first
+// worker accept. Caller holds c.mu.
 func (c *Coordinator) markStartedLocked(fl *flight) {
-	t := c.now()
+	if fl.started.IsZero() {
+		fl.started = c.now()
+	}
 	for _, j := range fl.attached {
-		if j.status == service.StatusQueued {
-			j.status = service.StatusRunning
-			j.started = &t
-		}
+		j.Start(fl.started)
 	}
 }
 
@@ -157,7 +157,7 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 		c.failFlight(fl, fmt.Sprintf("marshal spec: %v", err))
 		return
 	}
-	resp, err := c.client.Post(w.url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := c.call(w.ctx, w, http.MethodPost, "/v1/jobs", body)
 	if err != nil {
 		c.workerFailed(w, fl, fmt.Sprintf("submit to %s: %v", w.name, err))
 		return
@@ -179,12 +179,12 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 		}
 		select {
 		case <-time.After(time.Duration(ra) * time.Second):
-		case <-w.stop:
+		case <-w.ctx.Done():
 		}
 		c.mu.Lock()
 		delete(fl.tried, w.name)
 		if fl.running == w {
-			fl.running = nil
+			c.setRunningLocked(fl, nil)
 			w.inflight--
 			c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
 		}
@@ -278,7 +278,7 @@ type remoteView struct {
 // fetchView reads a worker job's terminal document.
 func (c *Coordinator) fetchView(w *worker, remoteID string) (remoteView, error) {
 	var v remoteView
-	resp, err := c.client.Get(w.url + "/v1/jobs/" + remoteID)
+	resp, err := c.call(w.ctx, w, http.MethodGet, "/v1/jobs/"+remoteID, nil)
 	if err != nil {
 		return v, err
 	}
@@ -294,9 +294,13 @@ func (c *Coordinator) settle(w *worker, fl *flight, view remoteView) {
 	switch view.Status {
 	case service.StatusDone:
 		c.replicate(w, fl)
+		var result any // the worker's bytes verbatim; untyped nil when it sent none
+		if len(view.Result) > 0 {
+			result = view.Result
+		}
 		c.mu.Lock()
 		c.beginStageLocked(fl, obs.StageExport, "")
-		c.resolveLocked(fl, service.StatusDone, "", view.Result)
+		c.resolveLocked(fl, service.StatusDone, "", result)
 		c.mu.Unlock()
 	case service.StatusCancelled:
 		c.mu.Lock()
@@ -348,7 +352,7 @@ func (c *Coordinator) replicate(w *worker, fl *flight) {
 // casGet fetches one raw CAS entry from a worker; nil with no error
 // means the worker has no such entry.
 func (c *Coordinator) casGet(w *worker, addr string) ([]byte, error) {
-	resp, err := c.client.Get(w.url + "/v1/cas/" + addr)
+	resp, err := c.call(w.ctx, w, http.MethodGet, "/v1/cas/"+addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +363,7 @@ func (c *Coordinator) casGet(w *worker, addr string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cas get %s: status %d", addr, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	return io.ReadAll(io.LimitReader(resp.Body, c.maxBody))
 }
 
 // remoteProbe asks a peer's CAS for the flight's result, verifying the
@@ -399,16 +403,11 @@ func (c *Coordinator) resolveFromCAS(fl *flight, data []byte, hitMetric string) 
 		c.failFlight(fl, fmt.Sprintf("cas decode: %v", err))
 		return
 	}
-	res, err := json.Marshal(service.BuildResult(fl.spec, cell, nil))
-	if err != nil {
-		c.failFlight(fl, fmt.Sprintf("cas result: %v", err))
-		return
-	}
 	c.reg.Counter(hitMetric).Inc()
 	c.mu.Lock()
 	c.markStartedLocked(fl)
 	c.beginStageLocked(fl, obs.StageExport, "")
-	c.resolveLocked(fl, service.StatusDone, "", res)
+	c.resolveLocked(fl, service.StatusDone, "", service.BuildResult(fl.spec, cell, nil))
 	c.mu.Unlock()
 }
 
@@ -425,15 +424,21 @@ func (c *Coordinator) failFlight(fl *flight, msg string) {
 // retry is at most once per worker). The requeue is visible in the
 // ledger: the queue-wait stage reopens with a requeue cause.
 func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
-	c.logf("fleet: %s", msg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if fl.running == w {
-		fl.running = nil
+		c.setRunningLocked(fl, nil)
 		w.inflight--
 		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
 	}
 	fl.remoteID = ""
+	if c.closed {
+		// Stop aborted the worker traffic after every rider resolved:
+		// nobody waits on this flight and the worker is not to blame.
+		c.resolveLocked(fl, service.StatusCancelled, "cancelled", nil)
+		return
+	}
+	c.logf("fleet: %s", msg)
 	c.reg.Counter(workerMetric(w.name, "failures")).Inc()
 	if fl.done {
 		// A racing resolution (forced shutdown, cancel) already settled
@@ -476,37 +481,39 @@ func (c *Coordinator) requeueLocked(fl *flight, last *worker) {
 	c.enqueueLocked(fl)
 }
 
-// remoteCancel issues a DELETE for a worker-side job.
+// remoteCancel issues a DELETE for a worker-side job. It is
+// best-effort and bounded: a worker that never answers costs at most
+// workerRPCTimeout, and Stop aborts it at once.
 func (c *Coordinator) remoteCancel(w *worker, remoteID string) {
-	req, err := http.NewRequest(http.MethodDelete, w.url+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err == nil {
+	ctx, cancel := context.WithTimeout(w.ctx, workerRPCTimeout)
+	defer cancel()
+	if resp, err := c.call(ctx, w, http.MethodDelete, "/v1/jobs/"+remoteID, nil); err == nil {
 		resp.Body.Close()
 	}
 }
 
+// call sends one request to worker w under ctx — w.ctx or a context
+// derived from it, so removing the worker or stopping the coordinator
+// aborts it. A body is sent as JSON.
+func (c *Coordinator) call(ctx context.Context, w *worker, method, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, w.url+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return c.client.Do(req)
+}
+
 // streamEvents consumes the worker's SSE stream for a running job,
-// buffering columns/metrics blocks for front-door replay. It returns
+// relaying its columns/metrics blocks to the riders' event logs. It returns
 // true when the stream reached the worker's done event, false when the
 // connection broke first.
 func (c *Coordinator) streamEvents(w *worker, fl *flight, remoteID string) bool {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { // a removed worker aborts the stream promptly
-		select {
-		case <-w.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+remoteID+"/events", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
+	// The worker's context aborts the stream promptly when the worker is
+	// removed or the coordinator stops.
+	resp, err := c.call(w.ctx, w, http.MethodGet, "/v1/jobs/"+remoteID+"/events", nil)
 	if err != nil {
 		return false
 	}
@@ -532,7 +539,7 @@ func (c *Coordinator) streamEvents(w *worker, fl *flight, remoteID string) bool 
 				blk = append(blk, '\n')
 				c.mu.Lock()
 				if !fl.done {
-					fl.appendEventLocked(blk)
+					c.relayLocked(fl, blk)
 				}
 				c.mu.Unlock()
 			}

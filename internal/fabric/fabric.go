@@ -1,7 +1,8 @@
-// Package fabric is the distributed experiment fabric: a coordinator
-// that fronts a fleet of isampd workers behind the same POST /v1/jobs
-// surface a single daemon serves, so clients scale from one node to a
-// cluster without changing a line (DESIGN.md §15).
+// Package fabric is the distributed experiment fabric: the fleet
+// executor behind isampfleet. Its Coordinator runs a service.Server's
+// jobs on a fleet of isampd workers, so the fleet serves the single
+// daemon's HTTP surface — the same code, not a copy — and clients scale
+// from one node to a cluster without changing a line (DESIGN.md §15).
 //
 // The fabric rests on the observation that measurement cells are pure
 // and build-ID-keyed (DESIGN.md §6): a cell key is a content address,
@@ -30,18 +31,17 @@ import (
 	"time"
 
 	"instrsample/internal/experiment"
-	"instrsample/internal/obs"
 	"instrsample/internal/service"
 	"instrsample/internal/telemetry"
 )
 
-// Fleet metric names, alongside the service-compatible jobs.* and
-// queue.depth names the coordinator shares with a single daemon.
+// Fleet metric names, alongside the jobs.*, queue.depth and cas.* names
+// the coordinator's service.Server shares with a single daemon.
 const (
 	MetricCASLocalHit  = "fleet.cas.local_hit"          // counter: jobs answered from the coordinator's CAS replica
 	MetricCASRemoteHit = "fleet.cas.remote_hit"         // counter: jobs answered from a peer's CAS
 	MetricCASMiss      = "fleet.cas.miss"               // counter: CAS probes that found nothing
-	MetricCASRejected  = "fleet.cas.integrity_rejected" // counter: CAS payloads refused (address mismatch)
+	MetricCASRejected  = "fleet.cas.integrity_rejected" // counter: worker CAS payloads refused (address mismatch)
 	MetricSteals       = "fleet.steals"                 // counter: cells claimed from a loaded peer
 	MetricRequeues     = "fleet.requeues"               // counter: cells requeued after a worker loss
 	MetricMemoPiggy    = "fleet.singleflight.piggyback" // counter: duplicate submissions attached to an in-flight cell
@@ -68,17 +68,14 @@ type FleetConf struct {
 	StealThreshold int `json:"steal_threshold,omitempty"`
 }
 
-// Config configures a Coordinator.
+// Config configures a Coordinator: the fleet's own settings. Queue
+// bound, retention, registry, obs state, body limit, log and clock are
+// the service.Config of the Server the coordinator executes for.
 type Config struct {
 	// Fleet is the initial topology (also reloadable via Reload).
 	Fleet FleetConf
 	// Slots is the number of concurrent dispatches per worker (default 2).
 	Slots int
-	// QueueDepth bounds queued-but-undispatched cells; past it the front
-	// door answers 429 with a drain-rate-derived Retry-After (default 256).
-	QueueDepth int
-	// RetainJobs bounds how many terminal jobs stay queryable (default 1024).
-	RetainJobs int
 	// CacheDir, when non-empty, roots the coordinator's own CAS replica:
 	// results fetched from workers are stored here and served back to the
 	// fleet (and to clients, instantly, on resubmission).
@@ -89,22 +86,16 @@ type Config struct {
 	// learn it from the first worker /healthz handshake — the workers'
 	// binary, not the coordinator's, defines the address space.
 	FleetID string
-	// Registry receives the coordinator's metrics (nil = private).
-	Registry *telemetry.Registry
-	// Obs carries the span/ledger mode for coordinator-side job chains.
-	Obs *obs.State
-	// MaxBodyBytes bounds a POST body (default 2 MiB).
-	MaxBodyBytes int64
-	// Logf, when non-nil, receives one line per fleet state change.
-	Logf func(format string, args ...any)
-	// Now replaces time.Now in tests.
-	Now func() time.Time
 	// HealthInterval is the per-worker health-probe cadence (default 500ms).
 	HealthInterval time.Duration
 	// Client is the HTTP client for worker traffic (default: dedicated
 	// client with connection pooling).
 	Client *http.Client
 }
+
+// workerRPCTimeout bounds the worker calls that must not hang on a
+// wedged worker: health probes and remote cancels.
+const workerRPCTimeout = 2 * time.Second
 
 // worker is the coordinator's view of one fleet member.
 type worker struct {
@@ -120,53 +111,47 @@ type worker struct {
 	depth    int  // worker-reported queue depth, for steal/metrics
 	draining bool // removed by reload: finish inflight, take no new work
 	gone     bool // fully removed
-	stop     chan struct{}
+	// ctx scopes every request to the worker; stop ends it when the
+	// worker leaves the fleet or the coordinator stops.
+	ctx  context.Context
+	stop context.CancelFunc
 }
 
-// Coordinator fronts the fleet. Create with New, serve Handler, stop
-// with Shutdown.
+// Coordinator is the fleet executor (service.Executor): it runs the
+// jobs of the service.Server it is bound to on the fleet's workers.
+// Create with New and pass it as service.Config.Executor; the Server
+// serves the HTTP surface and stops it on Shutdown.
 type Coordinator struct {
 	cfg    Config
-	reg    *telemetry.Registry
-	mux    *http.ServeMux
-	now    func() time.Time
 	client *http.Client
-	logf   func(string, ...any)
 
-	drain service.DrainEstimator
+	// Bound by Start from the Server whose jobs the coordinator runs.
+	srv        *service.Server
+	reg        *telemetry.Registry
+	now        func() time.Time
+	logf       func(string, ...any)
+	queueDepth int
+	maxBody    int64
 
 	mu             sync.Mutex
 	cond           *sync.Cond
 	stealThreshold int
 	workers        map[string]*worker
-	flights        map[string]*flight // live cells by cell key
-	jobs           map[string]*fjob
-	order          []string
-	seq            uint64
-	pending        int // queued (undispatched) flights
-	subscribers    int // open SSE proxies
-	draining       bool
+	flights        map[flightKey]*flight // live cells
+	pending        int                   // queued (undispatched) flights
 	closed         bool
 	fleetID        string
 	cas            *experiment.Cache
 
-	wg       sync.WaitGroup // dispatchers + health probes
-	inflight sync.WaitGroup // jobs not yet terminal
+	wg      sync.WaitGroup // dispatchers + health probes
+	cancels sync.WaitGroup // remote cancels in flight
 }
 
-// New builds a Coordinator and starts its dispatchers and health probes.
+// New builds a Coordinator for cfg.Fleet. Its dispatchers and health
+// probes start when a service.Server binds it (Start).
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Slots < 1 {
 		cfg.Slots = 2
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.RetainJobs < 1 {
-		cfg.RetainJobs = 1024
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 2 << 20
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
@@ -174,16 +159,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Fleet.StealThreshold < 1 {
 		cfg.Fleet.StealThreshold = 2
 	}
-	if cfg.Obs == nil {
-		cfg.Obs = obs.NewState(obs.Options{Mode: obs.ModeSpans})
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	if len(cfg.Fleet.Workers) == 0 {
+		return nil, fmt.Errorf("fabric: no workers configured")
 	}
 	client := cfg.Client
 	if client == nil {
@@ -199,19 +176,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:            cfg,
-		reg:            reg,
-		mux:            http.NewServeMux(),
-		now:            now,
 		client:         client,
+		logf:           func(string, ...any) {},
 		stealThreshold: cfg.Fleet.StealThreshold,
 		workers:        make(map[string]*worker),
-		flights:        make(map[string]*flight),
-		jobs:           make(map[string]*fjob),
-	}
-	c.logf = func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf(format, args...)
-		}
+		flights:        make(map[flightKey]*flight),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if cfg.FleetID != "" {
@@ -219,35 +188,92 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleGet)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	c.mux.HandleFunc("GET /v1/cas/{addr}", c.handleCASGet)
-	c.mux.HandleFunc("PUT /v1/cas/{addr}", c.handleCASPut)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mu.Lock()
-	for _, wc := range cfg.Fleet.Workers {
-		c.addWorkerLocked(wc)
-	}
-	c.mu.Unlock()
-	if len(cfg.Fleet.Workers) == 0 {
-		return nil, fmt.Errorf("fabric: no workers configured")
-	}
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP surface.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+// Start binds the coordinator to s — its registry, clock, log, queue
+// bound and body limit — and starts every worker's health probe and
+// dispatch slots (service.Executor).
+func (c *Coordinator) Start(s *service.Server) {
+	cfg := s.Config()
+	c.srv = s
+	c.reg, c.now = cfg.Registry, cfg.Now
+	c.queueDepth, c.maxBody = cfg.QueueDepth, cfg.MaxBodyBytes
+	if cfg.Logf != nil {
+		c.logf = cfg.Logf
+	}
+	c.mu.Lock()
+	for _, wc := range c.cfg.Fleet.Workers {
+		c.addWorkerLocked(wc)
+	}
+	c.mu.Unlock()
+}
 
-// Registry returns the coordinator's metrics registry.
-func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
+// Cache is the coordinator's CAS replica, served at /v1/cas: nil without
+// a CacheDir or before the fleet ID is known (service.Executor).
+func (c *Coordinator) Cache() *experiment.Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cas
+}
+
+// WorkerHealth is one worker's row in the coordinator /healthz document.
+type WorkerHealth struct {
+	URL      string  `json:"url"`
+	Up       bool    `json:"up"`
+	Weight   float64 `json:"weight"`
+	Pending  int     `json:"pending"`
+	Inflight int     `json:"inflight"`
+	Depth    int     `json:"reported_depth"`
+	Draining bool    `json:"draining,omitempty"`
+}
+
+// Health adds the fleet's rows to /healthz: the coordinator role, the
+// fleet's content-addressing build ID, and per-worker health and
+// accounting (service.Executor).
+func (c *Coordinator) Health(doc map[string]any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	workers := make(map[string]WorkerHealth, len(c.workers))
+	names := make([]string, 0, len(c.workers))
+	for name, wk := range c.workers {
+		names = append(names, name)
+		workers[name] = WorkerHealth{
+			URL: wk.url, Up: wk.up, Weight: wk.weight,
+			Pending: len(wk.queue), Inflight: wk.inflight,
+			Depth: wk.depth, Draining: wk.draining,
+		}
+	}
+	sort.Strings(names)
+	doc["role"] = "coordinator"
+	doc["build_id"] = c.fleetID
+	doc["workers"] = workers
+	doc["worker_set"] = names
+}
+
+// Stop ends all worker traffic — event streams, result fetches and
+// remote cancels in flight abort, so a hung worker cannot wedge a drain
+// — and returns once the dispatchers, health probes and cancels have
+// exited (service.Executor). The Server calls it once every job is
+// terminal.
+func (c *Coordinator) Stop() {
+	c.mu.Lock()
+	c.closed = true
+	for _, w := range c.workers {
+		if !w.gone {
+			w.gone = true
+			w.stop()
+		}
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	c.wg.Wait()
+	c.cancels.Wait()
+}
 
 // setFleetID fixes the fleet's content-addressing ID and, when a cache
-// dir is configured, opens the coordinator's CAS replica under it.
-// Caller must not hold c.mu when called from New; the health path calls
-// it under c.mu via setFleetIDLocked.
+// dir is configured, opens the coordinator's CAS replica under it. The
+// health path calls it under c.mu via setFleetIDLocked.
 func (c *Coordinator) setFleetID(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -299,8 +325,8 @@ func (c *Coordinator) addWorkerLocked(wc WorkerConf) {
 		name:   wc.Name,
 		url:    strings.TrimRight(wc.URL, "/"),
 		weight: wc.Weight,
-		stop:   make(chan struct{}),
 	}
+	w.ctx, w.stop = context.WithCancel(context.Background())
 	if w.weight <= 0 {
 		w.weight = 1
 	}
@@ -319,7 +345,7 @@ func (c *Coordinator) addWorkerLocked(wc WorkerConf) {
 // guarantees the worker has no queued or inflight cells.
 func (c *Coordinator) removeWorkerLocked(w *worker) {
 	w.gone = true
-	close(w.stop)
+	w.stop()
 	delete(c.workers, w.name)
 	c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
 	c.cond.Broadcast()
@@ -372,7 +398,7 @@ func (c *Coordinator) healthLoop(w *worker) {
 	for {
 		c.probe(w)
 		select {
-		case <-w.stop:
+		case <-w.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -389,16 +415,13 @@ type workerHealth struct {
 
 // probe runs one health check against w.
 func (c *Coordinator) probe(w *worker) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(w.ctx, workerRPCTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/healthz", nil)
+	resp, err := c.call(ctx, w, http.MethodGet, "/healthz", nil)
 	if err != nil {
-		c.setWorkerUp(w, false, 0, "")
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.setWorkerUp(w, false, 0, "")
+		if w.ctx.Err() == nil { // not merely a removed worker or a stopping coordinator
+			c.setWorkerUp(w, false, 0, "")
+		}
 		return
 	}
 	var h workerHealth

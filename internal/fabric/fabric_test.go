@@ -68,15 +68,17 @@ func newTestWorker(t *testing.T, name string) *testWorker {
 	return tw
 }
 
-// fleet is a coordinator fronting n in-process workers.
+// fleet is a coordinator fronting n in-process workers: the fleet
+// executor behind a service.Server, as isampfleet runs it.
 type fleet struct {
 	t       *testing.T
 	c       *Coordinator
+	srv     *service.Server
 	front   *httptest.Server
 	workers []*testWorker
 }
 
-func startCoordinator(t *testing.T, workers []*testWorker, mod func(*Config)) *fleet {
+func startCoordinator(t *testing.T, workers []*testWorker, mod func(*Config, *service.Config)) *fleet {
 	t.Helper()
 	f := &fleet{t: t, workers: workers}
 	var confs []WorkerConf
@@ -86,29 +88,34 @@ func startCoordinator(t *testing.T, workers []*testWorker, mod func(*Config)) *f
 	cfg := Config{
 		Fleet:          FleetConf{Workers: confs},
 		CacheDir:       t.TempDir(),
-		QueueDepth:     64,
 		HealthInterval: 25 * time.Millisecond,
-		Logf:           t.Logf,
+	}
+	scfg := service.Config{
+		QueueDepth: 64,
+		Logf:       t.Logf,
+		Obs:        obs.NewState(obs.Options{Mode: obs.ModeSpans}),
 	}
 	if mod != nil {
-		mod(&cfg)
+		mod(&cfg, &scfg)
 	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	scfg.Executor = c
 	f.c = c
-	f.front = httptest.NewServer(c.Handler())
+	f.srv = service.New(scfg)
+	f.front = httptest.NewServer(f.srv.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()
-		c.Shutdown(ctx) //nolint:errcheck // forced shutdown is fine in tests
+		f.srv.Shutdown(ctx) //nolint:errcheck // forced shutdown is fine in tests
 		f.front.Close()
 	})
 	return f
 }
 
-func newFleet(t *testing.T, n int, mod func(*Config)) *fleet {
+func newFleet(t *testing.T, n int, mod func(*Config, *service.Config)) *fleet {
 	t.Helper()
 	var workers []*testWorker
 	for i := 0; i < n; i++ {
@@ -468,6 +475,45 @@ func TestFleetSingleFlightPiggyback(t *testing.T) {
 	}
 }
 
+// TestFleetSingleFlightKeysOverlap: the overlap flag is part of the
+// flight key. A rider whose overlap flag differs from the in-flight
+// owner's never attaches — its result carries (or lacks) the overlap
+// scores the owner's does not — in either direction, while a rider
+// whose flag matches still piggybacks with a cause link.
+func TestFleetSingleFlightKeysOverlap(t *testing.T) {
+	f := newFleet(t, 1, func(cfg *Config, _ *service.Config) { cfg.Slots = 4 })
+	plainA := service.JobSpec{Source: src(1<<40 + 80), Instrument: []string{"block-count"}}
+	overlapA := plainA
+	overlapA.Overlap = true
+	overlapB := service.JobSpec{Source: src(1<<40 + 81), Instrument: []string{"block-count"}, Overlap: true}
+	plainB := overlapB
+	plainB.Overlap = false
+
+	ownerA, _ := f.post(plainA)
+	ownerB, _ := f.post(overlapB)
+	mismatchA, _ := f.post(overlapA) // overlap rider, plain owner
+	mismatchB, _ := f.post(plainB)   // plain rider, overlap owner
+	if got := f.counter(MetricMemoPiggy); got != 0 {
+		t.Fatalf("piggyback counter = %d after riders with a different overlap flag, want 0", got)
+	}
+	riderA, _ := f.post(plainA)
+	riderB, _ := f.post(overlapB)
+	if got := f.counter(MetricMemoPiggy); got != 2 {
+		t.Fatalf("piggyback counter = %d after riders with a matching overlap flag, want 2", got)
+	}
+	for rider, owner := range map[string]string{riderA: ownerA, riderB: ownerB} {
+		if cause, ok := ledgerCause(f.view(rider).Ledger, obs.StageMemoFlight); !ok || cause != owner {
+			t.Errorf("rider %s: memo-flight cause = %q (found %v), want %q", rider, cause, ok, owner)
+		}
+	}
+	for _, id := range []string{ownerA, ownerB, mismatchA, mismatchB, riderA, riderB} {
+		f.cancel(id)
+		if v := f.waitTerminal(id); v.Status != service.StatusCancelled {
+			t.Errorf("job %s: status %s, want cancelled", id, v.Status)
+		}
+	}
+}
+
 // TestFleetWorkerLossRequeues kills a worker mid-job: the cell requeues on
 // the surviving worker exactly once, with the requeue cause visible in the
 // job's ledger.
@@ -648,11 +694,11 @@ func TestFleetRemoteCASHitOnSteal(t *testing.T) {
 	}
 	want := compact(t, v.Result)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	solo.c.Shutdown(ctx) //nolint:errcheck
+	solo.srv.Shutdown(ctx) //nolint:errcheck
 	cancel()
 	solo.front.Close()
 
-	f := startCoordinator(t, []*testWorker{w0, w1}, func(cfg *Config) {
+	f := startCoordinator(t, []*testWorker{w0, w1}, func(cfg *Config, _ *service.Config) {
 		cfg.Slots = 1
 		cfg.Fleet.StealThreshold = 1
 	})
@@ -698,7 +744,7 @@ func TestFleetRemoteCASHitOnSteal(t *testing.T) {
 // then lets an idle peer steal and compute it: one computation fans out to
 // both jobs with identical bytes.
 func TestFleetDuplicateDuringSteal(t *testing.T) {
-	f := newFleet(t, 2, func(cfg *Config) {
+	f := newFleet(t, 2, func(cfg *Config, _ *service.Config) {
 		cfg.Slots = 1
 		cfg.Fleet.StealThreshold = 1
 	})
@@ -762,14 +808,14 @@ func fakeWorker(result, casBody []byte) http.Handler {
 // CAS serves corrupt bytes: replication rejects the payload (twice — the
 // refetch), the job still succeeds via the job document, and the corrupt
 // entry never lands in the coordinator's replica. The front-door PUT
-// endpoint rejects the same way.
+// endpoint rejects the same way, counted as on every node.
 func TestFleetCASIntegrityReject(t *testing.T) {
 	canned := []byte(`{"return":42,"stats":{"cycles":7},"code_size":3}`)
 	corrupt := []byte(`{"cell":"job not-this-cell","return":1}`)
 	hs := httptest.NewServer(fakeWorker(canned, corrupt))
 	defer hs.Close()
 
-	f := startCoordinator(t, nil, func(cfg *Config) {
+	f := startCoordinator(t, nil, func(cfg *Config, _ *service.Config) {
 		cfg.Fleet.Workers = []WorkerConf{{Name: "fake", URL: hs.URL}}
 	})
 	f.waitUp([]string{"fake"})
@@ -806,17 +852,102 @@ func TestFleetCASIntegrityReject(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("front cas put: status %d, want 422", resp.StatusCode)
 	}
-	if got := f.counter(MetricCASRejected); got != 3 {
-		t.Fatalf("integrity rejects = %d after front-door put, want 3", got)
+	if got := f.counter(service.MetricCASRejected); got != 1 {
+		t.Fatalf("front-door put rejects = %d, want 1", got)
+	}
+	if got := f.counter(MetricCASRejected); got != 2 {
+		t.Fatalf("worker payload rejects = %d after front-door put, want 2", got)
+	}
+}
+
+// hungWorker is a scripted worker that accepts every job and then never
+// finishes it: the event stream stays open without a done event, and
+// neither a DELETE nor a job fetch is ever answered — until release
+// closes or the client gives up.
+func hungWorker(release <-chan struct{}) http.Handler {
+	var seq atomic.Int64
+	hang := func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"status":"ok","queued":0,"build_id":%q}`, experiment.BuildID())
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprintf(w, `{"id":"rj-%d","status":"queued"}`, seq.Add(1))
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		hang(w, r)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", hang)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", hang)
+	return mux
+}
+
+// TestFleetForcedDrainHungWorker: past the drain budget, Shutdown
+// resolves every front-door job cancelled locally — running cells, a
+// rider on one of them, and a cell still queued — and returns promptly
+// even though the worker holding the running cells never answers.
+func TestFleetForcedDrainHungWorker(t *testing.T) {
+	release := make(chan struct{})
+	hs := httptest.NewServer(hungWorker(release))
+	t.Cleanup(func() {
+		close(release)
+		hs.Close()
+	})
+	f := startCoordinator(t, nil, func(cfg *Config, _ *service.Config) {
+		cfg.Fleet.Workers = []WorkerConf{{Name: "hung", URL: hs.URL}}
+		cfg.Slots = 2
+	})
+	f.waitUp([]string{"hung"})
+
+	running1, _ := f.post(infSpec(70))
+	rider, _ := f.post(infSpec(70))
+	running2, _ := f.post(infSpec(71))
+	for _, id := range []string{running1, running2} {
+		f.waitRunningOn(id, "hung")
+	}
+	queued, _ := f.post(infSpec(72)) // both dispatch slots are held by the hung streams
+	if v := f.view(queued); v.Status != service.StatusQueued {
+		t.Fatalf("job %s: status %s, want queued behind the hung cells", queued, v.Status)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- f.srv.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if err != context.DeadlineExceeded {
+			t.Errorf("forced shutdown returned %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown wedged on a hung worker")
+	}
+	if took := time.Since(start); took >= workerRPCTimeout {
+		t.Errorf("Shutdown took %v: it waited on the hung worker (remote calls time out after %v)", took, workerRPCTimeout)
+	}
+	for _, id := range []string{running1, rider, running2, queued} {
+		if v := f.view(id); v.Status != service.StatusCancelled {
+			t.Errorf("job %s after forced shutdown: status %s, want cancelled", id, v.Status)
+		}
 	}
 }
 
 // TestFleetBackpressure fills the coordinator's bounded queue and checks
 // the 429 carries a sane drain-rate-derived Retry-After.
 func TestFleetBackpressure(t *testing.T) {
-	f := newFleet(t, 1, func(cfg *Config) {
+	f := newFleet(t, 1, func(cfg *Config, scfg *service.Config) {
 		cfg.Slots = 1
-		cfg.QueueDepth = 2
+		scfg.QueueDepth = 2
 	})
 	// One running cell plus a full queue.
 	ids := []string{}

@@ -15,17 +15,20 @@ const (
 	MetricCASRejected = "cas.put.rejected" // counter: PUT /v1/cas integrity rejects
 )
 
-// The CAS endpoints expose the daemon's disk cache as a network
+// The CAS endpoints expose the executor's store (the local engine's disk
+// cache, or the fleet coordinator's replica) as a network
 // content-addressed store (DESIGN.md §15): GET serves an entry's raw
 // stored bytes by address, PUT replicates an entry a peer computed.
-// Every isampd worker and the isampfleet coordinator serve the same two
-// routes, so any node's warm cache benefits the whole fleet. A PUT is
+// Every isampd worker and the isampfleet coordinator serve these two
+// handlers, so any node's warm cache benefits the whole fleet. A PUT is
 // verified against the address before it touches the store — a receiver
-// never trusts the sender — and a node running without a cache answers
-// 404 for the whole surface.
+// never trusts the sender: a mismatch is a 422 integrity reject, while a
+// store that cannot be written is a 500 and no reject. A node without a
+// store answers 404 for the whole surface.
 
 func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cache == nil {
+	cache := s.exec.Cache()
+	if cache == nil {
 		writeErr(w, http.StatusNotFound, "no cache configured")
 		return
 	}
@@ -34,7 +37,7 @@ func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid CAS address %q", addr)
 		return
 	}
-	data, ok := s.cfg.Cache.GetAddr(addr)
+	data, ok := cache.GetAddr(addr)
 	if !ok {
 		s.reg.Counter(MetricCASMisses).Inc()
 		writeErr(w, http.StatusNotFound, "no entry at %s", addr)
@@ -46,7 +49,8 @@ func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCASPut(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cache == nil {
+	cache := s.exec.Cache()
+	if cache == nil {
 		writeErr(w, http.StatusNotFound, "no cache configured")
 		return
 	}
@@ -60,22 +64,18 @@ func (s *Server) handleCASPut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body: %v", err)
 		return
 	}
-	if err := experiment.VerifyCAS(s.cfg.Cache.ID(), addr, body); err != nil {
+	if err := experiment.VerifyCAS(cache.ID(), addr, body); err != nil {
 		s.reg.Counter(MetricCASRejected).Inc()
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	if err := s.cfg.Cache.PutAddr(addr, body); err != nil {
+	if err := cache.PutAddr(addr, body); err != nil {
 		writeErr(w, http.StatusInternalServerError, "store: %v", err)
 		return
 	}
 	s.reg.Counter(MetricCASStored).Inc()
 	writeJSON(w, http.StatusOK, map[string]string{"stored": addr})
 }
-
-// Cache returns the daemon's result cache (nil when running uncached).
-// The fleet coordinator uses it to learn a worker-compatible store.
-func (s *Server) Cache() *experiment.Cache { return s.cfg.Cache }
 
 // BuildResult assembles a job's terminal payload from its engine cell
 // result(s) — ref is the overlap reference cell, nil otherwise. It is

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -102,50 +105,63 @@ type jobView struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	Error    string     `json:"error,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
+	// Result is the terminal payload as its executor produced it: a
+	// *JobResult when built on this node (a local run, or a fleet CAS
+	// hit), a fleet worker's own JSON verbatim when the worker ran it.
+	Result any `json:"result,omitempty"`
+	// Worker names the fleet worker running the job's cell (fleet only).
+	Worker string `json:"worker,omitempty"`
 	// Ledger is the job's wall-clock attribution (present when the obs
 	// mode was not off at accept): exact per-stage durations that sum to
 	// the end-to-end latency. Live jobs report the open stage up to now.
 	Ledger *obs.Ledger `json:"ledger,omitempty"`
 }
 
-// job is one queued/running/finished unit of work. Mutable state is
-// guarded by mu; ctx/cancel and the immutables are set at creation.
-type job struct {
+// errShutdown is the cause a forced drain ends every live job's context
+// with.
+var errShutdown = errors.New("server shutting down")
+
+// Job is one client-visible job. The Server owns everything a client
+// sees of it — ID, retention, status document, SSE event log, ledger
+// and trace; an Executor drives it to a terminal state through Start,
+// SetWorker, AppendEvents and Finish, and learns of a DELETE, a
+// timeout_ms deadline or a forced drain through OnCancel. Mutable state
+// is guarded by mu; ctx/cancel and the immutables are set at creation.
+type Job struct {
 	id      string
 	spec    JobSpec
 	created time.Time
 	now     func() time.Time
-	ctx     context.Context
-	cancel  context.CancelFunc
+	// ctx ends on DELETE, at the timeout_ms deadline, on a forced drain,
+	// and at the latest when the job turns terminal (Finish releases it).
+	ctx    context.Context
+	cancel context.CancelFunc
 	// trace is the job's span chain (nil when the obs mode was off at
 	// accept). Set before the job is shared, immutable afterwards; the
 	// chain has its own lock, so it is read without j.mu.
 	trace *obs.JobTrace
 	// onFinish, when non-nil, runs once when the job reaches a terminal
 	// state, after the span chain closes and before done closes — the
-	// server's hook for ledger metrics and the trace-dir dump. Set before
-	// the job is shared.
-	onFinish func(*job)
+	// server's hook for terminal accounting, ledger metrics and the
+	// trace-dir dump. Set before the job is shared.
+	onFinish func(*Job, JobStatus)
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
+	// events is the job's SSE event log.
+	events eventLog
 
 	mu        sync.Mutex
 	status    JobStatus
 	started   time.Time
 	finished  time.Time
 	errMsg    string
-	result    *JobResult
-	requested bool // DELETE arrived (distinguishes cancel from timeout)
-	// Event-stream state: columns freeze at the first batch; rows only
-	// append; subs get a non-blocking wakeup on every append and on
-	// completion.
-	eventCols []string
-	events    []telemetry.SeriesRow
-	subs      map[chan struct{}]struct{}
+	result    any
+	worker    string
+	requested bool        // DELETE arrived (distinguishes cancel from timeout)
+	unwatch   func() bool // unregisters the OnCancel callback
 }
 
-func newJob(id string, spec JobSpec, parent context.Context, now func() time.Time) *job {
+func newJob(id string, spec JobSpec, parent context.Context, now func() time.Time) *Job {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if spec.TimeoutMs > 0 {
@@ -156,7 +172,7 @@ func newJob(id string, spec JobSpec, parent context.Context, now func() time.Tim
 	if now == nil {
 		now = time.Now
 	}
-	return &job{
+	return &Job{
 		id:      id,
 		spec:    spec,
 		created: now(),
@@ -165,12 +181,21 @@ func newJob(id string, spec JobSpec, parent context.Context, now func() time.Tim
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		status:  StatusQueued,
-		subs:    make(map[chan struct{}]struct{}),
 	}
 }
 
+// ID returns the job's ID.
+func (j *Job) ID() string { return j.id }
+
+// Spec returns the job's validated, defaulted spec.
+func (j *Job) Spec() JobSpec { return j.spec }
+
+// Trace returns the job's span chain (nil when the obs mode was off at
+// accept; every JobTrace method tolerates nil).
+func (j *Job) Trace() *obs.JobTrace { return j.trace }
+
 // view snapshots the job for JSON rendering.
-func (j *job) view() jobView {
+func (j *Job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := jobView{
@@ -180,6 +205,7 @@ func (j *job) view() jobView {
 		Created: j.created,
 		Error:   j.errMsg,
 		Result:  j.result,
+		Worker:  j.worker,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -194,61 +220,127 @@ func (j *job) view() jobView {
 }
 
 // Status returns the current state.
-func (j *job) Status() JobStatus {
+func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
 }
 
-// start transitions queued → running. It returns false when the job is
-// already terminal (cancelled while still queued).
-func (j *job) start() bool {
+// Start moves a queued job to running as of at. It reports false, and
+// changes nothing, when the job is no longer queued or its context has
+// ended: a job cancelled while queued never starts, and its OnCancel
+// callback resolves it instead.
+func (j *Job) Start(at time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.ctx.Err() != nil {
 		return false
 	}
 	j.status = StatusRunning
-	j.started = j.now()
+	j.started = at
 	return true
 }
 
-// finish moves the job to a terminal state and wakes every subscriber.
+// SetWorker names the fleet worker running the job's cell ("" while
+// none does).
+func (j *Job) SetWorker(name string) {
+	j.mu.Lock()
+	j.worker = name
+	j.mu.Unlock()
+}
+
+// AppendEvents adds encoded SSE blocks ("event: ...\ndata: ...\n\n") to
+// the job's event log, in order, and wakes its subscribers.
+func (j *Job) AppendEvents(blocks ...[]byte) { j.events.append(blocks...) }
+
+// Finish moves the job to a terminal state with the given result (the
+// value the job document encodes; nil for none) and wakes every waiter.
 // Later calls are no-ops, so a cancel racing a natural completion
 // resolves to whichever lands first.
-func (j *job) finish(st JobStatus, errMsg string, res *JobResult) {
+func (j *Job) Finish(st JobStatus, errMsg string, result any) {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.status = st
 	j.finished = j.now()
-	j.errMsg = errMsg
-	j.result = res
-	subs := j.subs
-	j.subs = make(map[chan struct{}]struct{})
-	j.mu.Unlock()
-	// Close the span chain before done closes so anyone woken by done (the
-	// SSE ledger event, waiters polling the job view) sees a final ledger
-	// whose stage sum equals the end-to-end latency.
+	// Close the span chain as the status turns terminal, so anyone who
+	// sees the terminal status (the job view, the SSE ledger event) sees
+	// a final ledger whose stage sum equals the end-to-end latency — and,
+	// closed after the finished stamp, brackets created-to-finished.
 	j.trace.Finish(string(st))
+	j.status = st
+	j.errMsg = errMsg
+	j.result = result
+	unwatch := j.unwatch
+	j.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
+	// The outcome is settled, so the context has nothing left to say:
+	// release it before done closes, so no terminal job stays registered
+	// under the server's base context.
+	j.cancel()
 	if j.onFinish != nil {
-		j.onFinish(j)
+		j.onFinish(j, st)
 	}
 	close(j.done)
-	for ch := range subs {
-		select {
-		case ch <- struct{}{}:
-		default:
+}
+
+// OnCancel arranges for f to run, on its own goroutine, when the job's
+// context ends while the job is still live: a DELETE, the timeout_ms
+// deadline or a forced drain. Finish unregisters it, so f never runs for
+// a job that turned terminal on its own. An executor calls it at most
+// once per job.
+func (j *Job) OnCancel(f func()) {
+	stop := context.AfterFunc(j.ctx, func() {
+		if !j.Status().Terminal() {
+			f()
 		}
+	})
+	j.mu.Lock()
+	terminal := j.status.Terminal()
+	if !terminal {
+		j.unwatch = stop
+	}
+	j.mu.Unlock()
+	if terminal {
+		stop()
 	}
 }
 
-// requestCancel marks the job operator-cancelled and fires its context.
-// Terminal jobs are left untouched; the returned status is the state the
-// job was in when the request landed.
-func (j *job) requestCancel() JobStatus {
+// Abort resolves the job with the outcome its ended context implies:
+// failed at the timeout_ms deadline, cancelled after a DELETE or a
+// forced drain.
+func (j *Job) Abort() {
+	st, msg := j.outcome(context.Cause(j.ctx))
+	j.Finish(st, msg, nil)
+}
+
+// outcome maps the error a job's run (or its context) ended with to the
+// job's terminal state: an operator DELETE or a drain is cancelled; a
+// deadline is failed — the job ran out of its own budget; anything else
+// is failed with the cause.
+func (j *Job) outcome(err error) (JobStatus, string) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return StatusFailed, fmt.Sprintf("timeout after %dms", j.spec.TimeoutMs)
+	case j.cancelRequested():
+		return StatusCancelled, "cancelled"
+	case errors.Is(err, errShutdown):
+		return StatusCancelled, err.Error()
+	case errors.Is(err, context.Canceled) || vm.IsCancelled(err):
+		return StatusCancelled, "cancelled: " + err.Error()
+	default:
+		return StatusFailed, err.Error()
+	}
+}
+
+// requestCancel marks the job operator-cancelled and ends its context;
+// the executor then resolves it (OnCancel, or the running VM's next
+// observation point). Terminal jobs are left untouched; the returned
+// status is the state the job was in when the request landed.
+func (j *Job) requestCancel() JobStatus {
 	j.mu.Lock()
 	st := j.status
 	if !st.Terminal() {
@@ -257,78 +349,90 @@ func (j *job) requestCancel() JobStatus {
 	j.mu.Unlock()
 	if !st.Terminal() {
 		j.cancel()
-		// A queued job never reaches a worker's classification path, so
-		// resolve it here; the worker's start() will then skip it.
-		j.finishIfQueuedCancelled()
 	}
 	return st
 }
 
-// finishIfQueuedCancelled resolves a still-queued cancelled job.
-func (j *job) finishIfQueuedCancelled() {
-	j.mu.Lock()
-	queued := j.status == StatusQueued
-	j.mu.Unlock()
-	if queued {
-		j.finish(StatusCancelled, "cancelled before start", nil)
-	}
-}
-
 // cancelRequested reports whether DELETE arrived (vs a timeout firing
 // the same context).
-func (j *job) cancelRequested() bool {
+func (j *Job) cancelRequested() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.requested
 }
 
-// appendEvents publishes newly captured metrics rows to the event log
-// and wakes subscribers. Called from the VM goroutine via the meter
-// publisher observer.
-func (j *job) appendEvents(cols []string, rows []telemetry.SeriesRow) {
+// eventLog is a job's SSE event log: encoded "columns" and "metrics"
+// blocks in publish order. Blocks only append and are never modified,
+// so a reader replays from its own offset and every subscriber — late
+// or early — receives the same bytes.
+type eventLog struct {
+	mu      sync.Mutex
+	blocks  [][]byte
+	hasCols bool
+	// wake closes on the next append; nil until a reader waits on it.
+	wake chan struct{}
+}
+
+// sseBlock encodes one Server-Sent Event.
+func sseBlock(event string, data []byte) []byte {
+	b := make([]byte, 0, len("event: \ndata: \n\n")+len(event)+len(data))
+	b = append(b, "event: "...)
+	b = append(b, event...)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
+}
+
+// append adds blocks and wakes every waiting reader.
+func (l *eventLog) append(blocks ...[]byte) {
+	l.mu.Lock()
+	l.appendLocked(blocks)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) appendLocked(blocks [][]byte) {
+	l.blocks = append(l.blocks, blocks...)
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
+}
+
+// publish appends freshly captured metrics rows as "metrics" blocks,
+// preceded — once, whichever publisher gets there first — by the
+// "columns" block naming their values.
+func (l *eventLog) publish(cols []string, rows []telemetry.SeriesRow) {
 	if len(rows) == 0 {
 		return
 	}
-	j.mu.Lock()
-	if j.eventCols == nil {
-		j.eventCols = append([]string(nil), cols...)
-	}
-	j.events = append(j.events, rows...)
-	subs := make([]chan struct{}, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- struct{}{}:
-		default:
+	blocks := make([][]byte, 0, len(rows)+1)
+	for _, row := range rows {
+		data, err := json.Marshal(row)
+		if err != nil {
+			continue
 		}
+		blocks = append(blocks, sseBlock("metrics", data))
 	}
+	l.mu.Lock()
+	if !l.hasCols {
+		data, _ := json.Marshal(cols) // a []string always marshals
+		l.blocks = append(l.blocks, sseBlock("columns", data))
+		l.hasCols = true
+	}
+	l.appendLocked(blocks)
+	l.mu.Unlock()
 }
 
-// eventsSince returns the frozen columns and any rows past n.
-func (j *job) eventsSince(n int) ([]string, []telemetry.SeriesRow) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n >= len(j.events) {
-		return j.eventCols, nil
+// since returns the blocks past offset n and a channel that closes on
+// the next append.
+func (l *eventLog) since(n int) ([][]byte, <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		l.wake = make(chan struct{})
 	}
-	rows := make([]telemetry.SeriesRow, len(j.events)-n)
-	copy(rows, j.events[n:])
-	return j.eventCols, rows
-}
-
-// subscribe registers a wakeup channel; the returned func unregisters
-// it. The channel has capacity 1 — wakeups coalesce.
-func (j *job) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
+	if n >= len(l.blocks) {
+		return nil, l.wake
 	}
+	return l.blocks[n:len(l.blocks):len(l.blocks)], l.wake
 }

@@ -21,11 +21,11 @@ const (
 
 // DrainEstimator measures how fast the job queue is draining so 429
 // responses can carry a Retry-After proportional to the actual backlog
-// clearing time rather than a fixed constant. Every worker pickup
-// records a drain instant; RetryAfter divides the current depth by the
-// observed rate. The fleet coordinator reuses the same estimator for
-// its own front-door pushback, so backoff stays proportional at every
-// level of the fabric (DESIGN.md §15).
+// clearing time rather than a fixed constant. Every time an executor
+// takes a job off its queue (Server.RecordDrain) it records a drain
+// instant — a local worker pickup, or a fleet dispatch — and RetryAfter
+// divides the current depth by the observed rate, so backoff stays
+// proportional at every level of the fabric (DESIGN.md §15).
 type DrainEstimator struct {
 	mu    sync.Mutex
 	times [drainSamples]time.Time // ring of drain instants

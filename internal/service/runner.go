@@ -45,7 +45,7 @@ func jobProgram(spec JobSpec) (*ir.Program, error) {
 // meterPublisher forwards every observer event to the telemetry meter and
 // then publishes any freshly captured Series rows to the job's event log.
 // It runs on the VM goroutine, so reading the meter's series here is
-// race-free; subscribers only ever see rows through job.appendEvents.
+// race-free; subscribers only ever see rows through the job's event log.
 // It declares the meter's event mask and capture deadline, so a metered
 // run stays on fused streams and the publisher runs only where the meter
 // does.
@@ -64,7 +64,7 @@ func jobProgram(spec JobSpec) (*ir.Program, error) {
 // proportional to the sample rate, not the block rate (BENCH_PR9).
 type meterPublisher struct {
 	m    *telemetry.Meter
-	j    *job
+	j    *Job
 	vtr  *telemetry.Trace
 	sent int
 }
@@ -72,7 +72,7 @@ type meterPublisher struct {
 func (p *meterPublisher) publish() {
 	s := p.m.Series()
 	if len(s.Rows) > p.sent {
-		p.j.appendEvents(s.Columns, s.Rows[p.sent:])
+		p.j.events.publish(s.Columns, s.Rows[p.sent:])
 		p.sent = len(s.Rows)
 	}
 }
@@ -126,7 +126,7 @@ func (p *meterPublisher) OnYield(t *vm.Thread, f *vm.Frame) { p.m.OnYield(t, f);
 // job's ID as cause) and cache-probe into that chain; the engine's
 // "run" stage is ignored because runSpec opens compile itself at the
 // same instant. Like events, neither is part of the cell key.
-func jobCell(spec JobSpec, events *job, full bool) experiment.Cell {
+func jobCell(spec JobSpec, events *Job, full bool) experiment.Cell {
 	c := experiment.Cell{Key: spec.cellKey(), Run: func(ctx context.Context) (*experiment.CellResult, error) {
 		return runSpec(ctx, spec, events, full)
 	}}
@@ -148,7 +148,7 @@ func jobCell(spec JobSpec, events *job, full bool) experiment.Cell {
 // execute() step for step — same compile options, same trigger
 // defaulting, same oracle handling — which is what makes an HTTP job's
 // result byte-identical to the equivalent command line.
-func runSpec(ctx context.Context, spec JobSpec, events *job, full bool) (*experiment.CellResult, error) {
+func runSpec(ctx context.Context, spec JobSpec, events *Job, full bool) (*experiment.CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -11,13 +11,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"instrsample/internal/experiment"
 	"instrsample/internal/obs"
-	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
-	"instrsample/internal/vm"
 )
 
 // Daemon metric names, exposed at GET /metrics in Prometheus text
@@ -39,11 +38,15 @@ func MetricStageUs(stage obs.Stage) string {
 	return "stage." + stage.String() + ".duration_us"
 }
 
-// Config configures a Server. The zero value is usable: 1 worker, a
-// 64-deep queue, no cache, a private registry.
+// Config configures a Server. The zero value is usable: a local pool of
+// 1 worker, a 64-deep queue, no cache, a private registry.
 type Config struct {
-	// Workers is the worker-pool size — the number of jobs running
-	// concurrently (minimum 1).
+	// Executor runs the admitted jobs. Nil means the local executor: a
+	// worker pool over the experiment engine, sized by Workers and backed
+	// by Cache — isampd's. isampfleet passes its fabric.Coordinator.
+	Executor Executor
+	// Workers is the local pool size — the number of jobs running
+	// concurrently (minimum 1). Unused with an Executor.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-not-started jobs.
 	// A full queue rejects submissions with 429 + Retry-After; the
@@ -52,12 +55,14 @@ type Config struct {
 	// RetainJobs bounds how many terminal jobs stay queryable; the
 	// oldest are evicted first (default 1024).
 	RetainJobs int
-	// Cache, when non-nil, is the experiment engine's build-ID-keyed
-	// on-disk result cache; identical jobs then complete near-instantly.
+	// Cache, when non-nil, is the local engine's build-ID-keyed on-disk
+	// result cache (identical jobs then complete near-instantly) and the
+	// store served at /v1/cas. Unused with an Executor, which names its
+	// own store.
 	Cache *experiment.Cache
 	// Registry receives the daemon's metrics (nil = private registry).
 	Registry *telemetry.Registry
-	// MaxBodyBytes bounds a POST body (default 2 MiB).
+	// MaxBodyBytes bounds a POST or CAS PUT body (default 2 MiB).
 	MaxBodyBytes int64
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
@@ -83,37 +88,64 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Server is the profiling-as-a-service daemon core: a bounded job queue
-// in front of a worker pool layered on the experiment engine, plus the
-// HTTP surface (Handler). It is independent of any particular
-// http.Server so tests can drive it with httptest.
+// Executor runs the jobs a Server admits (DESIGN.md §10). The Server
+// owns everything a client sees — job IDs, retention, status, the SSE
+// log, ledger and trace, cancel and drain, /healthz, /metrics, /v1/obs
+// and /v1/cas — so each of those behaviours has one implementation. An
+// executor admits a job or reports its queue full, drives the job to a
+// terminal state, names the store behind /v1/cas, and adds its own rows
+// to /healthz. The local worker pool behind isampd is one executor; the
+// fleet coordinator behind isampfleet (internal/fabric) is the other.
+type Executor interface {
+	// Start binds the executor to the server whose jobs it runs and
+	// starts its goroutines; New calls it once.
+	Start(s *Server)
+	// Admit takes j into the executor's queue, or reports false when the
+	// queue is full. It runs under the server's admission lock, so it
+	// must not wait on the network or on other jobs. Once admitted, j
+	// belongs to the executor until it is terminal: the executor moves it
+	// through Job.Start and Job.Finish, and resolves it when its context
+	// ends (Job.OnCancel).
+	Admit(j *Job) bool
+	// Cache names the store served at /v1/cas (nil: none).
+	Cache() *experiment.Cache
+	// Health adds the executor's own rows to the /healthz document.
+	Health(doc map[string]any)
+	// Stop stops the executor and returns once its goroutines have
+	// exited. Shutdown calls it once every job is terminal.
+	Stop()
+}
+
+// Server is the profiling-as-a-service job surface: admission, the job
+// registry and the HTTP API (Handler) in front of an Executor. It is
+// independent of any particular http.Server so tests can drive it with
+// httptest.
 type Server struct {
-	cfg Config
-	eng *experiment.Engine
-	reg *telemetry.Registry
-	mux *http.ServeMux
-	now func() time.Time
+	cfg  Config
+	exec Executor
+	reg  *telemetry.Registry
+	mux  *http.ServeMux
+	now  func() time.Time
 
+	// baseCtx parents every job's context; a forced drain ends it with
+	// errShutdown as the cause.
 	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	queue      chan *job
-	workers    sync.WaitGroup
+	baseCancel context.CancelCauseFunc
+	stopOnce   sync.Once
 
-	drain DrainEstimator
+	drain       DrainEstimator
+	subscribers atomic.Int64 // open SSE event streams
 
 	mu       sync.Mutex
 	draining bool
 	seq      uint64
-	jobs     map[string]*job
+	jobs     map[string]*Job
 	order    []string // insertion order, for retention eviction
 	inflight sync.WaitGroup
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server and starts its executor.
 func New(cfg Config) *Server {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 64
 	}
@@ -123,27 +155,26 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 2 << 20
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	if cfg.Executor == nil {
+		cfg.Executor = &localExecutor{workers: max(cfg.Workers, 1), cache: cfg.Cache}
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		eng:        experiment.NewEngine(cfg.Workers, cfg.Cache),
-		reg:        reg,
+		exec:       cfg.Executor,
+		reg:        cfg.Registry,
 		mux:        http.NewServeMux(),
-		now:        now,
+		now:        cfg.Now,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *job, cfg.QueueDepth),
-		jobs:       make(map[string]*job),
+		jobs:       make(map[string]*Job),
 	}
-	s.eng.AttachMetrics(reg)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
@@ -155,10 +186,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/cas/{addr}", s.handleCASPut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
+	s.exec.Start(s)
 	return s
 }
 
@@ -167,6 +195,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the daemon's metrics registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
+
+// Config returns the server's configuration with its defaults applied:
+// an executor takes its registry, clock, log, queue bound and body limit
+// from here.
+func (s *Server) Config() Config { return s.cfg }
+
+// RecordDrain notes that the executor took one job off its queue; the
+// 429 Retry-After estimate divides the queue depth by the rate of these.
+func (s *Server) RecordDrain() { s.drain.Record(s.now()) }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -182,21 +219,41 @@ func (s *Server) slogAt(level slog.Level, msg string, args ...any) {
 	}
 }
 
-// jobFinished runs once per terminal traced job (job.onFinish): it
-// feeds the attribution ledger into the per-stage duration histograms
-// and, when TraceDir is set, dumps the job's merged Chrome trace.
-func (s *Server) jobFinished(j *job) {
-	l := j.trace.Ledger()
-	if l == nil {
-		return
+// jobFinished runs once per terminal job (Job.onFinish): it bumps the
+// terminal-state counters and the duration histogram, feeds the
+// attribution ledger into the per-stage duration histograms and, when
+// TraceDir is set, dumps the job's merged Chrome trace.
+func (s *Server) jobFinished(j *Job, st JobStatus) {
+	switch st {
+	case StatusDone:
+		s.reg.Counter(MetricJobsCompleted).Inc()
+	case StatusCancelled:
+		s.reg.Counter(MetricJobsCancelled).Inc()
+	default:
+		s.reg.Counter(MetricJobsFailed).Inc()
 	}
-	for _, row := range l.Rows {
-		s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
-			Observe(uint64(row.Ns / 1e3))
+	s.reg.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)).
+		Observe(uint64(s.now().Sub(j.created).Milliseconds()))
+	if l := j.trace.Ledger(); l != nil {
+		for _, row := range l.Rows {
+			s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
+				Observe(uint64(row.Ns / 1e3))
+		}
+		if s.cfg.TraceDir != "" {
+			s.dumpTrace(j)
+		}
 	}
-	if s.cfg.TraceDir == "" {
-		return
+	s.logf("job %s %s", j.id, st)
+	level := slog.LevelInfo
+	if st != StatusDone {
+		level = slog.LevelWarn
 	}
+	s.slogAt(level, "job finished", "job", j.id, "status", string(st))
+	s.inflight.Done()
+}
+
+// dumpTrace writes the job's merged Chrome trace into TraceDir.
+func (s *Server) dumpTrace(j *Job) {
 	path := filepath.Join(s.cfg.TraceDir, j.id+".trace.json")
 	f, err := os.Create(path)
 	if err == nil {
@@ -214,10 +271,11 @@ func (s *Server) jobFinished(j *job) {
 // Shutdown drains the daemon (DESIGN.md §10): new submissions are
 // refused immediately; queued and running jobs get until ctx's deadline
 // to finish on their own; past the deadline every remaining job context
-// is cancelled, which stops running VMs at their next observation point
-// and resolves those jobs as cancelled. Shutdown returns once every job
-// is terminal and every worker has exited. ctx.Err() is returned when
-// the hard-cancel path was taken, nil on a clean drain.
+// is cancelled and the executor resolves those jobs as cancelled — a
+// local VM stops at its next observation point, a fleet job resolves at
+// once. Shutdown returns once every job is terminal and the executor
+// has stopped. ctx.Err() is returned when the hard-cancel path was
+// taken, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -230,146 +288,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		forced = ctx.Err()
-		s.baseCancel() // stop running VMs at the next observation point
-		s.resolveQueued()
+		s.baseCancel(errShutdown)
 		<-done
 	}
-	s.baseCancel()
-	s.workers.Wait()
+	s.baseCancel(errShutdown)
+	s.stopOnce.Do(s.exec.Stop)
 	return forced
-}
-
-// resolveQueued marks every job still sitting in the queue cancelled, so
-// a forced shutdown cannot strand accepted jobs in a non-terminal state.
-func (s *Server) resolveQueued() {
-	for {
-		select {
-		case j := <-s.queue:
-			s.reg.Gauge(MetricQueueDepth).Add(-1)
-			j.finish(StatusCancelled, "server shutting down", nil)
-			s.reg.Counter(MetricJobsCancelled).Inc()
-		default:
-			return
-		}
-	}
-}
-
-// worker pulls jobs from the queue until shutdown.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.reg.Gauge(MetricQueueDepth).Add(-1)
-			s.drain.Record(s.now())
-			s.runJob(j)
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// runJob executes one job through the experiment engine and resolves its
-// terminal state.
-func (s *Server) runJob(j *job) {
-	if !j.start() {
-		return // cancelled while queued; already terminal
-	}
-	s.logf("job %s running (%s)", j.id, j.spec.describe())
-	s.slogAt(slog.LevelInfo, "job running", "job", j.id, "spec", j.spec.describe())
-	// The VM-trace decision is read at pickup: toggling to full applies to
-	// jobs whose run starts after the toggle, and only jobs that carry a
-	// span chain (mode was not off at accept) can attach one.
-	full := j.trace != nil && s.cfg.Obs.Mode() == obs.ModeFull
-	cells := []experiment.Cell{jobCell(j.spec, j, full)}
-	if j.spec.Overlap {
-		cells = append(cells, jobCell(j.spec.overlapSpec(), nil, false))
-	}
-	res, err := s.eng.DoContext(j.ctx, experiment.Config{Artifact: "service", Engine: s.eng, Owner: j.id}, cells)
-	if err != nil {
-		st, msg := s.classify(j, err)
-		j.finish(st, msg, nil)
-		s.account(j, st)
-		return
-	}
-	var ref *experiment.CellResult
-	if len(res) > 1 {
-		ref = res[1]
-	}
-	j.finish(StatusDone, "", buildResult(j.spec, res[0], ref))
-	s.account(j, StatusDone)
-}
-
-// classify maps a cell error to the job's terminal state: an operator
-// DELETE (or daemon drain) is cancelled; a deadline is failed — the job
-// ran out of its own budget; anything else is failed with the cause.
-func (s *Server) classify(j *job, err error) (JobStatus, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusFailed, fmt.Sprintf("timeout after %dms", j.spec.TimeoutMs)
-	case j.cancelRequested():
-		return StatusCancelled, "cancelled"
-	case errors.Is(err, context.Canceled) || vm.IsCancelled(err):
-		return StatusCancelled, "cancelled: " + err.Error()
-	default:
-		return StatusFailed, err.Error()
-	}
-}
-
-// account bumps the terminal-state counters and the duration histogram.
-func (s *Server) account(j *job, st JobStatus) {
-	switch st {
-	case StatusDone:
-		s.reg.Counter(MetricJobsCompleted).Inc()
-	case StatusCancelled:
-		s.reg.Counter(MetricJobsCancelled).Inc()
-	default:
-		s.reg.Counter(MetricJobsFailed).Inc()
-	}
-	s.reg.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)).
-		Observe(uint64(s.now().Sub(j.created).Milliseconds()))
-	s.logf("job %s %s", j.id, st)
-	level := slog.LevelInfo
-	if st != StatusDone {
-		level = slog.LevelWarn
-	}
-	s.slogAt(level, "job finished", "job", j.id, "status", string(st))
-}
-
-// buildResult assembles the job's terminal payload from the engine
-// cell(s).
-func buildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
-	res := &JobResult{
-		Return:             main.Return,
-		Output:             main.Output,
-		Stats:              main.Stats,
-		CodeSize:           main.CodeSize,
-		CheckingCodeSize:   main.CheckingCodeSize,
-		DuplicatedCodeSize: main.DuplicatedCodeSize,
-	}
-	for _, p := range main.Profiles {
-		res.Profiles = append(res.Profiles, dumpProfile(p))
-	}
-	if spec.Verify {
-		res.Oracle = &OracleVerdict{
-			OK:         true, // a violation fails the cell before it gets here
-			Events:     main.Aux["oracle-events"],
-			ExpectedP1: main.Aux["oracle-expected-p1"],
-		}
-	}
-	if ref != nil {
-		n := len(main.Profiles)
-		if len(ref.Profiles) < n {
-			n = len(ref.Profiles)
-		}
-		for i := 0; i < n; i++ {
-			res.Overlap = append(res.Overlap, ProfileOverlap{
-				Name:    main.Profiles[i].Name,
-				Percent: profile.Overlap(main.Profiles[i], ref.Profiles[i]),
-			})
-		}
-	}
-	return res
 }
 
 // --- HTTP handlers ---
@@ -386,10 +310,13 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit admits a job: validate, register, enqueue — or push back.
-// Backpressure is non-negotiable: the queue send never blocks; a full
-// queue answers 429 with Retry-After so clients back off instead of the
-// daemon buffering without bound.
+// handleSubmit admits a job: validate, register, hand to the executor —
+// or push back. Backpressure is non-negotiable: admission never blocks;
+// a full executor queue answers 429 with Retry-After so clients back off
+// instead of the daemon buffering without bound. The 202 carries the
+// status the job has right after admission: queued, or already running
+// or done when the executor attached it to work in flight or answered
+// it from its store.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The span chain opens in StageAccept before the body is read, so the
 	// accept stage covers request decoding. A rejected request abandons
@@ -432,23 +359,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := newJob(id, spec, s.baseCtx, s.now)
 	j.trace = tr
 	j.onFinish = s.jobFinished
-	select {
-	case s.queue <- j:
-		tr.SetJob(id)
-		tr.Begin(obs.StageQueueWait, "")
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.evictLocked()
-		s.inflight.Add(1)
-		go func() { <-j.done; s.inflight.Done() }()
-		s.mu.Unlock()
-		s.reg.Counter(MetricJobsAccepted).Inc()
-		s.reg.Gauge(MetricQueueDepth).Add(1)
-		s.logf("job %s accepted (%s)", id, spec.describe())
-		s.slogAt(slog.LevelInfo, "job accepted", "job", id, "spec", spec.describe())
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(StatusQueued)})
-	default:
+	s.inflight.Add(1) // jobFinished releases it
+	if !s.exec.Admit(j) {
 		s.seq-- // id not used
+		s.inflight.Done()
 		j.cancel()
 		s.mu.Unlock()
 		s.reg.Counter(MetricJobsRejected).Inc()
@@ -457,7 +371,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// of how long clearing the full queue will take, not a constant.
 		w.Header().Set("Retry-After", s.drain.Header(s.cfg.QueueDepth, s.now()))
 		writeErr(w, http.StatusTooManyRequests, "queue full (%d deep); retry later", s.cfg.QueueDepth)
+		return
 	}
+	tr.SetJob(id)
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.evictLocked()
+	s.mu.Unlock()
+	s.reg.Counter(MetricJobsAccepted).Inc()
+	s.logf("job %s accepted (%s)", id, spec.describe())
+	s.slogAt(slog.LevelInfo, "job accepted", "job", id, "spec", spec.describe())
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(j.Status())})
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention cap.
@@ -475,7 +399,7 @@ func (s *Server) evictLocked() {
 }
 
 // lookup finds a job by the request's {id} path value.
-func (s *Server) lookup(r *http.Request) (*job, bool) {
+func (s *Server) lookup(r *http.Request) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -595,17 +519,14 @@ type Introspection struct {
 func (s *Server) Introspect() Introspection {
 	s.mu.Lock()
 	in := Introspection{Draining: s.draining}
-	jobs := make([]*job, 0, len(s.jobs))
+	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	in.Subscribers = int(s.subscribers.Load())
 	for _, j := range jobs {
-		j.mu.Lock()
-		st := j.status
-		in.Subscribers += len(j.subs)
-		j.mu.Unlock()
-		switch st {
+		switch j.Status() {
 		case StatusQueued:
 			in.Queued++
 		case StatusRunning:
@@ -641,6 +562,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Obs != nil {
 		doc["obs"] = s.cfg.Obs.Mode().String()
 	}
+	s.exec.Health(doc)
 	writeJSON(w, http.StatusOK, doc)
 }
 
@@ -649,12 +571,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	telemetry.WritePrometheus(w, s.reg) //nolint:errcheck // client went away
 }
 
-// handleEvents streams the job's telemetry metrics series as Server-Sent
-// Events: one "columns" event when the column set freezes, one "metrics"
-// event per captured row (at the job's events_interval cycle cadence),
-// and a final "done" event carrying the terminal status. Jobs resolved
-// from the memo table or the on-disk cache stream only "done" — their
-// VM never ran here, so there are no rows (DESIGN.md §10).
+// handleEvents streams the job's event log as Server-Sent Events: one
+// "columns" event when the column set freezes and one "metrics" event
+// per captured row (at the job's events_interval cycle cadence) — or, on
+// the fleet, the worker's own blocks relayed in order — then a "ledger"
+// event when the job carries a span chain and a final "done" event with
+// the terminal status. A late subscriber replays the backlog first. Jobs
+// resolved from the memo table or a cache stream only "ledger" and
+// "done": their VM never ran (DESIGN.md §10).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -670,35 +594,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	wake, unsub := j.subscribe()
-	defer unsub()
+	s.subscribers.Add(1)
+	defer s.subscribers.Add(-1)
 	sent := 0
-	sentCols := false
-	flush := func() bool {
-		cols, rows := j.eventsSince(sent)
-		if !sentCols && cols != nil {
-			data, _ := json.Marshal(cols)
-			fmt.Fprintf(w, "event: columns\ndata: %s\n\n", data)
-			sentCols = true
+	flush := func() <-chan struct{} {
+		blocks, wake := j.events.since(sent)
+		for _, b := range blocks {
+			w.Write(b) //nolint:errcheck // client went away; the select below exits
 		}
-		for _, row := range rows {
-			data, err := json.Marshal(row)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: metrics\ndata: %s\n\n", data)
-		}
-		sent += len(rows)
+		sent += len(blocks)
 		fl.Flush()
-		return true
+		return wake
 	}
 	for {
-		flush()
+		wake := flush()
 		select {
 		case <-wake:
 		case <-j.done:
-			flush() // rows published between the last flush and finish
-			// The span chain closes before done does (job.finish), so the
+			flush() // blocks published between the last flush and finish
+			// The span chain closes before done does (Job.Finish), so the
 			// ledger streamed here is final: stage sums equal latency.
 			if l := j.trace.Ledger(); l != nil {
 				data, _ := json.Marshal(l)

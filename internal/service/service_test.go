@@ -68,8 +68,15 @@ func mustAccept(t *testing.T, base string, spec JobSpec) string {
 	return id
 }
 
+// jobDoc is the job document a local daemon serves, with the result
+// decoded into its concrete type.
+type jobDoc struct {
+	jobView
+	Result *JobResult `json:"result,omitempty"`
+}
+
 // getJob fetches a job's view.
-func getJob(t *testing.T, base, id string) jobView {
+func getJob(t *testing.T, base, id string) jobDoc {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
@@ -79,7 +86,7 @@ func getJob(t *testing.T, base, id string) jobView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET job %s: status %d", id, resp.StatusCode)
 	}
-	var v jobView
+	var v jobDoc
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatalf("decode job view: %v", err)
 	}
@@ -87,7 +94,7 @@ func getJob(t *testing.T, base, id string) jobView {
 }
 
 // waitTerminal polls a job until it reaches a terminal state.
-func waitTerminal(t *testing.T, base, id string, timeout time.Duration) jobView {
+func waitTerminal(t *testing.T, base, id string, timeout time.Duration) jobDoc {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -551,6 +558,67 @@ func TestForcedShutdownCancelsRunning(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesContext: whatever the outcome — done, failed,
+// timed out, cancelled while queued or while running, or served from the
+// memo table — a terminal job's context is done, so no finished job
+// stays registered under the server's base context.
+func TestFinishedJobReleasesContext(t *testing.T) {
+	t.Parallel()
+	s, h := newTestServer(t, Config{Workers: 1})
+	quick := JobSpec{Source: slowSrc(1000)}
+	trap := JobSpec{Source: `
+func main() {
+entry:
+  const a, 1
+  const b, 0
+  div c, a, b
+  ret c
+}
+`}
+	type finished struct {
+		name string
+		id   string
+		want JobStatus
+	}
+	first := mustAccept(t, h.URL, quick)
+	waitTerminal(t, h.URL, first, 30*time.Second)
+	cases := []finished{
+		{"done", first, StatusDone},
+		{"memo", mustAccept(t, h.URL, quick), StatusDone},
+		{"failed", mustAccept(t, h.URL, trap), StatusFailed},
+		{"timeout", mustAccept(t, h.URL, JobSpec{Source: slowSrc(1<<61 + 40), TimeoutMs: 100}), StatusFailed},
+	}
+	for _, c := range cases {
+		waitTerminal(t, h.URL, c.id, 30*time.Second)
+	}
+	running := mustAccept(t, h.URL, JobSpec{Source: slowSrc(1<<61 + 41)})
+	waitRunning(t, h.URL, running, 10*time.Second)
+	queued := mustAccept(t, h.URL, JobSpec{Source: slowSrc(1<<61 + 42)})
+	cancelJob(t, h.URL, queued, http.StatusAccepted)
+	waitTerminal(t, h.URL, queued, 10*time.Second)
+	cancelJob(t, h.URL, running, http.StatusAccepted)
+	waitTerminal(t, h.URL, running, 10*time.Second)
+	cases = append(cases,
+		finished{"cancelled-queued", queued, StatusCancelled},
+		finished{"cancelled-running", running, StatusCancelled})
+
+	if hits := s.Registry().Counter("cells.memo_hit.service").Value(); hits != 1 {
+		t.Errorf("memo hits = %d, want 1 (the repeated spec)", hits)
+	}
+	for _, c := range cases {
+		s.mu.Lock()
+		j := s.jobs[c.id]
+		s.mu.Unlock()
+		<-j.done
+		if st := j.Status(); st != c.want {
+			t.Errorf("%s job %s: status %s, want %s", c.name, c.id, st, c.want)
+		}
+		if j.ctx.Err() == nil {
+			t.Errorf("%s job %s: terminal, but its context is still live", c.name, c.id)
+		}
+	}
+}
+
 // TestCellKeyIgnoresEventsCadence: the SSE cadence must not fragment the
 // memo/cache keyspace, and the overlap reference key must be the
 // exhaustive configuration's own key.
@@ -575,12 +643,12 @@ func TestCellKeyIgnoresEventsCadence(t *testing.T) {
 }
 
 // TestEventLogConcurrentPublishers drives the job event log — the store
-// behind SSE backlog replay — from many concurrent publishers while
-// readers consume incrementally via eventsSince, and checks the replay
-// guarantees the handler relies on: the column set freezes at the first
-// batch, rows only ever append (successive reads are prefix-consistent),
-// no row is lost or duplicated, and each publisher's rows appear in its
-// own publish order.
+// behind SSE backlog replay — from many concurrent publishers while a
+// reader consumes incrementally via since, and checks the replay
+// guarantees the handler relies on: exactly one columns block, first;
+// blocks only ever append (successive reads are prefix-consistent, and
+// incremental reads equal the full replay); no row is lost or
+// duplicated; and each publisher's rows appear in its own publish order.
 func TestEventLogConcurrentPublishers(t *testing.T) {
 	const (
 		publishers   = 8
@@ -588,7 +656,7 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 		totalRows    = publishers * rowsPerPub
 		batchMaxRows = 7
 	)
-	j := newJob("job-test", JobSpec{}, context.Background(), nil)
+	var l eventLog
 	cols := []string{"pub", "seq"}
 
 	var wg sync.WaitGroup
@@ -609,26 +677,30 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 						Values: []int64{int64(p), int64(seq + i)},
 					}
 				}
-				j.appendEvents(cols, batch)
+				l.publish(cols, batch)
 				seq += n
 			}
 		}(p)
 	}
 
 	// A concurrent reader consuming incrementally, exactly as the SSE
-	// handler does: every eventsSince(sent) call must return rows it has
-	// not seen, in log order, with earlier rows unchanged.
-	readerDone := make(chan []telemetry.SeriesRow, 1)
+	// handler does: every since(sent) call must return blocks it has not
+	// seen, in log order, and the wake channel must fire on the next
+	// append.
+	readerDone := make(chan [][]byte, 1)
 	go func() {
-		var got []telemetry.SeriesRow
-		for len(got) < totalRows {
-			_, rows := j.eventsSince(len(got))
-			got = append(got, rows...)
+		var got [][]byte
+		for len(got) < totalRows+1 {
+			blocks, wake := l.since(len(got))
+			got = append(got, blocks...)
+			if len(blocks) == 0 {
+				<-wake
+			}
 		}
 		readerDone <- got
 	}()
 	wg.Wait()
-	var incremental []telemetry.SeriesRow
+	var incremental [][]byte
 	select {
 	case incremental = <-readerDone:
 	case <-time.After(10 * time.Second):
@@ -637,26 +709,34 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 
 	// A late subscriber replaying the whole backlog at once (the SSE
 	// handler's first flush) must see the identical sequence.
-	gotCols, replay := j.eventsSince(0)
-	if !reflect.DeepEqual(gotCols, cols) {
-		t.Errorf("columns = %v, want %v (frozen at first batch)", gotCols, cols)
-	}
-	if len(replay) != totalRows {
-		t.Fatalf("backlog replay has %d rows, want %d", len(replay), totalRows)
+	replay, _ := l.since(0)
+	if len(replay) != totalRows+1 {
+		t.Fatalf("backlog replay has %d blocks, want %d rows + 1 columns block", len(replay), totalRows)
 	}
 	if !reflect.DeepEqual(incremental, replay) {
 		t.Error("incremental reads and full backlog replay diverge")
 	}
+	if got, want := string(replay[0]), "event: columns\ndata: [\"pub\",\"seq\"]\n\n"; got != want {
+		t.Errorf("first block = %q, want the columns block %q", got, want)
+	}
 
 	// Per-publisher order is preserved and nothing is lost or duplicated.
 	next := make([]int64, publishers)
-	for i, row := range replay {
+	for i, b := range replay[1:] {
+		data, ok := strings.CutPrefix(string(b), "event: metrics\ndata: ")
+		if !ok || !strings.HasSuffix(data, "\n\n") {
+			t.Fatalf("block %d is not a metrics event: %q", i+1, b)
+		}
+		var row telemetry.SeriesRow
+		if err := json.Unmarshal([]byte(data), &row); err != nil {
+			t.Fatalf("block %d: %v", i+1, err)
+		}
 		p, seq := row.Values[0], row.Values[1]
 		if p < 0 || int(p) >= publishers {
-			t.Fatalf("row %d: bad publisher %d", i, p)
+			t.Fatalf("block %d: bad publisher %d", i+1, p)
 		}
 		if seq != next[p] {
-			t.Fatalf("row %d: publisher %d out of order: seq %d, want %d", i, p, seq, next[p])
+			t.Fatalf("block %d: publisher %d out of order: seq %d, want %d", i+1, p, seq, next[p])
 		}
 		next[p]++
 	}
@@ -666,9 +746,9 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 		}
 	}
 
-	// Offsets past the end return no rows but still report the columns.
-	if c, rows := j.eventsSince(totalRows + 5); rows != nil || !reflect.DeepEqual(c, cols) {
-		t.Errorf("eventsSince past end = (%v, %d rows), want (columns, none)", c, len(rows))
+	// Offsets past the end return no blocks.
+	if blocks, _ := l.since(totalRows + 5); blocks != nil {
+		t.Errorf("since past end = %d blocks, want none", len(blocks))
 	}
 }
 

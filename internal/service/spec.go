@@ -1,15 +1,17 @@
-// Package service implements the profiling-as-a-service daemon behind
-// cmd/isampd: a bounded-queue HTTP job API over the experiment engine.
-// Jobs — assembly sources or named suite benchmarks, with the same
-// variation/trigger/interval vocabulary as the isamp flags — are
-// validated, queued under backpressure (429 once the queue is full,
-// never unbounded buffering), executed on a worker pool through the
-// engine's memo table and build-ID-keyed result cache, and observable
-// three ways: polled job JSON, a Server-Sent-Events stream of the
-// telemetry metrics series while the job runs, and a Prometheus
-// /metrics endpoint for the daemon itself. Cancellation (DELETE, client
-// timeout, daemon drain) propagates through context to a vm.Cancel
-// token polled at observation points, so a running job stops within one
+// Package service implements the profiling-as-a-service job surface
+// behind cmd/isampd and cmd/isampfleet: a bounded-queue HTTP job API in
+// front of an Executor. Jobs — assembly sources or named suite
+// benchmarks, with the same variation/trigger/interval vocabulary as
+// the isamp flags — are validated, admitted under backpressure (429 once
+// the executor's queue is full, never unbounded buffering), and
+// observable three ways: polled job JSON, a Server-Sent-Events stream
+// of the telemetry metrics series while the job runs, and a Prometheus
+// /metrics endpoint for the daemon itself. The local executor runs jobs
+// on a worker pool through the experiment engine's memo table and
+// build-ID-keyed result cache; the fleet executor (internal/fabric) runs
+// them on isampd workers. Cancellation (DELETE, client timeout, daemon
+// drain) ends the job's context; locally that reaches a vm.Cancel token
+// polled at observation points, so a running job stops within one
 // observation interval. See DESIGN.md §10.
 package service
 
