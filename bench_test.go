@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -176,6 +177,62 @@ func BenchmarkInterpreterReference(b *testing.B) {
 		instrs += out.Stats.Instrs
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
+}
+
+// BenchmarkFusedVsReference is the fast path's floor: the fused
+// dispatcher must never be slower than the reference dispatcher. Each
+// iteration is one round that times both dispatchers on the compress
+// kernel back to back, in an order that alternates by round, so the two
+// legs share one time window on a shared host (BENCHMARKING.md). The
+// metric is the median of the per-round fused/reference M-instr/s
+// ratios, and a median below 1.0 over three or more rounds fails the
+// benchmark (`make fusion-smoke` runs three rounds, `make bench-ab`
+// seven). A single round, such as the testing package's first probe
+// iteration, is reported but not gated.
+func BenchmarkFusedVsReference(b *testing.B) {
+	res, err := compile.Compile(bench.Compress(benchScale), compile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fused, ref := vm.Config{}, vm.Config{Reference: true}
+	leg := func(cfg vm.Config, reps int) float64 {
+		var instrs uint64
+		start := time.Now()
+		for range reps {
+			out, err := vm.New(res.Prog, cfg).Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += out.Stats.Instrs
+		}
+		return float64(instrs) / time.Since(start).Seconds() / 1e6
+	}
+	// Calibrate once so a leg lasts at least 30 ms on the slower
+	// reference dispatcher; the calibration run warms that leg, and one
+	// untimed fused run warms the other.
+	start := time.Now()
+	leg(ref, 1)
+	reps := int(30*time.Millisecond/time.Since(start)) + 1
+	leg(fused, 1)
+	b.ResetTimer()
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		var f, r float64
+		if i%2 == 0 {
+			f = leg(fused, reps)
+			r = leg(ref, reps)
+		} else {
+			r = leg(ref, reps)
+			f = leg(fused, reps)
+		}
+		ratios[i] = f / r
+	}
+	slices.Sort(ratios)
+	med := (ratios[(b.N-1)/2] + ratios[b.N/2]) / 2
+	b.ReportMetric(med, "fused/ref")
+	if b.N >= 3 && med < 1.0 {
+		b.Fatalf("median fused/reference ratio %.2f over %d rounds is below the 1.0 floor", med, b.N)
+	}
 }
 
 // BenchmarkInterpreterCalls measures call-dense throughput (naive fib,

@@ -82,7 +82,7 @@ func usage() {
 
 flags (run/disasm/bench):
   -instrument LIST   comma-separated: call-edge,field-access,edge,block-count,
-                     path,value,cct,cct-sampled
+                     path,value,cct,cct-sampled,receiver
   -variation NAME    full | partial | nodup | hybrid (requires -instrument)
   -yieldopt          apply the yieldpoint optimization
   -interval N        counter trigger sample interval (default 1000)
@@ -160,27 +160,14 @@ func (o *options) instrumenters() ([]instr.Instrumenter, error) {
 	}
 	var out []instr.Instrumenter
 	for _, name := range strings.Split(o.instrument, ",") {
-		switch strings.TrimSpace(name) {
-		case "call-edge":
-			out = append(out, &instr.CallEdge{})
-		case "field-access":
-			out = append(out, &instr.FieldAccess{})
-		case "edge":
-			out = append(out, &instr.EdgeProfile{})
-		case "block-count":
-			out = append(out, &instr.BlockCount{})
-		case "path":
-			out = append(out, &instr.PathProfile{})
-		case "value":
-			out = append(out, &instr.ValueProfile{})
-		case "cct":
-			out = append(out, &instr.CCT{})
-		case "cct-sampled":
-			out = append(out, &instr.SampledCCT{})
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown instrumentation %q", name)
+		if name = strings.TrimSpace(name); name == "" {
+			continue
 		}
+		ins, err := experiment.NewInstrumenter(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ins)
 	}
 	return out, nil
 }

@@ -30,10 +30,11 @@ func adaptivePinnedCell(cfg Config, benchName string) Cell {
 	key := fmt.Sprintf("bench=%s scale=%g icache=%v kind=adaptive-pinned",
 		benchName, cfg.Scale, cfg.ICache)
 	return Cell{Key: key, Run: func(ctx context.Context) (*CellResult, error) {
-		prog, err := benchProgram(benchName, cfg.Scale)
+		build, err := BenchBuilder(benchName)
 		if err != nil {
 			return nil, err
 		}
+		prog := build(cfg.Scale)
 		copts, err := adaptiveOpts().Options()
 		if err != nil {
 			return nil, err
@@ -70,10 +71,11 @@ func adaptiveOnlineCell(cfg Config, benchName string) Cell {
 	key := fmt.Sprintf("bench=%s scale=%g icache=%v kind=adaptive-online",
 		benchName, cfg.Scale, cfg.ICache)
 	return Cell{Key: key, Run: func(ctx context.Context) (*CellResult, error) {
-		prog, err := benchProgram(benchName, cfg.Scale)
+		build, err := BenchBuilder(benchName)
 		if err != nil {
 			return nil, err
 		}
+		prog := build(cfg.Scale)
 		copts, err := adaptiveOpts().Options()
 		if err != nil {
 			return nil, err

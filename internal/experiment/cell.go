@@ -116,10 +116,12 @@ type OptsSpec struct {
 	Verify bool
 }
 
-// newInstrumenter constructs a fresh instrumenter from its Name(). Fresh
-// instances per cell keep cells goroutine-safe even if an instrumenter
-// ever grows compile-time state.
-func newInstrumenter(name string) (instr.Instrumenter, error) {
+// NewInstrumenter constructs a fresh instrumenter from its Name(). Its
+// names are the one instrumentation vocabulary: cell keys, the isamp
+// -instrument flag and the job API's instrument list all use them.
+// Fresh instances per cell keep cells goroutine-safe even if an
+// instrumenter ever grows compile-time state.
+func NewInstrumenter(name string) (instr.Instrumenter, error) {
 	switch name {
 	case "call-edge":
 		return &instr.CallEdge{}, nil
@@ -140,7 +142,7 @@ func newInstrumenter(name string) (instr.Instrumenter, error) {
 	case "receiver":
 		return &instr.ReceiverProfile{}, nil
 	}
-	return nil, fmt.Errorf("experiment: unknown instrumenter %q", name)
+	return nil, fmt.Errorf("unknown instrumentation %q", name)
 }
 
 // Options materializes the spec into compile.Options with fresh
@@ -153,7 +155,7 @@ func (o OptsSpec) Options() (compile.Options, error) {
 		Inline:     o.Inline,
 	}
 	for _, name := range o.Instr {
-		ins, err := newInstrumenter(name)
+		ins, err := NewInstrumenter(name)
 		if err != nil {
 			return compile.Options{}, err
 		}
@@ -366,10 +368,11 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prog, err := benchProgram(benchName, c.Scale)
+	build, err := BenchBuilder(benchName)
 	if err != nil {
 		return nil, err
 	}
+	prog := build(c.Scale)
 	copts, err := o.Options()
 	if err != nil {
 		return nil, err
@@ -451,19 +454,19 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 	return res, nil
 }
 
-// benchProgram constructs a fresh sealed program for the named benchmark
-// at the given scale. Beyond the regular suite it accepts "resonant", the
-// purpose-built periodic workload of the resonance ablation. Each call
-// returns a private program, so cells never share IR.
-func benchProgram(name string, scale float64) (*ir.Program, error) {
+// BenchBuilder looks up the builder of a named benchmark: a suite
+// member or "resonant", the purpose-built periodic workload of the
+// resonance ablation. Cells and bench jobs both name programs this way.
+// Each build returns a fresh sealed program, so cells never share IR.
+func BenchBuilder(name string) (func(scale float64) *ir.Program, error) {
 	if name == "resonant" {
-		return bench.Resonant(scale), nil
+		return bench.Resonant, nil
 	}
 	b, err := bench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return b.Build(scale), nil
+	return b.Build, nil
 }
 
 // A Ref is a handle to one cell's pending result within a Batch. It

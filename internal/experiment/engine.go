@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,7 +28,7 @@ type Engine struct {
 
 	mu        sync.Mutex
 	memo      map[string]*flight
-	timings   []CellTiming
+	timings   []CellTiming // the keptTimings slowest, in Slowest's order
 	scheduled int
 	completed int
 	runs      int
@@ -61,6 +62,11 @@ type CellTiming struct {
 	// Cached reports whether the result came from the on-disk cache.
 	Cached bool
 }
+
+// keptTimings bounds how many CellTimings an engine retains: only the
+// slowest matter (the -timings report prints ten), and a long-lived
+// engine such as isampd's resolves one cell per unique job.
+const keptTimings = 10
 
 // EngineStats summarizes an engine's activity.
 type EngineStats struct {
@@ -253,7 +259,7 @@ func (e *Engine) record(cfg Config, key string, probe, exec time.Duration, cache
 	if cached {
 		e.cacheHits++
 	}
-	e.timings = append(e.timings, CellTiming{Key: key, Duration: d, Probe: probe, Exec: exec, Cached: cached})
+	e.timings = keepSlowest(e.timings, CellTiming{Key: key, Duration: d, Probe: probe, Exec: exec, Cached: cached}, keptTimings)
 	done, sched := e.completed, e.scheduled
 	e.mu.Unlock()
 	tag := ""
@@ -274,20 +280,31 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // Slowest returns up to n executed cells ordered by descending duration
-// (ties broken by key), for the -timings report.
+// (ties broken by key), for the -timings report. Only the keptTimings
+// slowest cells are retained, so n <= 0 or n > keptTimings returns at
+// most that many.
 func (e *Engine) Slowest(n int) []CellTiming {
 	e.mu.Lock()
-	out := make([]CellTiming, len(e.timings))
-	copy(out, e.timings)
-	e.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Duration != out[j].Duration {
-			return out[i].Duration > out[j].Duration
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
+	defer e.mu.Unlock()
+	if n <= 0 || n > len(e.timings) {
+		n = len(e.timings)
 	}
-	return out
+	return slices.Clone(e.timings[:n])
+}
+
+// keepSlowest inserts t into ts, which is sorted in Slowest's order
+// (duration descending, then key ascending), and drops every entry past
+// the k slowest.
+func keepSlowest(ts []CellTiming, t CellTiming, k int) []CellTiming {
+	i := sort.Search(len(ts), func(i int) bool {
+		if t.Duration != ts[i].Duration {
+			return t.Duration > ts[i].Duration
+		}
+		return t.Key < ts[i].Key
+	})
+	if i >= k {
+		return ts
+	}
+	ts = slices.Insert(ts, i, t)
+	return ts[:min(len(ts), k)]
 }

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -191,11 +194,13 @@ func TestEngineWorkersFloor(t *testing.T) {
 	}
 }
 
-// TestEngineSlowest: timings are sorted descending and capped at n.
+// TestEngineSlowest: timings are sorted descending and capped at n, and
+// an engine that resolves more than keptTimings unique cells retains
+// exactly keptTimings timings.
 func TestEngineSlowest(t *testing.T) {
 	eng := NewEngine(1, nil)
-	for i := 0; i < 5; i++ {
-		i := i
+	cells := keptTimings + 7
+	for i := 0; i < cells; i++ {
 		c := Cell{Key: fmt.Sprintf("k%d", i), Run: func(context.Context) (*CellResult, error) {
 			return &CellResult{}, nil
 		}}
@@ -210,6 +215,46 @@ func TestEngineSlowest(t *testing.T) {
 	for i := 1; i < len(slow); i++ {
 		if slow[i].Duration > slow[i-1].Duration {
 			t.Errorf("timings not descending at %d", i)
+		}
+	}
+	if got := eng.Stats().CellsRun; got != cells {
+		t.Fatalf("CellsRun = %d, want %d", got, cells)
+	}
+	if n := len(eng.timings); n != keptTimings {
+		t.Errorf("engine retains %d timings, want %d", n, keptTimings)
+	}
+	if n := len(eng.Slowest(0)); n != keptTimings {
+		t.Errorf("Slowest(0) returned %d timings, want %d", n, keptTimings)
+	}
+}
+
+// TestKeepSlowestMatchesFullSort: inserting timings one at a time keeps
+// exactly the first k of a stable full sort in Slowest's order, ties on
+// duration and on key included.
+func TestKeepSlowestMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{1, 3, keptTimings} {
+		var all, kept []CellTiming
+		for i := 0; i < 500; i++ {
+			ct := CellTiming{
+				Key:      fmt.Sprintf("k%d", rng.Intn(20)),
+				Duration: time.Duration(rng.Intn(30)),
+				Probe:    time.Duration(i), // tells equal entries apart
+			}
+			all = append(all, ct)
+			kept = keepSlowest(kept, ct, k)
+
+			want := slices.Clone(all)
+			slices.SortStableFunc(want, func(a, b CellTiming) int {
+				if c := cmp.Compare(b.Duration, a.Duration); c != 0 {
+					return c
+				}
+				return strings.Compare(a.Key, b.Key)
+			})
+			want = want[:min(len(want), k)]
+			if !slices.Equal(kept, want) {
+				t.Fatalf("k=%d after %d inserts:\n got %v\nwant %v", k, i+1, kept, want)
+			}
 		}
 	}
 }

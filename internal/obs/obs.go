@@ -44,8 +44,7 @@ type Mode int32
 const (
 	// ModeOff records nothing: no span chain is allocated, jobs carry no
 	// ledger. The only cost left on the request path is one atomic mode
-	// load — the benchab A/B gate holds it within noise of a build with
-	// the obs layer absent entirely.
+	// load.
 	ModeOff Mode = iota
 	// ModeSpans records the span chain and attribution ledger for every
 	// accepted job (the daemon-side view).
@@ -82,9 +81,7 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // State is the daemon-wide observability state: the runtime-togglable
-// mode and the shared span tracer. A nil *State behaves as a hard off —
-// the service treats it as "the obs layer does not exist", which is the
-// baseline leg of the benchab A/B comparison.
+// mode and the shared span tracer.
 type State struct {
 	mode   atomic.Int32
 	tracer *Tracer
@@ -116,26 +113,15 @@ func NewState(o Options) *State {
 	return s
 }
 
-// Mode returns the current mode. Safe for concurrent use; a nil State
-// reports ModeOff.
-func (s *State) Mode() Mode {
-	if s == nil {
-		return ModeOff
-	}
-	return Mode(s.mode.Load())
-}
+// Mode returns the current mode. Safe for concurrent use.
+func (s *State) Mode() Mode { return Mode(s.mode.Load()) }
 
 // SetMode switches the mode at runtime. Jobs already carrying a span
 // chain finish it; jobs accepted after the switch follow the new mode.
 func (s *State) SetMode(m Mode) { s.mode.Store(int32(m)) }
 
-// Tracer returns the shared span ring (nil for a nil State).
-func (s *State) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tracer
-}
+// Tracer returns the shared span ring.
+func (s *State) Tracer() *Tracer { return s.tracer }
 
 // StartJob opens a span chain for one request, beginning in StageAccept.
 // It returns nil — record nothing, allocate nothing — when the mode is

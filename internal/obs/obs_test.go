@@ -48,16 +48,18 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-func TestNilStateIsOff(t *testing.T) {
-	var s *State
+// TestDefaultStateIsOff pins the state service.New substitutes for a
+// nil Config.Obs: mode off, a default-sized ring, no chains.
+func TestDefaultStateIsOff(t *testing.T) {
+	s := NewState(Options{})
 	if s.Mode() != ModeOff {
-		t.Fatalf("nil State mode = %v, want off", s.Mode())
+		t.Fatalf("default State mode = %v, want off", s.Mode())
 	}
-	if s.Tracer() != nil {
-		t.Fatal("nil State returned a tracer")
+	if c := s.Tracer().Cap(); c != 1<<14 {
+		t.Fatalf("default State ring capacity = %d, want %d", c, 1<<14)
 	}
 	if tr := s.StartJob(); tr != nil {
-		t.Fatal("nil State started a job trace")
+		t.Fatal("default State started a job trace")
 	}
 }
 

@@ -622,7 +622,8 @@ func TestObsTraceDir(t *testing.T) {
 }
 
 // TestObsGetEndpoint: GET /v1/obs reports mode and exact ring
-// accounting; servers without an obs state 404.
+// accounting; a server built without an obs state gets one in mode off,
+// which /v1/obs and /healthz both report.
 func TestObsGetEndpoint(t *testing.T) {
 	t.Parallel()
 	_, h := obsServer(t, obs.ModeSpans, Config{})
@@ -649,13 +650,27 @@ func TestObsGetEndpoint(t *testing.T) {
 	}
 
 	_, h2 := newTestServer(t, Config{})
-	resp2, err := http.Get(h2.URL + "/v1/obs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /v1/obs without obs state: %d, want 404", resp2.StatusCode)
+	for _, path := range []string{"/v1/obs", "/healthz"} {
+		resp, err := http.Get(h2.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s without obs state: %d, want 200", path, resp.StatusCode)
+		}
+		key := "mode"
+		if path == "/healthz" {
+			key = "obs"
+		}
+		if doc[key] != "off" {
+			t.Errorf("GET %s without obs state: %s = %v, want off", path, key, doc[key])
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"instrsample/internal/asm"
-	"instrsample/internal/bench"
 	"instrsample/internal/compile"
 	"instrsample/internal/experiment"
 	"instrsample/internal/ir"
@@ -32,14 +31,11 @@ func jobProgram(spec JobSpec) (*ir.Program, error) {
 	if spec.Scenario != nil {
 		return spec.Scenario.Program(spec.ScenarioIndex)
 	}
-	if spec.Bench == "resonant" {
-		return bench.Resonant(spec.Scale), nil
-	}
-	b, err := bench.ByName(spec.Bench)
+	build, err := experiment.BenchBuilder(spec.Bench)
 	if err != nil {
 		return nil, err
 	}
-	return b.Build(spec.Scale), nil
+	return build(spec.Scale), nil
 }
 
 // meterPublisher forwards every observer event to the telemetry meter and

@@ -71,10 +71,9 @@ type Config struct {
 	// attribute). Independent of Logf; set both to get both.
 	Logger *slog.Logger
 	// Obs is the daemon's observability state (internal/obs): the
-	// runtime-togglable span/ledger mode and the shared span ring. Nil
-	// means the obs layer is structurally absent — no mode check, no
-	// chains, no /v1/obs — which is the baseline leg of the benchab A/B
-	// comparison (DESIGN.md §14).
+	// runtime-togglable span/ledger mode and the shared span ring
+	// (DESIGN.md §14). Nil gets a fresh state in mode off, so every
+	// server serves /v1/obs and can be switched on at runtime.
 	Obs *obs.State
 	// TraceDir, when non-empty, receives one merged Chrome trace JSON
 	// file per finished traced job (<id>.trace.json) — the -trace-dir
@@ -160,6 +159,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewState(obs.Options{})
 	}
 	if cfg.Executor == nil {
 		cfg.Executor = &localExecutor{workers: max(cfg.Workers, 1), cache: cfg.Cache}
@@ -445,10 +447,6 @@ func (s *Server) obsView() map[string]any {
 }
 
 func (s *Server) handleObsGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeErr(w, http.StatusNotFound, "observability layer not configured")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.obsView())
 }
 
@@ -456,10 +454,6 @@ func (s *Server) handleObsGet(w http.ResponseWriter, r *http.Request) {
 // Jobs already carrying a span chain finish it; jobs accepted after the
 // switch follow the new mode.
 func (s *Server) handleObsSet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeErr(w, http.StatusNotFound, "observability layer not configured")
-		return
-	}
 	var req struct {
 		Mode string `json:"mode"`
 	}
@@ -558,9 +552,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"goroutines":  in.Goroutines,
 		"heap_bytes":  in.HeapBytes,
 		"build_id":    experiment.BuildID(),
-	}
-	if s.cfg.Obs != nil {
-		doc["obs"] = s.cfg.Obs.Mode().String()
+		"obs":         s.cfg.Obs.Mode().String(),
 	}
 	s.exec.Health(doc)
 	writeJSON(w, http.StatusOK, doc)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strings"
 
-	"instrsample/internal/bench"
 	"instrsample/internal/core"
 	"instrsample/internal/experiment"
 	"instrsample/internal/scenario"
@@ -42,7 +41,9 @@ const (
 // JobSpec is the POST /v1/jobs request body. Exactly one of Source and
 // Bench selects the program; the remaining fields mirror the isamp
 // run/bench flags (same names, same defaults), so any command line
-// translates 1:1 into a job and produces byte-identical results.
+// translates 1:1 into a job and produces byte-identical results. Of the
+// flags that shape a run, only -trigger faulty-timer, a fault-injection
+// trigger, is CLI-only.
 type JobSpec struct {
 	// Source is an assembly program (isamp run's .vasm contents).
 	Source string `json:"source,omitempty"`
@@ -61,8 +62,8 @@ type JobSpec struct {
 	// Scale is the benchmark scale (bench jobs only; default 0.1).
 	Scale float64 `json:"scale,omitempty"`
 	// Instrument lists instrumentations, the -instrument flag's
-	// vocabulary: call-edge, field-access, edge, block-count, path,
-	// value, cct, cct-sampled.
+	// vocabulary (experiment.NewInstrumenter): call-edge, field-access,
+	// edge, block-count, path, value, cct, cct-sampled, receiver.
 	Instrument []string `json:"instrument,omitempty"`
 	// Variation selects the framework transform: "" (none), full,
 	// partial, nodup, hybrid.
@@ -133,13 +134,6 @@ func (s JobSpec) Valid() error { return s.withDefaults().validate() }
 // equal CellKeys produce byte-identical results on the same build.
 func (s JobSpec) CellKey() string { return s.withDefaults().cellKey() }
 
-// validInstr matches experiment.OptsSpec's instrumenter vocabulary.
-var validInstr = map[string]bool{
-	"call-edge": true, "field-access": true, "edge": true,
-	"block-count": true, "path": true, "value": true,
-	"cct": true, "cct-sampled": true, "receiver": true,
-}
-
 // validate rejects malformed specs. It assumes withDefaults has run.
 func (s JobSpec) validate() error {
 	nProg := 0
@@ -162,8 +156,8 @@ func (s JobSpec) validate() error {
 	case s.TimeoutMs < 0:
 		return fmt.Errorf("timeout_ms must be non-negative")
 	}
-	if s.Bench != "" && s.Bench != "resonant" {
-		if _, err := bench.ByName(s.Bench); err != nil {
+	if s.Bench != "" {
+		if _, err := experiment.BenchBuilder(s.Bench); err != nil {
 			return err
 		}
 	}
@@ -178,8 +172,8 @@ func (s JobSpec) validate() error {
 		return fmt.Errorf("scenario_index requires scenario")
 	}
 	for _, name := range s.Instrument {
-		if !validInstr[name] {
-			return fmt.Errorf("unknown instrumentation %q", name)
+		if _, err := experiment.NewInstrumenter(name); err != nil {
+			return err
 		}
 	}
 	switch s.Variation {

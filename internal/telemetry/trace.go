@@ -32,7 +32,7 @@ type Trace struct {
 }
 
 // NewTrace returns a recorder keeping the most recent capacity events
-// per thread (rounded up to a power of two; min 16 when non-positive).
+// per thread, rounded up to a power of two (1<<14 when non-positive).
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = 1 << 14
