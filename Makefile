@@ -148,11 +148,14 @@ doc-lint:
 		echo "doc-lint: missing package docs:$$bad"; exit 1; fi
 
 # Fusion smoke for ci, two halves. (1) Correctness: the seeded
-# differential sweep plus every fused-block edge-case test (trap inside
-# a superinstruction, cancellation/quantum mid-pair, the operand-overflow
-# fallback to per-instruction dispatch, observer degradation, sparse
-# observers kept fused with exact yield wakes and episode boundaries,
-# coverage floors) under -race. (2) Performance floor:
+# differential sweep (one variant per fused framework token) plus every
+# fused-block edge-case test (trap inside a superinstruction or right
+# after a probe, cancellation/quantum mid-pair, fused checks firing on
+# every poll or on a timer with exact poll and probe contexts, the
+# operand-overflow fallback to per-instruction dispatch, observer
+# degradation, sparse observers kept fused with exact yield wakes and
+# episode boundaries, coverage floors for plain and instrumented code)
+# under -race. (2) Performance floor:
 # BenchmarkFusedVsReference over three interleaved rounds fails if the
 # median same-window fused/reference ratio drops below 1.0 — the fast
 # path must never be slower than the reference dispatcher.

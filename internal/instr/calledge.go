@@ -14,7 +14,7 @@ import (
 // the stack walk plus a hash-table update — the paper measures this naive
 // implementation at 88.3% average overhead when exhaustive.
 type CallEdge struct {
-	// Cost overrides the per-probe cycle cost (default 45).
+	// Cost overrides the per-probe cycle cost (default DefaultCallEdgeCost).
 	Cost uint32
 }
 

@@ -48,6 +48,13 @@ func diffVariants() []diffVariant {
 			trig: counter(7)},
 		{name: "nodup", inst: true,
 			fw: &core.Options{Variation: core.NoDuplication}, trig: counter(5)},
+		{name: "partial", inst: true,
+			fw: &core.Options{Variation: core.PartialDuplication}, trig: counter(11)},
+		{name: "full-yp", inst: true,
+			fw:   &core.Options{Variation: core.FullDuplication, YieldpointOpt: true},
+			trig: counter(13)},
+		{name: "hybrid", inst: true,
+			fw: &core.Options{Variation: core.Hybrid}, trig: counter(17)},
 		{name: "timer", inst: true,
 			fw: &core.Options{Variation: core.FullDuplication},
 			trig: func(uint64) trigger.Trigger {
@@ -119,15 +126,26 @@ func compareRuns(t *testing.T, label string, fast, ref *vm.Result, fastRT, refRT
 	}
 	for i := range fastRT {
 		pf, pr := fastRT[i].Profile(), refRT[i].Profile()
-		if pf.Total() != pr.Total() {
-			t.Errorf("%s: profile %s totals %d (fast) vs %d (reference)", label, pf.Name, pf.Total(), pr.Total())
-		}
-		if pf.Total() > 0 {
-			if ov := profile.Overlap(pf, pr); ov < 99.999 {
-				t.Errorf("%s: profile %s overlap %.3f%%, want 100", label, pf.Name, ov)
-			}
+		if d := profileDiff(pf, pr); d != "" {
+			t.Errorf("%s: profile %s differs: %s", label, pf.Name, d)
 		}
 	}
+}
+
+// profileDiff describes the first difference between two profiles'
+// entries, or returns "" when every key has the same count in both.
+func profileDiff(fast, ref *profile.Profile) string {
+	fe, re := fast.Entries(), ref.Entries()
+	for i := range min(len(fe), len(re)) {
+		if f, r := fe[i], re[i]; f.Key != r.Key || f.Count != r.Count {
+			return fmt.Sprintf("entry %d is key %#x count %d (fast) vs key %#x count %d (reference)",
+				i, f.Key, f.Count, r.Key, r.Count)
+		}
+	}
+	if len(fe) != len(re) {
+		return fmt.Sprintf("%d entries (fast) vs %d (reference)", len(fe), len(re))
+	}
+	return ""
 }
 
 // TestDifferentialRandomPrograms fuzzes the dispatcher equivalence over

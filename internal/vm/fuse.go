@@ -8,16 +8,18 @@ import (
 
 // Fused streams: the fast path's block-granular tier.
 //
-// The fast dispatcher runs every block one of two ways. Blocks that can
-// call, check, probe, spawn or join run per instruction in runThread.
-// Pure blocks (pureBlock: plain computation and yieldpoints ending in a
-// jump or branch) are translated once per VM into a fused stream and
-// run by runFusedBlocks, which removes two per-instruction costs:
+// The fast dispatcher runs every block one of two ways. Blocks that
+// call, return, spawn or join run per instruction in runThread. Every
+// other block (fusible: computation, yieldpoints, probes and sample
+// checks, ending in a jump, branch, check or loop check) is translated
+// once per VM into a fused stream and run by runFusedBlocks, which
+// removes two per-instruction costs:
 //
 //   - cost accounting: the whole block's cycle cost and instruction
 //     count are charged at the terminator from precomputed prefix sums,
-//     which also reconstruct the exact per-instruction counters at every
-//     early exit (trap, quantum-expired yieldpoint, cancellation);
+//     which also reconstruct the exact per-instruction counters wherever
+//     something can read them (trap, yieldpoint, probe, check,
+//     cancellation);
 //   - dispatch: a peephole pass matches the hot opcode pairs/triples
 //     observed in the benchmark suite (const+ALU, ALU+ALU,
 //     compare+branch, field/array pairs, and the add+yield+jmp loop
@@ -47,12 +49,18 @@ import (
 //   - a yieldpoint inside a superinstruction (the latch fusions) is a
 //     full observation point: cancellation and quantum expiry flush
 //     counters for the yield's own original pc, so a resumed frame
-//     restarts at the exact instruction the generic loop would have.
+//     restarts at the exact instruction the generic loop would have;
+//   - a probe or sample check at original pc P hands the trigger's
+//     Poll, the observer and the probe handler cycles + prefix[P+1],
+//     the count per-instruction dispatch has there, with f.PC = P at a
+//     probe. Its own costs (the check, the probe's payload cost) are
+//     charged immediately, like OpIO's, so they commute with the
+//     deferred block charge.
 //
-// A pure block whose operands do not fit the compact encoding gets no
-// stream (fuse[gid] == nil) and runs per instruction, like every impure
-// block, and so does a frame whose method runs at a cost scale other
-// than 1.
+// A fusible block whose operands do not fit the compact encoding gets
+// no stream (fuse[gid] == nil) and runs per instruction, like every
+// block that switches frames, and so does a frame whose method runs at
+// a cost scale other than 1.
 //
 // Observers (DESIGN.md §7.6): one whose event mask has EvTransfer —
 // every observer that declares no mask — disables fusion entirely, since
@@ -62,7 +70,9 @@ import (
 // and friends) that deliver OnYield when the observer's deadline is due,
 // at the exact cycle per-instruction dispatch would report, and a chain
 // ends at every checking↔duplicated edge, so leaveFused delivers that
-// sampling-episode boundary. Results are bit-identical either way.
+// sampling-episode boundary. The probe and check tokens need no
+// variants: like per-instruction dispatch they test the observer once
+// per probe or check. Results are bit-identical either way.
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -71,7 +81,7 @@ type fuseTok uint8
 const (
 	fuseInvalid fuseTok = iota
 
-	// Base tokens, one per pure-legal opcode.
+	// Base tokens, one per fusible opcode.
 	fNop
 	fConst
 	fMove
@@ -104,8 +114,12 @@ const (
 	fIO
 	fPrint
 	fYield
+	fProbe
+	fCheckedProbe
 	fJump
 	fBranch
+	fCheck
+	fLoopCheck
 
 	// const + op superinstructions.
 	fConstAdd
@@ -240,11 +254,13 @@ var superNames = map[fuseTok]string{
 //	putfield         dst=field slot a=src(A) b=obj(B)
 //	branch           a=A
 //	io               imm=Imm
+//	probe/check/…    (none)
 //
 // pc is the original index of sub-op 1 in Block.Instrs; n is the number
-// of original instructions the token covers. Targets, classes, and the
-// backedge mask are read from the original instruction at reconstruction
-// and transfer time, so nothing wide needs to live in the fused stream.
+// of original instructions the token covers. Targets, classes, probes
+// and the backedge mask are read from the original instruction at
+// reconstruction and transfer time, so nothing wide needs to live in
+// the fused stream.
 type fInstr struct {
 	tok  fuseTok
 	n    uint8
@@ -266,16 +282,16 @@ type kindCount struct {
 	n   uint32
 }
 
-// fusedBlock is the fused stream for one pure block.
+// fusedBlock is the fused stream for one fusible block.
 type fusedBlock struct {
 	code []fInstr
 	// total is the summed cycle cost of the whole block at cost scale
 	// 1; count is len(Instrs); prefix[i] is the summed cycle cost of
 	// Instrs[:i], so prefix[count] == total. targets/mask cache the
-	// terminator's Targets slice and BackedgeMask (a pure block has
+	// terminator's Targets slice and BackedgeMask (a fusible block has
 	// exactly one terminator, so they are exit-invariant): steady-state
 	// fused execution touches only this struct, never the 112-byte
-	// original instructions.
+	// original instructions, except for OpNew's class and a probe.
 	total   uint64
 	count   uint64
 	prefix  []uint64
@@ -394,7 +410,7 @@ func (v *VM) buildFusion() {
 	}
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
-			if !pureBlock(b) {
+			if !fusible(b) {
 				continue
 			}
 			fb := fuseBlock(b)
@@ -438,38 +454,29 @@ func (v *VM) buildFusion() {
 	}
 }
 
-// pureBlock reports whether b may be fused: every instruction is plain
-// computation or a yieldpoint, ending in a jump or branch. Anything
-// that can switch frames, poll the sample trigger, or run a probe
-// disqualifies the block.
-func pureBlock(b *ir.Block) bool {
+// fusible reports whether b may run as a fused stream: it ends in its
+// only terminator, a jump, branch, check or loop check, and nothing in it
+// switches frames (a call, return, spawn or join). Every other opcode has
+// a base token; fuseBlock rejects one that does not.
+func fusible(b *ir.Block) bool {
 	n := len(b.Instrs)
 	if n == 0 {
 		return false
 	}
-	for i := 0; i < n; i++ {
-		switch b.Instrs[i].Op {
-		case ir.OpJump, ir.OpBranch:
-			if i != n-1 {
+	for i := range b.Instrs {
+		switch op := b.Instrs[i].Op; op {
+		case ir.OpCall, ir.OpCallVirt, ir.OpReturn, ir.OpSpawn, ir.OpJoin:
+			return false
+		default:
+			if op.IsTerminator() != (i == n-1) {
 				return false
 			}
-		case ir.OpNop, ir.OpConst, ir.OpMove,
-			ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpNeg, ir.OpNot,
-			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
-			ir.OpClassOf, ir.OpNew, ir.OpGetField, ir.OpPutField,
-			ir.OpNewArray, ir.OpArrayLoad, ir.OpArrayStore, ir.OpArrayLen,
-			ir.OpIO, ir.OpPrint, ir.OpYield:
-		default:
-			return false
 		}
 	}
-	op := b.Instrs[n-1].Op
-	return op == ir.OpJump || op == ir.OpBranch
+	return true
 }
 
-// fuseBlock translates one pure block into a fused stream, greedily
+// fuseBlock translates one fusible block into a fused stream, greedily
 // matching superinstructions left to right (triples before pairs). It
 // returns nil when any operand overflows the compact fInstr encoding;
 // the block then runs per instruction.
@@ -485,7 +492,7 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 		if n == 0 {
 			tok, n = baseToks[ins[pc].Op], 1
 			if tok == fuseInvalid {
-				return nil // pureBlock admitted an op fusion cannot encode
+				return nil // an opcode with no token
 			}
 		}
 		fi := fInstr{tok: tok, n: uint8(n), pc: uint16(pc)}
@@ -514,43 +521,47 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 	return fb
 }
 
-// baseToks maps each pure-legal opcode to its base token; fuseInvalid
+// baseToks maps each fusible opcode to its base token; fuseInvalid
 // marks opcodes the fused tier cannot represent.
 var baseToks = [ir.NumOpcodes]fuseTok{
-	ir.OpNop:        fNop,
-	ir.OpConst:      fConst,
-	ir.OpMove:       fMove,
-	ir.OpAdd:        fAdd,
-	ir.OpSub:        fSub,
-	ir.OpMul:        fMul,
-	ir.OpDiv:        fDiv,
-	ir.OpRem:        fRem,
-	ir.OpAnd:        fAnd,
-	ir.OpOr:         fOr,
-	ir.OpXor:        fXor,
-	ir.OpShl:        fShl,
-	ir.OpShr:        fShr,
-	ir.OpNeg:        fNeg,
-	ir.OpNot:        fNot,
-	ir.OpCmpEQ:      fCmpEQ,
-	ir.OpCmpNE:      fCmpNE,
-	ir.OpCmpLT:      fCmpLT,
-	ir.OpCmpLE:      fCmpLE,
-	ir.OpCmpGT:      fCmpGT,
-	ir.OpCmpGE:      fCmpGE,
-	ir.OpClassOf:    fClassOf,
-	ir.OpNew:        fNew,
-	ir.OpGetField:   fGetField,
-	ir.OpPutField:   fPutField,
-	ir.OpNewArray:   fNewArray,
-	ir.OpArrayLoad:  fALoad,
-	ir.OpArrayStore: fAStore,
-	ir.OpArrayLen:   fALen,
-	ir.OpIO:         fIO,
-	ir.OpPrint:      fPrint,
-	ir.OpYield:      fYield,
-	ir.OpJump:       fJump,
-	ir.OpBranch:     fBranch,
+	ir.OpNop:          fNop,
+	ir.OpConst:        fConst,
+	ir.OpMove:         fMove,
+	ir.OpAdd:          fAdd,
+	ir.OpSub:          fSub,
+	ir.OpMul:          fMul,
+	ir.OpDiv:          fDiv,
+	ir.OpRem:          fRem,
+	ir.OpAnd:          fAnd,
+	ir.OpOr:           fOr,
+	ir.OpXor:          fXor,
+	ir.OpShl:          fShl,
+	ir.OpShr:          fShr,
+	ir.OpNeg:          fNeg,
+	ir.OpNot:          fNot,
+	ir.OpCmpEQ:        fCmpEQ,
+	ir.OpCmpNE:        fCmpNE,
+	ir.OpCmpLT:        fCmpLT,
+	ir.OpCmpLE:        fCmpLE,
+	ir.OpCmpGT:        fCmpGT,
+	ir.OpCmpGE:        fCmpGE,
+	ir.OpClassOf:      fClassOf,
+	ir.OpNew:          fNew,
+	ir.OpGetField:     fGetField,
+	ir.OpPutField:     fPutField,
+	ir.OpNewArray:     fNewArray,
+	ir.OpArrayLoad:    fALoad,
+	ir.OpArrayStore:   fAStore,
+	ir.OpArrayLen:     fALen,
+	ir.OpIO:           fIO,
+	ir.OpPrint:        fPrint,
+	ir.OpYield:        fYield,
+	ir.OpProbe:        fProbe,
+	ir.OpCheckedProbe: fCheckedProbe,
+	ir.OpJump:         fJump,
+	ir.OpBranch:       fBranch,
+	ir.OpCheck:        fCheck,
+	ir.OpLoopCheck:    fLoopCheck,
 }
 
 // cmpBrToks maps a comparison opcode to its fused compare+branch token.
@@ -605,7 +616,7 @@ var pairToks = map[[2]ir.Op]fuseTok{
 // (fuseInvalid, 0) when none matches. The set is chosen from the
 // dynamic pair profile of the benchmark suite (DESIGN.md §7.6 records
 // the measurement): on compress — the 2x-gate benchmark — the selected
-// pairs cover over half of all pure-tier instructions.
+// pairs cover over half of all fused-tier instructions.
 func matchSuper(ins []ir.Instr, pc int) (fuseTok, int) {
 	if pc+2 < len(ins) &&
 		ins[pc].Op == ir.OpAdd && ins[pc+1].Op == ir.OpYield && ins[pc+2].Op == ir.OpJump {
@@ -642,7 +653,8 @@ func matchSuper(ins []ir.Instr, pc int) (fuseTok, int) {
 // overflows the compact encoding.
 func opSlots(in *ir.Instr) (s1, s2, s3 int16, ok bool) {
 	switch in.Op {
-	case ir.OpNop, ir.OpYield, ir.OpJump, ir.OpIO:
+	case ir.OpNop, ir.OpYield, ir.OpJump, ir.OpIO,
+		ir.OpProbe, ir.OpCheckedProbe, ir.OpCheck, ir.OpLoopCheck:
 		return 0, 0, 0, true
 	case ir.OpConst:
 		s1, ok = reg16(in.Dst)
@@ -704,11 +716,12 @@ func field16(f int) (int16, bool) {
 // continues per instruction at f.Block/f.PC.
 //
 // Within a block, cost additions that merely accumulate (OpIO, the
-// OpNewArray zeroing charge) are applied immediately; they commute with
-// the deferred block charge, so every observation point still sees the
-// reference-exact value. Early exits charge prefix[pc+1]: the cost of
-// every instruction up to and including the current one, matching the
-// reference's charge-before-execute order.
+// OpNewArray zeroing charge, a checked probe's check, a probe's payload
+// cost) are applied immediately; they commute with the deferred block
+// charge, so every observation point still sees the reference-exact
+// value. Early exits charge prefix[pc+1]: the cost of every instruction
+// up to and including the current one, matching the reference's
+// charge-before-execute order.
 func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount uint64) (uint64, uint64, bool, error) {
 	regs := f.Regs
 	limit := v.cfg.MaxCycles
@@ -845,11 +858,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fYield:
 				v.stats.Yields++
 				if v.cancelled() {
-					f.PC = int(in.pc)
-					cycles += fb.prefix[int(in.pc)+1]
-					icount += uint64(in.pc) + 1
-					v.quantum = quantum
-					return cycles, icount, false, v.stopCancelled(cycles, icount)
+					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
@@ -861,12 +870,71 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 					return cycles, icount, true, nil
 				}
 
+			// The framework's own opcodes. cycles + prefix[pc+1] is the
+			// count per-instruction dispatch has at the probe or check;
+			// the VM's counter holds it while a handler or hook runs,
+			// and whatever the call adds is charged immediately.
+			case fProbe:
+				pre := fb.prefix[int(in.pc)+1]
+				f.PC = int(in.pc)
+				v.cycles = cycles + pre
+				v.execProbe(t, f, f.Block.Instrs[in.pc].Probe)
+				cycles = v.cycles - pre
+			case fCheckedProbe:
+				// No-Duplication guard (Figure 6), as in runThread.
+				if v.cancelled() {
+					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+				}
+				cycles += uint64(v.cost.Check)
+				v.stats.Checks++
+				pre := fb.prefix[int(in.pc)+1]
+				now := cycles + pre
+				fired := v.trig.Poll(t.ID, now)
+				if v.obs != nil {
+					v.observeCheck(t, f, &f.Block.Instrs[in.pc], fired, now)
+				}
+				if fired {
+					v.stats.CheckFires++
+					f.PC = int(in.pc)
+					v.cycles = now
+					v.execProbe(t, f, f.Block.Instrs[in.pc].Probe)
+					cycles = v.cycles - pre
+				}
+
 			case fJump:
 				tgt = 0
 				goto transfer
 			case fBranch:
 				tgt = 1
 				if regs[in.a].I != 0 {
+					tgt = 0
+				}
+				goto transfer
+			case fCheck:
+				if v.cancelled() {
+					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+				}
+				v.stats.Checks++
+				// The check is the terminator: prefix[pc+1] is total.
+				now := cycles + fb.total
+				tgt = 1
+				if v.trig.Poll(t.ID, now) {
+					v.stats.CheckFires++
+					v.stats.DupEntries++
+					if v.cfg.IterBudget > 0 {
+						f.IterBudget = v.cfg.IterBudget
+					}
+					tgt = 0
+				}
+				if v.obs != nil {
+					v.observeCheck(t, f, &f.Block.Instrs[in.pc], tgt == 0, now)
+				}
+				goto transfer
+			case fLoopCheck:
+				v.stats.LoopChecks++
+				f.IterBudget--
+				tgt = 1
+				if f.IterBudget > 0 {
 					tgt = 0
 				}
 				goto transfer
@@ -1002,11 +1070,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			case fYieldJmp:
 				v.stats.Yields++
 				if v.cancelled() {
-					f.PC = int(in.pc)
-					cycles += fb.prefix[int(in.pc)+1]
-					icount += uint64(in.pc) + 1
-					v.quantum = quantum
-					return cycles, icount, false, v.stopCancelled(cycles, icount)
+					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
@@ -1035,11 +1099,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
 				v.stats.Yields++
 				if v.cancelled() {
-					f.PC = int(in.pc) + 1
-					cycles += fb.prefix[int(in.pc)+2]
-					icount += uint64(in.pc) + 2
-					v.quantum = quantum
-					return cycles, icount, false, v.stopCancelled(cycles, icount)
+					return v.fusedCancel(f, int(in.pc)+1, fb.prefix, cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
@@ -1225,6 +1285,17 @@ func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
 	v.obs.OnYield(t, f)
 	v.stats.Yields--
 	v.rewake()
+}
+
+// fusedCancel is the cold cancellation exit of runFusedBlocks at the
+// observation point (yieldpoint or check) at original pc, which stays
+// the frame's resume pc.
+func (v *VM) fusedCancel(f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, bool, error) {
+	cycles += prefix[pc+1]
+	icount += uint64(pc) + 1
+	v.quantum = quantum
+	f.PC = pc
+	return cycles, icount, false, v.stopCancelled(cycles, icount)
 }
 
 // fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the

@@ -577,25 +577,49 @@ func TestFusedWakeQuantum(t *testing.T) {
 // TestFusedFractionCompress is the coverage-floor sanity check behind
 // BENCH_PR7.json's fused-fraction column: on the compress kernel the
 // fused tier must carry more than half the executed instructions, and
-// superinstructions more than a quarter of the fused tier.
+// superinstructions more than a quarter of the fused tier. Instrumented
+// code (call-edge + field-access, exhaustive or sampled every 1000
+// checks) must keep at least 85% on the fused tier: probes and checks
+// run inside fused streams, so only calls and returns leave them.
 func TestFusedFractionCompress(t *testing.T) {
-	res, err := compile.Compile(bench.Compress(0.01), compile.Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	legs := []struct {
+		name  string
+		inst  bool
+		fw    *core.Options
+		floor float64
+	}{
+		{"uninstrumented", false, nil, 0.5},
+		{"exhaustive", true, nil, 0.85},
+		{"full-dup", true, &core.Options{Variation: core.FullDuplication}, 0.85},
+		{"nodup", true, &core.Options{Variation: core.NoDuplication}, 0.85},
 	}
-	m := vm.New(res.Prog, vm.Config{Handlers: res.Handlers, MaxCycles: 1 << 33})
-	if _, err := m.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	fs, total := m.FusionStats(), m.Stats().Instrs
-	if total == 0 || fs.Instrs == 0 {
-		t.Fatalf("no instructions attributed: fs=%+v total=%d", fs, total)
-	}
-	if share := float64(fs.Instrs) / float64(total); share < 0.5 {
-		t.Errorf("fused tier carried %.1f%% of instructions, want >= 50%%", share*100)
-	}
-	if frac := float64(fs.Fused) / float64(fs.Instrs); frac < 0.25 {
-		t.Errorf("fused-dispatch fraction %.1f%%, want >= 25%%", frac*100)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			opts := compile.Options{Framework: leg.fw}
+			if leg.inst {
+				opts.Instrumenters = []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}}
+			}
+			res, err := compile.Compile(bench.Compress(0.01), opts)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			m := vm.New(res.Prog, vm.Config{Handlers: res.Handlers, Trigger: trigger.NewCounter(1000), MaxCycles: 1 << 33})
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			fs, total := m.FusionStats(), m.Stats().Instrs
+			if total == 0 || fs.Instrs == 0 {
+				t.Fatalf("no instructions attributed: fs=%+v total=%d", fs, total)
+			}
+			share := float64(fs.Instrs) / float64(total)
+			if share < leg.floor {
+				t.Errorf("fused tier carried %.1f%% of instructions, want >= %.0f%%", share*100, leg.floor*100)
+			}
+			t.Logf("fused tier carried %.1f%% of instructions", share*100)
+			if frac := float64(fs.Fused) / float64(fs.Instrs); !leg.inst && frac < 0.25 {
+				t.Errorf("fused-dispatch fraction %.1f%%, want >= 25%%", frac*100)
+			}
+		})
 	}
 }
 
@@ -611,8 +635,20 @@ func TestFusionDifferentialSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	variants := diffVariants()
-	picks := []int{0, 2, 5} // plain, full-dup, timer
+	// One variant per fused framework token: probes (full-dup), checked
+	// probes (nodup), loop checks (full-counted), checks in place of
+	// yieldpoints (full-yp), and checks polling the live cycle count
+	// (timer).
+	picks := []string{"plain", "full-dup", "full-counted", "nodup", "full-yp", "timer"}
+	var variants []diffVariant
+	for _, v := range diffVariants() {
+		if slices.Contains(picks, v.name) {
+			variants = append(variants, v)
+		}
+	}
+	if len(variants) != len(picks) {
+		t.Fatalf("picked %d of the %d variants %v", len(variants), len(picks), picks)
+	}
 	for s := 0; s < seeds; s++ {
 		seed := uint64(s)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		t.Run(fmt.Sprintf("seed%d", s), func(t *testing.T) {
@@ -621,8 +657,7 @@ func TestFusionDifferentialSweep(t *testing.T) {
 			if err := prog.Verify(ir.VerifyBase); err != nil {
 				t.Fatalf("generated program invalid: %v", err)
 			}
-			for _, pi := range picks {
-				v := variants[pi]
+			for _, v := range variants {
 				ref, refRT, rerr := diffRun(t, prog, v, seed, true)
 				fast, fastRT, ferr := diffRun(t, prog, v, seed, false)
 				if (ferr == nil) != (rerr == nil) {
@@ -657,6 +692,208 @@ func TestFusionDifferentialSweep(t *testing.T) {
 				if stats[0] != stats[1] {
 					t.Errorf("%s: cancel stats diverge\n  fused:     %+v\n  reference: %+v", v.name, stats[0], stats[1])
 				}
+			}
+		})
+	}
+}
+
+// probeLog is a probe handler recording, for every probe, its ID, the
+// observed value, the VM's cycle count and the frame's pc at the call:
+// what a handler can see, which must not depend on the dispatcher.
+type probeLog struct {
+	v      *vm.VM
+	events [][4]uint64
+}
+
+func (h *probeLog) HandleProbe(ev *vm.ProbeEvent) {
+	h.events = append(h.events, [4]uint64{uint64(ev.Probe.ID), uint64(ev.Value), h.v.Now(), uint64(ev.Thread.Top().PC)})
+}
+
+// sampledLoop builds a hand-transformed sampling loop in which every
+// block but done is fusible:
+//
+//	entry: r1=1; r2=iters; jmp C
+//	C:     check [D, L]                                 (check block)
+//	L:     r0=r0+r1; checkedprobe #1; io 3; r3=r0<r2; br r3 [C, done]
+//	D:     probe #2; r0=r0+r1; io 5; probe #3(r0); r3=r0<r2; br r3 [C, done]
+//	done:  return r0                                    (duplicated: D)
+//
+// L is checking code with a No-Duplication guard mid-block, D its
+// duplicated copy with probes before and after an immediate cost.
+func sampledLoop(iters int64) func() *ir.Program {
+	return func() *ir.Program {
+		fb := ir.NewFunc("main", 0)
+		fb.M.NumRegs = 8
+		entry := fb.EntryBlock()
+		chk := fb.Block("C")
+		chk.Kind = ir.KindCheckBlock
+		loop := fb.Block("L")
+		dup := fb.Block("D")
+		dup.Kind = ir.KindDuplicated
+		done := fb.Block("done")
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 1})
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 2, Imm: iters})
+		entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{chk}})
+		chk.Append(ir.Instr{Op: ir.OpCheck, Targets: []*ir.Block{dup, loop}, BackedgeMask: 0b11})
+		loop.Append(ir.Instr{Op: ir.OpAdd, Dst: 0, A: 0, B: 1})
+		loop.Append(ir.Instr{Op: ir.OpCheckedProbe, Probe: &ir.Probe{Kind: ir.ProbeEvent, ID: 1, Cost: 7}})
+		loop.Append(ir.Instr{Op: ir.OpIO, Imm: 3})
+		loop.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 0, B: 2})
+		loop.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{chk, done}})
+		dup.Append(ir.Instr{Op: ir.OpProbe, Probe: &ir.Probe{Kind: ir.ProbeEvent, ID: 2, Cost: 6}})
+		dup.Append(ir.Instr{Op: ir.OpAdd, Dst: 0, A: 0, B: 1})
+		dup.Append(ir.Instr{Op: ir.OpIO, Imm: 5})
+		dup.Append(ir.Instr{Op: ir.OpProbe, Probe: &ir.Probe{Kind: ir.ProbeValue, ID: 3, Reg: 0, Cost: 2}})
+		dup.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 0, B: 2})
+		dup.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{chk, done}})
+		fb.At(done).Return(0)
+		p := &ir.Program{Name: "sampled", Funcs: []*ir.Method{fb.M}, Main: fb.M}
+		p.Seal()
+		return p
+	}
+}
+
+// sampledRun runs sampledLoop under one dispatcher with a probeLog and,
+// when obs is non-nil, a wake observer.
+func sampledRun(iters int64, trig trigger.Trigger, obs *wakeObserver, reference bool) (*vm.VM, *probeLog, *vm.Result, error) {
+	h := &probeLog{}
+	cfg := vm.Config{Trigger: trig, Handlers: []vm.ProbeHandler{h}, MaxCycles: 1 << 24, Reference: reference}
+	if obs != nil {
+		cfg.Observer = obs
+	}
+	m := vm.New(sampledLoop(iters)(), cfg)
+	h.v = m
+	if obs != nil {
+		obs.v = m
+	}
+	res, err := m.Run()
+	return m, h, res, err
+}
+
+// requireAllFused asserts that every instruction but the final return
+// ran on the fused tier: every check and probe stayed inside a chain.
+func requireAllFused(t *testing.T, m *vm.VM) {
+	t.Helper()
+	if fs, total := m.FusionStats(), m.Stats().Instrs; fs.Instrs != total-1 {
+		t.Fatalf("fused tier ran %d of %d instructions, want all but the return", fs.Instrs, total)
+	}
+}
+
+// TestFusedCheckFiresEveryPoll samples at interval 1, so every fused
+// check fires and the chain runs on into duplicated code at every
+// iteration: counters, probe events (cycle and pc at each call) and the
+// Result must match the reference dispatcher.
+func TestFusedCheckFiresEveryPoll(t *testing.T) {
+	const iters = 50
+	var ms [2]*vm.VM
+	var logs [2]*probeLog
+	var rs [2]*vm.Result
+	var errs [2]error
+	for i, reference := range []bool{false, true} {
+		ms[i], logs[i], rs[i], errs[i] = sampledRun(iters, trigger.NewCounter(1), nil, reference)
+	}
+	requireIdenticalResult(t, rs, errs)
+	if s := rs[0].Stats; s.Checks != iters || s.CheckFires != iters || s.DupEntries != iters || s.Probes != 2*iters {
+		t.Fatalf("want %d checks, fires and duplicated-code entries and %d probes: %+v", iters, 2*iters, s)
+	}
+	if !slices.Equal(logs[0].events, logs[1].events) {
+		t.Fatalf("probe events differ:\n  fast:      %v\n  reference: %v", logs[0].events, logs[1].events)
+	}
+	requireAllFused(t, ms[0])
+}
+
+// TestFusedTimerCheck drives the fused checks and the mid-block guard
+// with a timer trigger, which polls the live cycle count: a poll given
+// any other count than per-instruction dispatch's changes which checks
+// fire. Every poll's (thread, cycles) context, every probe event and the
+// Result must match the reference dispatcher, also with a sparse wake
+// observer installed, whose wakes land on fused checks and probes.
+func TestFusedTimerCheck(t *testing.T) {
+	for _, period := range []uint64{29, 61, 101} {
+		for _, observed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("period=%d/observed=%v", period, observed), func(t *testing.T) {
+				var ms [2]*vm.VM
+				var logs [2]*probeLog
+				var polls [2]trigger.Log
+				var obs [2]*wakeObserver
+				var rs [2]*vm.Result
+				var errs [2]error
+				for i, reference := range []bool{false, true} {
+					rec := trigger.NewRecorder(trigger.NewTimer(period))
+					if observed {
+						obs[i] = newWakeObserver(53)
+					}
+					ms[i], logs[i], rs[i], errs[i] = sampledRun(200, rec, obs[i], reference)
+					polls[i] = rec.Log()
+				}
+				requireIdenticalResult(t, rs, errs)
+				if s := rs[0].Stats; s.CheckFires == 0 || s.CheckFires == s.Checks || s.DupEntries == 0 {
+					t.Fatalf("want some checks to fire and some not: %+v", s)
+				}
+				if p := polls[0]; p.Polls != polls[1].Polls || p.Fires != polls[1].Fires || p.Checksum != polls[1].Checksum {
+					t.Fatalf("poll streams differ:\n  fast:      %+v\n  reference: %+v", p, polls[1])
+				}
+				if !slices.Equal(logs[0].events, logs[1].events) {
+					t.Fatalf("probe events differ:\n  fast:      %v\n  reference: %v", logs[0].events, logs[1].events)
+				}
+				if observed {
+					if len(obs[0].wakes) == 0 || !slices.Equal(obs[0].wakes, obs[1].wakes) {
+						t.Fatalf("wakes differ:\n  fast:      %v\n  reference: %v", obs[0].wakes, obs[1].wakes)
+					}
+					if !slices.Equal(obs[0].edges, obs[1].edges) {
+						t.Fatalf("boundary transfers differ:\n  fast:      %v\n  reference: %v", obs[0].edges, obs[1].edges)
+					}
+					if ms[0].FusionStats().Instrs == 0 {
+						t.Fatal("sparse observer disabled fusion")
+					}
+					return
+				}
+				requireAllFused(t, ms[0])
+			})
+		}
+	}
+}
+
+// TestFusedTrapAfterProbe traps in the instruction right after a fused
+// probe (unguarded, and a fired No-Duplication guard): the probe's cost,
+// its handler call and the trap's pc and counters must match the
+// reference dispatcher.
+func TestFusedTrapAfterProbe(t *testing.T) {
+	cl := &ir.Class{Name: "C", FieldNames: []string{"f"}}
+	for _, op := range []ir.Op{ir.OpProbe, ir.OpCheckedProbe} {
+		t.Run(op.String(), func(t *testing.T) {
+			// entry: r1=5; probe; r2 = r3.f (r3 null: traps); jmp done
+			prog := func() *ir.Program {
+				fb := ir.NewFunc("main", 0)
+				fb.M.NumRegs = 8
+				entry := fb.EntryBlock()
+				done := fb.Block("done")
+				entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 5})
+				entry.Append(ir.Instr{Op: op, Probe: &ir.Probe{Kind: ir.ProbeEvent, ID: 4, Cost: 9}})
+				entry.Append(ir.Instr{Op: ir.OpGetField, Dst: 2, A: 3, Class: cl})
+				entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{done}})
+				fb.At(done).Return(1)
+				p := &ir.Program{Name: "trapafterprobe", Classes: []*ir.Class{cl}, Funcs: []*ir.Method{fb.M}, Main: fb.M}
+				p.Seal()
+				return p
+			}
+			var ms [2]*vm.VM
+			var logs [2]*probeLog
+			var errs [2]error
+			for i, reference := range []bool{false, true} {
+				logs[i] = &probeLog{}
+				ms[i] = vm.New(prog(), vm.Config{
+					Trigger: trigger.Always{}, Handlers: []vm.ProbeHandler{logs[i]}, MaxCycles: 1 << 20, Reference: reference,
+				})
+				logs[i].v = ms[i]
+				_, errs[i] = ms[i].Run()
+			}
+			requireIdenticalStop(t, ms, errs, "getfield on null or non-object at main:entry(b0):2")
+			if len(logs[0].events) != 1 || !slices.Equal(logs[0].events, logs[1].events) {
+				t.Fatalf("probe events differ:\n  fast:      %v\n  reference: %v", logs[0].events, logs[1].events)
+			}
+			if fs := ms[0].FusionStats(); fs.BlockRuns == 0 {
+				t.Fatalf("the probe's block never ran fused: %+v", fs)
 			}
 		})
 	}

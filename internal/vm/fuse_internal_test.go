@@ -20,7 +20,7 @@ func TestFInstrSize(t *testing.T) {
 		t.Fatalf("%d fused tokens overflow the uint8 token space", n)
 	}
 	for tok := range superNames {
-		if tok < fuseNumToks && tok > fBranch {
+		if tok < fuseNumToks && tok > fLoopCheck {
 			continue
 		}
 		t.Errorf("superNames names token %d, which is not a superinstruction token", tok)
@@ -42,8 +42,8 @@ func fuseTestBlock(t *testing.T, body []ir.Instr) *ir.Block {
 	fb.At(done).Return(0)
 	p := &ir.Program{Name: "fusetest", Funcs: []*ir.Method{fb.M}, Main: fb.M}
 	p.Seal()
-	if !pureBlock(entry) {
-		t.Fatalf("test body is not a pure block")
+	if !fusible(entry) {
+		t.Fatalf("test body is not a fusible block")
 	}
 	return entry
 }

@@ -575,7 +575,10 @@ func (v *VM) execProbe(t *Thread, f *Frame, p *ir.Probe) {
 		f.Scratch[p.Reg] += p.Imm
 		return
 	}
-	ev := ProbeEvent{
+	// The VM's one event, refilled per probe: a local would escape to
+	// the heap through the interface call.
+	ev := &v.probeEv
+	*ev = ProbeEvent{
 		Probe:        p,
 		Method:       f.Method,
 		CallerMethod: f.CallerMethod,
@@ -599,7 +602,7 @@ func (v *VM) execProbe(t *Thread, f *Frame, p *ir.Probe) {
 		}
 	}
 	if p.Owner >= 0 && p.Owner < len(v.cfg.Handlers) && v.cfg.Handlers[p.Owner] != nil {
-		v.cfg.Handlers[p.Owner].HandleProbe(&ev)
+		v.cfg.Handlers[p.Owner].HandleProbe(ev)
 	}
 }
 

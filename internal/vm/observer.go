@@ -20,8 +20,10 @@ import (
 //     or frame push/pop — all of which are block-terminator or cold-path
 //     events — and never inside the per-instruction dispatch. Adding a
 //     hook site that tests the observer per instruction is a contract
-//     violation. A nil observer's fused streams (fuse.go) carry no
-//     observation work at all.
+//     violation. A nil observer's fused streams (fuse.go) carry that
+//     one test per check and probe, like per-instruction dispatch, and
+//     nothing else: no test at a yieldpoint or a transfer inside a
+//     chain.
 //   - An observer that declares nothing (no EventFilter) gets every
 //     event: the fast path builds no fused streams and runs every block
 //     per instruction, so that every intra-frame transfer is visible.

@@ -34,6 +34,11 @@ type ProbeEvent struct {
 // ProbeHandler receives probe events for one instrumentation. Handlers
 // are registered in Config.Handlers; a probe with Owner == i dispatches to
 // Handlers[i].
+//
+// The event belongs to the VM, which refills the same one for every
+// probe so that executing a probe allocates nothing. A handler must not
+// retain ev (or any pointer into it) after HandleProbe returns, the same
+// rule that holds for *Frame (DESIGN.md §7): copy the fields it needs.
 type ProbeHandler interface {
 	HandleProbe(ev *ProbeEvent)
 }
@@ -212,6 +217,9 @@ type VM struct {
 	// single goroutine, so no locking is needed; see DESIGN.md §7 for the
 	// lifetime rules probe handlers must respect.
 	freeFrames []*Frame
+	// probeEv is the one event execProbe fills and hands to a handler
+	// (see ProbeHandler's lifetime rule).
+	probeEv ProbeEvent
 }
 
 // New prepares a VM for the program. The program must be sealed and
