@@ -70,12 +70,21 @@ fuzz-smoke:
 mutation-check:
 	$(GO) test -run '^TestMutationKill$$' -v ./internal/oracle/ | grep -q 'PASS: TestMutationKill'
 
-# Telemetry smoke: drive a small instrumented benchmark through the real
-# isamp CLI path with -verify, -trace and -metrics attached, validating
-# the Chrome trace-event JSON schema and the metrics CSV header. Runs
-# under -race to exercise the trace ring's atomic head publication.
+# Telemetry smoke, two tests under -race. (1) Drive a small instrumented
+# benchmark through the real isamp CLI path with -verify, -trace and
+# -metrics attached, validating the Chrome trace-event JSON schema and
+# the metrics CSV header; -race exercises the trace ring's atomic head
+# publication. (2) The CLI-job parity gate: every variation x every job
+# trigger (plus yieldopt, icache and verify legs) runs through isamp's
+# run path and as a job on a live in-process service.Server, and both
+# must report the same return, output, Stats, code sizes and profile
+# entries; -race covers the daemon's queue, workers and SSE stream.
 telemetry-smoke:
-	$(GO) test -race -run '^TestTelemetrySmoke$$' -v ./cmd/isamp/ | grep -q 'PASS: TestTelemetrySmoke'
+	@out=$$($(GO) test -race -run '^(TestTelemetrySmoke|TestCLIMatchesJob)$$' -v ./cmd/isamp/) \
+		|| { echo "$$out"; exit 1; }; \
+	for t in TestTelemetrySmoke TestCLIMatchesJob; do \
+		echo "$$out" | grep -q "PASS: $$t" || { echo "telemetry-smoke: $$t did not pass"; exit 1; }; \
+	done
 
 # Daemon smoke: boot isampd on an ephemeral port under -race, submit a
 # job over HTTP, stream its SSE events to completion, cancel a

@@ -12,23 +12,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"instrsample/internal/asm"
 	"instrsample/internal/bench"
-	"instrsample/internal/compile"
-	"instrsample/internal/core"
 	"instrsample/internal/experiment"
-	"instrsample/internal/instr"
 	"instrsample/internal/ir"
-	"instrsample/internal/oracle"
 	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
-	"instrsample/internal/trigger"
 	"instrsample/internal/vm"
 )
 
@@ -85,11 +82,14 @@ flags (run/disasm/bench):
                      path,value,cct,cct-sampled,receiver
   -variation NAME    full | partial | nodup | hybrid (requires -instrument)
   -yieldopt          apply the yieldpoint optimization
-  -interval N        counter trigger sample interval (default 1000)
+  -interval N        sample interval of the counter, perthread and random
+                     triggers (default 1000; 0 fires at every check;
+                     negative is an error)
   -trigger NAME      counter | perthread | timer | random | never | always |
                      faulty-timer (period/jitter fault injection)
   -period N          timer trigger period in cycles (default 3330000 = 10ms @333MHz)
-  -jitter N          randomized trigger jitter (default interval/10)
+  -jitter N          random trigger jitter (default interval/10); faulty-timer
+                     jitter (default period/2)
   -icache            enable the i-cache model
   -verify            attach the runtime invariant oracle (DESIGN.md §8) and
                      fail the run on any sampling-invariant violation
@@ -134,18 +134,18 @@ func parseFlags(name string, args []string) (*options, []string, error) {
 	fs.StringVar(&o.instrument, "instrument", "", "instrumentations")
 	fs.StringVar(&o.variation, "variation", "", "framework variation")
 	fs.BoolVar(&o.yieldopt, "yieldopt", false, "yieldpoint optimization")
-	fs.Int64Var(&o.interval, "interval", 1000, "sample interval")
+	fs.Int64Var(&o.interval, "interval", experiment.DefaultInterval, "sample interval")
 	fs.StringVar(&o.trig, "trigger", "counter", "trigger kind")
-	fs.Uint64Var(&o.period, "period", 3330000, "timer period (cycles)")
+	fs.Uint64Var(&o.period, "period", experiment.DefaultPeriod, "timer period (cycles)")
 	fs.Int64Var(&o.jitter, "jitter", 0, "randomized trigger jitter")
 	fs.BoolVar(&o.icache, "icache", false, "enable i-cache model")
 	fs.BoolVar(&o.verify, "verify", false, "attach the runtime invariant oracle")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON execution trace")
 	fs.IntVar(&o.traceCap, "trace-cap", 1<<16, "per-thread trace ring capacity (events)")
 	fs.StringVar(&o.metricsOut, "metrics", "", "write a metrics time series (CSV, or JSON if the path ends in .json)")
-	fs.Uint64Var(&o.metricsInt, "metrics-interval", 1<<16, "metrics capture cadence in cycles")
+	fs.Uint64Var(&o.metricsInt, "metrics-interval", experiment.DefaultCadence, "metrics capture cadence in cycles")
 	fs.IntVar(&o.top, "top", 10, "profile entries to print")
-	fs.Float64Var(&o.scale, "scale", 0.1, "benchmark scale")
+	fs.Float64Var(&o.scale, "scale", experiment.DefaultScale, "benchmark scale")
 	fs.BoolVar(&o.list, "list", false, "list benchmarks")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit profiles as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -154,187 +154,124 @@ func parseFlags(name string, args []string) (*options, []string, error) {
 	return o, fs.Args(), nil
 }
 
-func (o *options) instrumenters() ([]instr.Instrumenter, error) {
-	if o.instrument == "" {
-		return nil, nil
+// optsSpec maps the compile flags to the experiment vocabulary.
+func (o *options) optsSpec() (experiment.OptsSpec, error) {
+	fw, err := experiment.Framework(o.variation, o.yieldopt)
+	if err != nil {
+		return experiment.OptsSpec{}, err
 	}
-	var out []instr.Instrumenter
+	spec := experiment.OptsSpec{Framework: fw, Verify: o.verify}
 	for _, name := range strings.Split(o.instrument, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
+		if name = strings.TrimSpace(name); name != "" {
+			spec.Instr = append(spec.Instr, name)
 		}
-		ins, err := experiment.NewInstrumenter(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ins)
 	}
-	return out, nil
+	return spec, nil
 }
 
-func (o *options) framework() (*core.Options, error) {
-	if o.variation == "" {
-		if o.yieldopt {
-			return nil, fmt.Errorf("-yieldopt requires -variation")
-		}
-		return nil, nil
+// disasm prints the compiled (and transformed) program.
+func (o *options) disasm(prog *ir.Program) error {
+	spec, err := o.optsSpec()
+	if err != nil {
+		return err
 	}
-	var v core.Variation
-	switch o.variation {
-	case "full":
-		v = core.FullDuplication
-	case "partial":
-		v = core.PartialDuplication
-	case "nodup":
-		v = core.NoDuplication
-	case "hybrid":
-		v = core.Hybrid
-	default:
-		return nil, fmt.Errorf("unknown variation %q (want full, partial, nodup, hybrid)", o.variation)
+	res, err := spec.Compile(prog)
+	if err != nil {
+		return err
 	}
-	return &core.Options{Variation: v, YieldpointOpt: o.yieldopt}, nil
+	ir.FprintProgram(os.Stdout, res.Prog)
+	fmt.Printf("; code size %d bytes (checking %d, duplicated %d)\n",
+		res.CodeSize, res.CheckingCodeSize, res.DuplicatedCodeSize)
+	if spec.Framework != nil {
+		fmt.Printf("; framework: %s\n", res.FrameworkStats)
+	}
+	return nil
 }
 
-func (o *options) trigger() (trigger.Trigger, error) {
-	switch o.trig {
-	case "counter":
-		return trigger.NewCounter(o.interval), nil
-	case "perthread":
-		return trigger.NewPerThread(o.interval), nil
-	case "timer":
-		return trigger.NewTimer(o.period), nil
-	case "faulty-timer":
-		j := uint64(o.jitter)
-		if j == 0 {
-			j = o.period / 2
-		}
-		return trigger.NewFaultyTimer(o.period, j, 0, 1), nil
-	case "random":
-		j := o.jitter
-		if j == 0 {
-			j = o.interval / 10
-		}
-		return trigger.NewRandomized(o.interval, j, 1), nil
-	case "never":
-		return trigger.Never{}, nil
-	case "always":
-		return trigger.Always{}, nil
-	default:
-		return nil, fmt.Errorf("unknown trigger %q", o.trig)
-	}
-}
-
-func (o *options) execute(prog *ir.Program, disasmOnly bool) error {
-	instrs, err := o.instrumenters()
+// execute compiles and runs prog through the experiment package's run
+// path, the one isampd jobs take, writes the report to w and returns the
+// measured result.
+func (o *options) execute(w io.Writer, prog *ir.Program) (*experiment.CellResult, error) {
+	spec, err := o.optsSpec()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fw, err := o.framework()
+	trig, err := experiment.NamedTrigger(o.trig, o.interval, o.period, o.jitter)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res, err := compile.Compile(prog, compile.Options{Instrumenters: instrs, Framework: fw})
+	cr, err := spec.Compile(prog)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if disasmOnly {
-		ir.FprintProgram(os.Stdout, res.Prog)
-		fmt.Printf("; code size %d bytes (checking %d, duplicated %d)\n",
-			res.CodeSize, res.CheckingCodeSize, res.DuplicatedCodeSize)
-		if fw != nil {
-			fmt.Printf("; framework: %s\n", res.FrameworkStats)
-		}
-		return nil
-	}
-	trig, err := o.trigger()
-	if err != nil {
-		return err
-	}
-	cfg := vm.Config{Trigger: trig, Handlers: res.Handlers}
+	vs := experiment.VMSpec{Trigger: trig}
 	if o.icache {
-		cfg.ICache = vm.DefaultICache()
+		vs.ICache = vm.DefaultICache()
 	}
-	// Observers compose: the oracle, the trace recorder and the meter can
-	// all watch one run (vm.CombineObservers elides the absent ones).
-	var observers []vm.Observer
-	var orc *oracle.Oracle
-	if o.verify {
-		orc = oracle.New()
-		observers = append(observers, orc)
-	}
+	// Observers compose: the oracle (spec.Verify), the trace recorder and
+	// the meter can all watch one run.
 	var tr *telemetry.Trace
 	if o.tracePath != "" {
 		tr = telemetry.NewTrace(o.traceCap)
-		observers = append(observers, tr)
+		vs.Observers = append(vs.Observers, tr)
 	}
 	var meter *telemetry.Meter
 	if o.metricsOut != "" {
 		meter = telemetry.NewMeter(telemetry.NewRegistry(), trig.Name(), o.metricsInt, nil)
-		observers = append(observers, meter)
+		vs.Observers = append(vs.Observers, meter)
 	}
-	cfg.Observer = vm.CombineObservers(observers...)
-	v := vm.New(res.Prog, cfg)
-	if tr != nil {
-		tr.SetClock(v)
-	}
-	if meter != nil {
-		meter.SetClock(v)
-	}
-	out, err := v.Run()
+	res, err := experiment.Prepare(context.Background(), cr, spec, vs).Execute()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if orc != nil {
-		if err := orc.Finish(out.Stats); err != nil {
-			return fmt.Errorf("invariant oracle: %w", err)
-		}
-		fmt.Printf("oracle: ok (%d events observed, %d expected property-1 excesses)\n",
-			orc.Events(), orc.ExpectedPropertyViolations())
+	if o.verify {
+		fmt.Fprintf(w, "oracle: ok (%d events observed, %d expected property-1 excesses)\n",
+			res.Aux["oracle-events"], res.Aux["oracle-expected-p1"])
 	}
 	if tr != nil {
 		if err := writeTrace(o.tracePath, tr); err != nil {
-			return err
+			return nil, err
 		}
 		var total uint64
 		for tid := 0; tid < tr.Threads(); tid++ {
 			total += tr.Total(tid)
 		}
-		fmt.Printf("trace: %d events (%d dropped) on %d threads -> %s\n",
+		fmt.Fprintf(w, "trace: %d events (%d dropped) on %d threads -> %s\n",
 			total, tr.TotalDrops(), tr.Threads(), o.tracePath)
 	}
 	if meter != nil {
 		meter.Finish()
 		if err := writeMetrics(o.metricsOut, meter.Series()); err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("metrics: %d captures every %d cycles -> %s\n",
+		fmt.Fprintf(w, "metrics: %d captures every %d cycles -> %s\n",
 			len(meter.Series().Rows), o.metricsInt, o.metricsOut)
 	}
-	fmt.Printf("result: %d\n", out.Return)
-	if len(out.Output) > 0 {
-		fmt.Printf("output: %v\n", out.Output)
+	fmt.Fprintf(w, "result: %d\n", res.Return)
+	if len(res.Output) > 0 {
+		fmt.Fprintf(w, "output: %v\n", res.Output)
 	}
-	s := out.Stats
-	fmt.Printf("cycles: %d  instrs: %d  entries: %d  backedges: %d\n",
+	s := res.Stats
+	fmt.Fprintf(w, "cycles: %d  instrs: %d  entries: %d  backedges: %d\n",
 		s.Cycles, s.Instrs, s.MethodEntries, s.Backedges)
 	if s.Checks > 0 {
-		fmt.Printf("checks: %d  samples: %d  probes: %d\n", s.Checks, s.CheckFires, s.Probes)
+		fmt.Fprintf(w, "checks: %d  samples: %d  probes: %d\n", s.Checks, s.CheckFires, s.Probes)
 	}
 	if s.ICacheMisses > 0 {
-		fmt.Printf("icache misses: %d\n", s.ICacheMisses)
+		fmt.Fprintf(w, "icache misses: %d\n", s.ICacheMisses)
 	}
-	for _, rt := range res.Runtimes {
+	for _, p := range res.Profiles {
 		if o.jsonOut {
-			data, err := json.MarshalIndent(rt.Profile(), "", "  ")
+			data, err := json.MarshalIndent(p, "", "  ")
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Println(string(data))
+			fmt.Fprintln(w, string(data))
 			continue
 		}
-		rt.Profile().Fprint(os.Stdout, o.top)
+		p.Fprint(w, o.top)
 	}
-	return nil
+	return res, nil
 }
 
 // writeTrace exports the trace recorder as Chrome trace-event JSON.
@@ -384,7 +321,11 @@ func cmdRun(args []string, disasmOnly bool) error {
 	if err != nil {
 		return err
 	}
-	return o.execute(prog, disasmOnly)
+	if disasmOnly {
+		return o.disasm(prog)
+	}
+	_, err = o.execute(os.Stdout, prog)
+	return err
 }
 
 // cmdOverlap computes the paper's overlap-percentage metric between two
@@ -436,5 +377,6 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	return o.execute(b.Build(o.scale), false)
+	_, err = o.execute(os.Stdout, b.Build(o.scale))
+	return err
 }

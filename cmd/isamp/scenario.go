@@ -7,7 +7,7 @@ import (
 	"os"
 
 	"instrsample/internal/compile"
-	"instrsample/internal/ir"
+	"instrsample/internal/experiment"
 	"instrsample/internal/oracle"
 	"instrsample/internal/scenario"
 	"instrsample/internal/vm"
@@ -35,15 +35,23 @@ func cmdScenario(args []string) error {
 	o := &options{}
 	fs.StringVar(&o.instrument, "instrument", "call-edge", "instrumentations")
 	fs.StringVar(&o.variation, "variation", "full", "framework variation")
-	fs.Int64Var(&o.interval, "interval", 1000, "sample interval")
+	fs.Int64Var(&o.interval, "interval", experiment.DefaultInterval, "sample interval")
 	fs.StringVar(&o.trig, "trigger", "counter", "trigger kind")
-	fs.Uint64Var(&o.period, "period", 3330000, "timer period (cycles)")
+	fs.Uint64Var(&o.period, "period", experiment.DefaultPeriod, "timer period (cycles)")
 	fs.Int64Var(&o.jitter, "jitter", 0, "randomized trigger jitter")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("scenario takes no positional arguments")
+	}
+	spec, err := o.optsSpec()
+	if err != nil {
+		return err
+	}
+	trig, err := experiment.NamedTrigger(o.trig, o.interval, o.period, o.jitter)
+	if err != nil {
+		return err
 	}
 
 	fam, err := loadFamily(*specPath, *seed, *count)
@@ -78,9 +86,9 @@ func cmdScenario(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := compileScenario(o, prog)
+		res, err := spec.Compile(prog)
 		if err != nil {
-			return fmt.Errorf("%s/%d: compile: %w", fam.Name, i, err)
+			return fmt.Errorf("%s/%d: %w", fam.Name, i, err)
 		}
 		switch {
 		case *replayPath != "":
@@ -88,11 +96,11 @@ func cmdScenario(args []string) error {
 				return err
 			}
 		case *recordPath != "":
-			if err := recordMember(fam, i, o, res, *recordPath); err != nil {
+			if err := recordMember(fam, i, trig, res, *recordPath); err != nil {
 				return err
 			}
 		default:
-			if err := probeMember(fam, i, o, res); err != nil {
+			if err := probeMember(fam, i, trig, res); err != nil {
 				return err
 			}
 		}
@@ -119,30 +127,15 @@ func loadFamily(path string, seed uint64, count int) (*scenario.Family, error) {
 	return scenario.ReadFamily(f)
 }
 
-func compileScenario(o *options, prog *ir.Program) (*compile.Result, error) {
-	instrs, err := o.instrumenters()
-	if err != nil {
-		return nil, err
-	}
-	fw, err := o.framework()
-	if err != nil {
-		return nil, err
-	}
-	return compile.Compile(prog, compile.Options{Instrumenters: instrs, Framework: fw})
-}
-
 // probeMember runs one family member under the oracle on both
 // dispatchers and requires bit-identical results.
-func probeMember(fam *scenario.Family, i int, o *options, res *compile.Result) error {
+func probeMember(fam *scenario.Family, i int, trig experiment.TriggerSpec, res *compile.Result) error {
 	var outs [2]*vm.Result
 	for d, ref := range []bool{false, true} {
-		trig, err := o.trigger()
-		if err != nil {
-			return err
-		}
 		orc := oracle.New()
+		var err error
 		outs[d], err = vm.New(res.Prog, vm.Config{
-			Trigger:   trig,
+			Trigger:   trig.New(),
 			Handlers:  res.Handlers,
 			Observer:  orc,
 			Reference: ref,
@@ -166,14 +159,10 @@ func probeMember(fam *scenario.Family, i int, o *options, res *compile.Result) e
 
 // recordMember records one member's run (oracle installed), verifies
 // the recording replays on both dispatchers, and writes it as JSON.
-func recordMember(fam *scenario.Family, i int, o *options, res *compile.Result, path string) error {
-	trig, err := o.trigger()
-	if err != nil {
-		return err
-	}
+func recordMember(fam *scenario.Family, i int, trig experiment.TriggerSpec, res *compile.Result, path string) error {
 	orc := oracle.New()
 	rec, live, err := scenario.Record(res.Prog, vm.Config{
-		Trigger:  trig,
+		Trigger:  trig.New(),
 		Handlers: res.Handlers,
 		Observer: orc,
 	})

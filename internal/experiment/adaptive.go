@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"instrsample/internal/adaptive"
-	"instrsample/internal/compile"
 	"instrsample/internal/core"
 	"instrsample/internal/ir"
 	"instrsample/internal/trigger"
@@ -35,11 +34,7 @@ func adaptivePinnedCell(cfg Config, benchName string) Cell {
 			return nil, err
 		}
 		prog := build(cfg.Scale)
-		copts, err := adaptiveOpts().Options()
-		if err != nil {
-			return nil, err
-		}
-		res, err := compile.Compile(prog, copts)
+		res, err := adaptiveOpts().Compile(prog)
 		if err != nil {
 			return nil, err
 		}
@@ -76,11 +71,7 @@ func adaptiveOnlineCell(cfg Config, benchName string) Cell {
 			return nil, err
 		}
 		prog := build(cfg.Scale)
-		copts, err := adaptiveOpts().Options()
-		if err != nil {
-			return nil, err
-		}
-		res, err := compile.Compile(prog, copts)
+		res, err := adaptiveOpts().Compile(prog)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"instrsample/internal/core"
 	"instrsample/internal/instr"
 	"instrsample/internal/ir"
-	"instrsample/internal/oracle"
 	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/trigger"
@@ -145,10 +144,11 @@ func NewInstrumenter(name string) (instr.Instrumenter, error) {
 	return nil, fmt.Errorf("unknown instrumentation %q", name)
 }
 
-// Options materializes the spec into compile.Options with fresh
-// instrumenter instances. Exported so the profiling service can compile
-// the exact configuration a cell key names.
-func (o OptsSpec) Options() (compile.Options, error) {
+// Compile compiles prog under the spec with fresh instrumenter
+// instances; a compiler failure reads "compile: …". Exported so the
+// profiling service and isamp compile the exact configuration a cell key
+// names.
+func (o OptsSpec) Compile(prog *ir.Program) (*compile.Result, error) {
 	opts := compile.Options{
 		Framework:  o.Framework,
 		ChecksOnly: o.ChecksOnly,
@@ -157,11 +157,15 @@ func (o OptsSpec) Options() (compile.Options, error) {
 	for _, name := range o.Instr {
 		ins, err := NewInstrumenter(name)
 		if err != nil {
-			return compile.Options{}, err
+			return nil, err
 		}
 		opts.Instrumenters = append(opts.Instrumenters, ins)
 	}
-	return opts, nil
+	cr, err := compile.Compile(prog, opts)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return cr, nil
 }
 
 // Key renders the spec canonically for cell identity. Exported so other
@@ -355,12 +359,9 @@ func (c Config) ConvergenceCell(benchName string, o OptsSpec, t TriggerSpec, con
 	}}
 }
 
-// runCell performs the standard cell measurement; convInterval > 0 also
-// records periodic profile snapshots. A cancellable ctx arms a vm.Cancel
-// token so the measurement stops within one observation interval of the
-// context being cancelled; the returned error then wraps both ctx.Err()
-// and the vm.CancelError (so errors.Is(err, context.Canceled) and
-// vm.IsCancelled(err) both hold).
+// runCell performs the standard cell measurement through Prepare and
+// Execute on the Config's i-cache geometry; convInterval > 0 also
+// records periodic profile snapshots. Errors carry the benchmark name.
 func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t TriggerSpec, convInterval uint64) (*CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -372,33 +373,11 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 	if err != nil {
 		return nil, err
 	}
-	prog := build(c.Scale)
-	copts, err := o.Options()
+	cr, err := o.Compile(build(c.Scale))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", benchName, err)
 	}
-	cr, err := compile.Compile(prog, copts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: compile: %w", benchName, err)
-	}
-	vcfg := vm.Config{
-		Trigger:    t.New(),
-		Handlers:   cr.Handlers,
-		ICache:     c.icache(),
-		IterBudget: o.IterBudget,
-	}
-	if ctx.Done() != nil {
-		tok := vm.NewCancel()
-		vcfg.Cancel = tok
-		stop := context.AfterFunc(ctx, tok.Fire)
-		defer stop()
-	}
-	var observers []vm.Observer
-	var orc *oracle.Oracle
-	if o.Verify {
-		orc = oracle.New()
-		observers = append(observers, orc)
-	}
+	vs := VMSpec{Trigger: t, ICache: c.icache()}
 	var conv *telemetry.Convergence
 	if convInterval > 0 {
 		conv = telemetry.NewConvergence(convInterval, 0, func() []*profile.Profile {
@@ -408,40 +387,11 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 			}
 			return live
 		})
-		observers = append(observers, conv)
+		vs.Observers = []vm.Observer{conv}
 	}
-	vcfg.Observer = vm.CombineObservers(observers...)
-	v := vm.New(cr.Prog, vcfg)
-	if conv != nil {
-		conv.SetClock(v)
-	}
-	out, err := v.Run()
+	res, err := Prepare(ctx, cr, o, vs).Execute()
 	if err != nil {
-		if vm.IsCancelled(err) && ctx.Err() != nil {
-			return nil, fmt.Errorf("%s: %w (%w)", benchName, ctx.Err(), err)
-		}
-		return nil, fmt.Errorf("%s: run: %w", benchName, err)
-	}
-	res := &CellResult{
-		Stats:              out.Stats,
-		CodeSize:           cr.CodeSize,
-		CheckingCodeSize:   cr.CheckingCodeSize,
-		DuplicatedCodeSize: cr.DuplicatedCodeSize,
-		Work:               cr.Work,
-		Return:             out.Return,
-		Output:             out.Output,
-	}
-	if orc != nil {
-		if err := orc.Finish(out.Stats); err != nil {
-			return nil, fmt.Errorf("%s: oracle: %w", benchName, err)
-		}
-		res.Aux = map[string]int64{
-			"oracle-events":      int64(orc.Events()),
-			"oracle-expected-p1": int64(orc.ExpectedPropertyViolations()),
-		}
-	}
-	for _, rt := range cr.Runtimes {
-		res.Profiles = append(res.Profiles, rt.Profile())
+		return nil, fmt.Errorf("%s: %w", benchName, err)
 	}
 	if conv != nil {
 		for _, pt := range conv.Points() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"instrsample/internal/compile"
 	"instrsample/internal/core"
 	"instrsample/internal/oracle"
 	"instrsample/internal/scenario"
@@ -123,13 +122,9 @@ func runScenarioCell(ctx context.Context, fam *scenario.Family, idx int, o OptsS
 	if err != nil {
 		return nil, err
 	}
-	copts, err := o.Options()
+	cr, err := o.Compile(prog)
 	if err != nil {
-		return nil, err
-	}
-	cr, err := compile.Compile(prog, copts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: compile: %w", label, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	orc := oracle.New()
 	rec, live, err := scenario.Record(cr.Prog, vm.Config{

@@ -2,15 +2,12 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"instrsample/internal/asm"
-	"instrsample/internal/compile"
 	"instrsample/internal/experiment"
 	"instrsample/internal/ir"
 	"instrsample/internal/obs"
-	"instrsample/internal/oracle"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/vm"
 )
@@ -85,6 +82,15 @@ func (p *meterPublisher) Events() vm.EventMask {
 // NextWake implements vm.EventFilter.
 func (p *meterPublisher) NextWake() uint64 { return p.m.NextWake() }
 
+// SetClock gives the meter, and the ModeFull recorder when present, the
+// VM's cycle clock.
+func (p *meterPublisher) SetClock(c telemetry.Clock) {
+	p.m.SetClock(c)
+	if p.vtr != nil {
+		p.vtr.SetClock(c)
+	}
+}
+
 func (p *meterPublisher) OnEnter(t *vm.Thread, f *vm.Frame) { p.m.OnEnter(t, f); p.publish() }
 func (p *meterPublisher) OnExit(t *vm.Thread, f *vm.Frame)  { p.m.OnExit(t, f); p.publish() }
 
@@ -140,10 +146,13 @@ func jobCell(spec JobSpec, events *Job, full bool) experiment.Cell {
 	return c
 }
 
-// runSpec executes one job configuration. The pipeline mirrors isamp's
-// execute() step for step — same compile options, same trigger
-// defaulting, same oracle handling — which is what makes an HTTP job's
-// result byte-identical to the equivalent command line.
+// runSpec executes one job configuration through experiment.Prepare and
+// Execute, the run path isamp's run and bench commands also take, so a
+// job and the equivalent command line run the same code. runSpec adds
+// what only a job has: program selection, the SSE meter publisher, the
+// ModeFull recorder and the ledger stages — compile spans program
+// selection and compilation, vm-run opens right before the VM starts,
+// and export covers the final metrics publication.
 func runSpec(ctx context.Context, spec JobSpec, events *Job, full bool) (*experiment.CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,104 +166,60 @@ func runSpec(ctx context.Context, spec JobSpec, events *Job, full bool) (*experi
 	if err != nil {
 		return nil, err
 	}
-	copts, err := spec.optsSpec().Options()
+	o, t, err := spec.specs()
 	if err != nil {
 		return nil, err
 	}
-	cr, err := compile.Compile(prog, copts)
+	cr, err := o.Compile(prog)
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, err
 	}
-	trig := spec.triggerSpec().New()
-	vcfg := vm.Config{
-		Trigger:   trig,
-		Handlers:  cr.Handlers,
-		MaxCycles: spec.MaxCycles,
-	}
+	vs := experiment.VMSpec{Trigger: t, MaxCycles: spec.MaxCycles}
 	if spec.ICache {
-		vcfg.ICache = vm.DefaultICache()
-	}
-	var observers []vm.Observer
-	var orc *oracle.Oracle
-	if spec.Verify {
-		orc = oracle.New()
-		observers = append(observers, orc)
+		vs.ICache = vm.DefaultICache()
 	}
 	var pub *meterPublisher
 	if events != nil {
-		meter := telemetry.NewMeter(telemetry.NewRegistry(), trig.Name(), spec.EventsInterval, nil)
+		meter := telemetry.NewMeter(telemetry.NewRegistry(), t.Name(), spec.EventsInterval, nil)
 		pub = &meterPublisher{m: meter, j: events}
-		observers = append(observers, pub)
+		// ModeFull: flight-record the run's sampling-relevant VM events so
+		// the job's merged Chrome trace spans HTTP-to-opcode. The recording
+		// hangs off the publisher, so the hot path stays one observer whose
+		// event mask keeps fused streams on (DESIGN.md §14), filtered to
+		// fired samples. A small per-job ring: the recorder keeps the end
+		// of the run (flight-recorder discipline), and a 16K default ring
+		// would cost ~700KB of allocation per job — pure GC pressure at
+		// service rates.
+		if full && tr != nil {
+			pub.vtr = telemetry.NewTrace(jobTraceRingCap)
+		}
+		vs.Observers = []vm.Observer{pub}
 	}
-	// ModeFull: flight-record the run's sampling-relevant VM events so
-	// the job's merged Chrome trace spans HTTP-to-opcode. The recording
-	// hangs off the publisher, so the hot path stays one observer whose
-	// event mask keeps fused streams on (DESIGN.md §14), filtered to
-	// fired samples. Set it before vm.New, which reads the mask.
-	var vtr *telemetry.Trace
-	if full && tr != nil && pub != nil {
-		// A small per-job ring: the recorder keeps the end of the run
-		// (flight-recorder discipline), and a 16K default ring would cost
-		// ~700KB of allocation per job — pure GC pressure at service rates.
-		vtr = telemetry.NewTrace(jobTraceRingCap)
-		pub.vtr = vtr
-	}
-	vcfg.Observer = vm.CombineObservers(observers...)
-	if ctx.Done() != nil {
-		tok := vm.NewCancel()
-		vcfg.Cancel = tok
-		stop := context.AfterFunc(ctx, tok.Fire)
-		defer stop()
-	}
-	v := vm.New(cr.Prog, vcfg)
-	if pub != nil {
-		pub.m.SetClock(v)
-	}
-	if vtr != nil {
-		vtr.SetClock(v)
-	}
+	run := experiment.Prepare(ctx, cr, o, vs)
 	tr.Begin(obs.StageVMRun, "")
 	var runStart time.Time
 	if events != nil {
 		runStart = events.now()
 	}
-	out, err := v.Run()
-	if vtr != nil && err == nil {
+	res, err := run.Execute()
+	if err != nil {
+		return nil, err
+	}
+	if pub != nil && pub.vtr != nil {
 		// The wall window [runStart, runEnd] aligns the run's cycle clock
 		// to wall time in the merged export.
-		tr.AttachVM(vtr, runStart, events.now(), out.Stats.Cycles)
-	}
-	if err != nil {
-		if vm.IsCancelled(err) && ctx.Err() != nil {
-			return nil, fmt.Errorf("%w (%w)", ctx.Err(), err)
-		}
-		return nil, fmt.Errorf("run: %w", err)
+		tr.AttachVM(pub.vtr, runStart, events.now(), res.Stats.Cycles)
 	}
 	tr.Begin(obs.StageExport, "")
 	if pub != nil {
 		pub.m.Finish()
 		pub.publish()
 	}
-	res := &experiment.CellResult{
-		Stats:              out.Stats,
-		CodeSize:           cr.CodeSize,
-		CheckingCodeSize:   cr.CheckingCodeSize,
-		DuplicatedCodeSize: cr.DuplicatedCodeSize,
-		Work:               cr.Work,
-		Return:             out.Return,
-		Output:             out.Output,
-	}
-	if orc != nil {
-		if oerr := orc.Finish(out.Stats); oerr != nil {
-			return nil, fmt.Errorf("invariant oracle: %w", oerr)
-		}
-		res.Aux = map[string]int64{
-			"oracle-events":      int64(orc.Events()),
-			"oracle-expected-p1": int64(orc.ExpectedPropertyViolations()),
-		}
-	}
-	for _, rt := range cr.Runtimes {
-		res.Profiles = append(res.Profiles, rt.Profile())
+	// A job result never shows labels (ProfileDump has none), and a
+	// labeler closes over the compiled program: dropping it keeps a
+	// memoized result from pinning the program's IR.
+	for _, p := range res.Profiles {
+		p.Labeler = nil
 	}
 	return res, nil
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"instrsample/internal/experiment"
 	"instrsample/internal/telemetry"
 )
 
@@ -190,9 +191,10 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestJobMatchesDirectRun is the parity gate: a job submitted over HTTP
-// must produce, byte for byte, the same result JSON as running the same
-// configuration directly through the isamp-mirroring pipeline.
+// TestJobMatchesDirectRun checks the HTTP plumbing: a job submitted over
+// HTTP must produce, byte for byte, the same result JSON as runSpec
+// called directly on the same spec. The CLI↔job parity gate is
+// TestCLIMatchesJob in cmd/isamp.
 func TestJobMatchesDirectRun(t *testing.T) {
 	t.Parallel()
 	spec := JobSpec{
@@ -237,6 +239,41 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("HTTP result differs from direct run:\n http: %s\ndirect: %s", got, want)
+	}
+}
+
+// TestMemoizedResultHoldsNoLabeler: a job result's profiles carry no
+// labeler. Every instrumentation's labeler closes over its compiled
+// program, so a labeler left in the engine's memo table pins that
+// program's IR for as long as the daemon runs.
+func TestMemoizedResultHoldsNoLabeler(t *testing.T) {
+	t.Parallel()
+	spec := JobSpec{
+		Bench:      "db",
+		Scale:      0.02,
+		Instrument: []string{"call-edge", "field-access", "path"},
+		Variation:  "full",
+	}.withDefaults()
+	eng := experiment.NewEngine(1, nil)
+	cfg := experiment.Config{Engine: eng}
+	first, err := eng.Do(cfg, []experiment.Cell{jobCell(spec, nil, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Do(cfg, []experiment.Cell{jobCell(spec, nil, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second[0] != first[0] {
+		t.Fatal("identical job was not served from the memo table")
+	}
+	if len(first[0].Profiles) != len(spec.Instrument) {
+		t.Fatalf("%d profiles, want %d", len(first[0].Profiles), len(spec.Instrument))
+	}
+	for _, p := range first[0].Profiles {
+		if p.Labeler != nil {
+			t.Errorf("memoized %s profile keeps its labeler, and with it the compiled program", p.Name)
+		}
 	}
 }
 

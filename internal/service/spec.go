@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strings"
 
-	"instrsample/internal/core"
 	"instrsample/internal/experiment"
 	"instrsample/internal/scenario"
 )
@@ -38,12 +37,16 @@ const (
 	MinEventsInterval = 1 << 10
 )
 
-// JobSpec is the POST /v1/jobs request body. Exactly one of Source and
-// Bench selects the program; the remaining fields mirror the isamp
-// run/bench flags (same names, same defaults), so any command line
-// translates 1:1 into a job and produces byte-identical results. Of the
-// flags that shape a run, only -trigger faulty-timer, a fault-injection
-// trigger, is CLI-only.
+// JobSpec is the POST /v1/jobs request body. Exactly one of Source,
+// Bench and Scenario selects the program; the remaining fields are the
+// isamp run/bench flags (same names, same defaults), and both surfaces
+// map them through internal/experiment's one vocabulary and run them
+// through its one run path (DESIGN.md §10). Any command line therefore
+// translates 1:1 into a job that reports the same return value, output,
+// Stats, code sizes and profile entries (TestCLIMatchesJob in cmd/isamp
+// checks this); the job's profiles are ProfileDumps, without the labels
+// isamp prints. Of the flags that shape a run, only -trigger
+// faulty-timer, a fault-injection trigger, is CLI-only.
 type JobSpec struct {
 	// Source is an assembly program (isamp run's .vasm contents).
 	Source string `json:"source,omitempty"`
@@ -73,7 +76,8 @@ type JobSpec struct {
 	// Trigger is the trigger kind: counter (default), perthread, timer,
 	// random, never, always.
 	Trigger string `json:"trigger,omitempty"`
-	// Interval is the counter-family sample interval (default 1000).
+	// Interval is the sample interval of counter, perthread and random
+	// (default 1000; must not be negative).
 	Interval int64 `json:"interval,omitempty"`
 	// Period is the timer trigger period in cycles (default 3330000).
 	Period uint64 `json:"period,omitempty"`
@@ -99,22 +103,23 @@ type JobSpec struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
-// withDefaults returns the spec with isamp's flag defaults filled in.
+// withDefaults returns the spec with isamp's flag defaults filled in;
+// both read experiment's Default constants.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.Scale == 0 {
-		s.Scale = 0.1
+		s.Scale = experiment.DefaultScale
 	}
 	if s.Trigger == "" {
 		s.Trigger = "counter"
 	}
 	if s.Interval == 0 {
-		s.Interval = 1000
+		s.Interval = experiment.DefaultInterval
 	}
 	if s.Period == 0 {
-		s.Period = 3330000
+		s.Period = experiment.DefaultPeriod
 	}
 	if s.EventsInterval == 0 {
-		s.EventsInterval = 1 << 16
+		s.EventsInterval = experiment.DefaultCadence
 	}
 	if s.EventsInterval < MinEventsInterval {
 		s.EventsInterval = MinEventsInterval
@@ -151,8 +156,6 @@ func (s JobSpec) validate() error {
 		return fmt.Errorf("source exceeds %d bytes", MaxSourceBytes)
 	case s.Scale < 0 || s.Scale > MaxScale:
 		return fmt.Errorf("scale %g out of range (0, %d]", s.Scale, MaxScale)
-	case s.Interval < 0:
-		return fmt.Errorf("interval must be positive")
 	case s.TimeoutMs < 0:
 		return fmt.Errorf("timeout_ms must be non-negative")
 	}
@@ -176,18 +179,11 @@ func (s JobSpec) validate() error {
 			return err
 		}
 	}
-	switch s.Variation {
-	case "", "full", "partial", "nodup", "hybrid":
-	default:
-		return fmt.Errorf("unknown variation %q (want full, partial, nodup, hybrid)", s.Variation)
+	if s.Trigger == "faulty-timer" {
+		return fmt.Errorf("trigger faulty-timer is CLI-only")
 	}
-	if s.Yieldopt && s.Variation == "" {
-		return fmt.Errorf("yieldopt requires variation")
-	}
-	switch s.Trigger {
-	case "counter", "perthread", "timer", "random", "never", "always":
-	default:
-		return fmt.Errorf("unknown trigger %q (want counter, perthread, timer, random, never, always)", s.Trigger)
+	if _, _, err := s.specs(); err != nil {
+		return err
 	}
 	if s.Overlap && len(s.Instrument) == 0 {
 		return fmt.Errorf("overlap requires instrument")
@@ -195,52 +191,21 @@ func (s JobSpec) validate() error {
 	return nil
 }
 
-// optsSpec maps the job to the experiment package's canonical compile
-// description — the same one the experiment cells key on.
-func (s JobSpec) optsSpec() experiment.OptsSpec {
+// specs maps the job to the experiment package's compile and trigger
+// descriptions, the ones the experiment cells key on, with isamp's
+// defaulting.
+func (s JobSpec) specs() (experiment.OptsSpec, experiment.TriggerSpec, error) {
+	fw, err := experiment.Framework(s.Variation, s.Yieldopt)
+	if err != nil {
+		return experiment.OptsSpec{}, experiment.TriggerSpec{}, err
+	}
+	t, err := experiment.NamedTrigger(s.Trigger, s.Interval, s.Period, s.Jitter)
 	o := experiment.OptsSpec{
-		Instr:  append([]string(nil), s.Instrument...),
-		Verify: s.Verify,
+		Instr:     append([]string(nil), s.Instrument...),
+		Framework: fw,
+		Verify:    s.Verify,
 	}
-	var v core.Variation
-	switch s.Variation {
-	case "full":
-		v = core.FullDuplication
-	case "partial":
-		v = core.PartialDuplication
-	case "nodup":
-		v = core.NoDuplication
-	case "hybrid":
-		v = core.Hybrid
-	default:
-		return o
-	}
-	o.Framework = &core.Options{Variation: v, YieldpointOpt: s.Yieldopt}
-	return o
-}
-
-// triggerSpec maps the job's trigger selection to the experiment
-// package's pure-data trigger description, using isamp's defaulting
-// (random jitter = interval/10, seed 1).
-func (s JobSpec) triggerSpec() experiment.TriggerSpec {
-	switch s.Trigger {
-	case "perthread":
-		return experiment.TriggerSpec{Kind: "perthread", Interval: s.Interval}
-	case "timer":
-		return experiment.TimerTrigger(s.Period)
-	case "random":
-		j := s.Jitter
-		if j == 0 {
-			j = s.Interval / 10
-		}
-		return experiment.RandomizedTrigger(s.Interval, j, 1)
-	case "never":
-		return experiment.NeverTrigger()
-	case "always":
-		return experiment.AlwaysTrigger()
-	default:
-		return experiment.CounterTrigger(s.Interval)
-	}
+	return o, t, err
 }
 
 // cellKey canonically identifies the job's measurement for the engine's
@@ -260,8 +225,9 @@ func (s JobSpec) cellKey() string {
 	default:
 		prog = fmt.Sprintf("bench=%s scale=%g", s.Bench, s.Scale)
 	}
+	o, t, _ := s.specs() // validate has accepted the names
 	return fmt.Sprintf("job %s icache=%v max=%d %s %s",
-		prog, s.ICache, s.MaxCycles, s.optsSpec().Key(), s.triggerSpec().Key())
+		prog, s.ICache, s.MaxCycles, o.Key(), t.Key())
 }
 
 // overlapSpec is the exhaustive reference configuration an Overlap job

@@ -30,7 +30,9 @@ func TestJobSpecValidateEdges(t *testing.T) {
 		{"oversized source", JobSpec{Source: strings.Repeat("x", MaxSourceBytes+1)}, "exceeds"},
 		{"negative scale", JobSpec{Bench: "compress", Scale: -1}, "scale"},
 		{"huge scale", JobSpec{Bench: "compress", Scale: MaxScale + 1}, "scale"},
-		{"negative interval", JobSpec{Bench: "compress", Interval: -5}, "interval"},
+		{"negative interval", JobSpec{Bench: "compress", Interval: -5}, "interval must not be negative"},
+		{"negative random interval", JobSpec{Bench: "compress", Trigger: "random", Interval: -1}, "interval must not be negative"},
+		{"faulty-timer", JobSpec{Bench: "compress", Trigger: "faulty-timer"}, "CLI-only"},
 		{"negative timeout", JobSpec{Bench: "compress", TimeoutMs: -1}, "timeout_ms"},
 		{"unknown bench", JobSpec{Bench: "quake"}, "unknown benchmark"},
 		{"unknown instrument", JobSpec{Bench: "compress", Instrument: []string{"heap"}}, "unknown instrumentation"},
@@ -57,6 +59,8 @@ func TestJobSpecValidateEdges(t *testing.T) {
 	}
 	good := []JobSpec{
 		{Bench: "compress"},
+		{Bench: "compress", Trigger: "random", Interval: 0, Jitter: 5},
+		{Bench: "compress", Trigger: "timer", Period: 20000},
 		{Bench: "resonant", Scale: 0.02},
 		{Source: "func main() {\nentry:\n  const x, 7\n  ret x\n}\n"},
 		{Scenario: fam()},
