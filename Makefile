@@ -66,9 +66,13 @@ fuzz-smoke:
 # Mutation test for the oracle itself: compile Partial-Duplication with a
 # deliberately forgotten backedge mask (core.FaultSkipBackedgeMask) and
 # require the oracle to flag the resulting Property-1 violation. Guards
-# the guard: an oracle that stops observing fails this target.
+# the guard: an oracle that stops observing fails this target. Fails
+# unless go test succeeds and the PASS line appears.
 mutation-check:
-	$(GO) test -run '^TestMutationKill$$' -v ./internal/oracle/ | grep -q 'PASS: TestMutationKill'
+	@out=$$($(GO) test -run '^TestMutationKill$$' -v ./internal/oracle/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestMutationKill' \
+		|| { echo "mutation-check: TestMutationKill did not pass"; exit 1; }
 
 # Telemetry smoke, two tests under -race. (1) Drive a small instrumented
 # benchmark through the real isamp CLI path with -verify, -trace and
@@ -89,9 +93,13 @@ telemetry-smoke:
 # Daemon smoke: boot isampd on an ephemeral port under -race, submit a
 # job over HTTP, stream its SSE events to completion, cancel a
 # long-running job (must stop at the next observation point), validate
-# the /metrics exposition format, and drain via the SIGTERM path.
+# the /metrics exposition format, and drain via the SIGTERM path. Fails
+# unless go test succeeds and the PASS line appears.
 service-smoke:
-	$(GO) test -race -run '^TestServiceSmoke$$' -v ./cmd/isampd/ | grep -q 'PASS: TestServiceSmoke'
+	@out=$$($(GO) test -race -run '^TestServiceSmoke$$' -v ./cmd/isampd/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestServiceSmoke' \
+		|| { echo "service-smoke: TestServiceSmoke did not pass"; exit 1; }
 
 # Observability smoke for ci, two halves, both under -race. (1) The real
 # daemon: boot isampd at -obs full with a trace directory, debug
@@ -103,12 +111,20 @@ service-smoke:
 # the job's end-to-end extent, and the completed chain must be gap-free
 # with zero ring drops. (3) The fleet: a coordinator job's /trace must
 # parse as Chrome trace-event JSON with a dispatch span, its ledger must
-# sum exactly to total_ns, and PUT /v1/obs must turn ledgers off.
+# sum exactly to total_ns, and PUT /v1/obs must turn ledgers off. Each
+# leg fails unless go test succeeds (and, for the daemon and fleet legs,
+# the named test's PASS line appears).
 obs-smoke:
-	$(GO) test -race -run '^TestDaemonObservability$$' -v ./cmd/isampd/ | grep -q 'PASS: TestDaemonObservability'
+	@out=$$($(GO) test -race -run '^TestDaemonObservability$$' -v ./cmd/isampd/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestDaemonObservability' \
+		|| { echo "obs-smoke: TestDaemonObservability did not pass"; exit 1; }
 	$(GO) test -race -run '^(TestObsFullMergedTrace|TestObsLedgerSumEqualsJobLatency|TestObsChainCompleted)$$' \
 		./internal/service/
-	$(GO) test -race -run '^TestFleetTraceAndLedger$$' -v ./internal/fabric/ | grep -q 'PASS: TestFleetTraceAndLedger'
+	@out=$$($(GO) test -race -run '^TestFleetTraceAndLedger$$' -v ./internal/fabric/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestFleetTraceAndLedger' \
+		|| { echo "obs-smoke: TestFleetTraceAndLedger did not pass"; exit 1; }
 
 # Sustained soak: a 30-second seeded mixed-traffic run against a
 # self-hosted daemon, gates asserted in code, BENCH_PR6.json emitted by
@@ -122,18 +138,26 @@ soak:
 # -race with the regression gates enforced — exact gates (zero failed
 # jobs, zero leaked goroutines, zero transport errors) at full strength,
 # timing ceilings relaxed for shared hosts. A deliberately small queue
-# forces the 429-retry path to run.
+# forces the 429-retry path to run. Fails unless go test succeeds and the
+# PASS line appears.
 soak-smoke:
-	$(GO) test -race -run '^TestSoakSmoke$$' -v ./cmd/isampload/ | grep -q 'PASS: TestSoakSmoke'
+	@out=$$($(GO) test -race -run '^TestSoakSmoke$$' -v ./cmd/isampload/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestSoakSmoke' \
+		|| { echo "soak-smoke: TestSoakSmoke did not pass"; exit 1; }
 
 # Fleet smoke for ci: the real isampfleet entrypoint (config file, flags,
 # SIGHUP reload) coordinating three in-process isampd workers on
 # ephemeral ports, under -race: a mixed batch with duplicates, one worker
 # killed mid-job (its cell requeues on a survivor, then the topology
 # drops it via SIGHUP), every job terminal, zero lost cells, and a
-# byte-identical CAS hit on resubmission.
+# byte-identical CAS hit on resubmission. Fails unless go test succeeds
+# and the PASS line appears.
 fleet-smoke:
-	$(GO) test -race -run '^TestFleetSmoke$$' -v ./cmd/isampfleet/ | grep -q 'PASS: TestFleetSmoke'
+	@out=$$($(GO) test -race -run '^TestFleetSmoke$$' -v ./cmd/isampfleet/) \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'PASS: TestFleetSmoke' \
+		|| { echo "fleet-smoke: TestFleetSmoke did not pass"; exit 1; }
 
 # Fleet soak (not in ci — see BENCHMARKING.md on this host's core count):
 # the self-hosted scaling A/B behind BENCH_PR10.json — the same seeded

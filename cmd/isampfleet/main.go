@@ -2,9 +2,10 @@
 // it serves the single daemon's job surface — the same service.Server
 // isampd runs, with the fleet executor in place of the local worker
 // pool — over a fleet of isampd workers, adding cluster-wide
-// single-flight, rendezvous sharding with work stealing, propagated
-// backpressure, and a network content-addressed result store shared by
-// every node (DESIGN.md §15).
+// single-flight, one fleet queue whose cells prefer their rendezvous
+// owner but run on any free worker slot, propagated backpressure, and a
+// network content-addressed result store shared by every node
+// (DESIGN.md §15).
 //
 //	isampfleet -config fleet.json                # coordinate the fleet
 //	isampfleet -worker http://h1:8347 \
@@ -13,7 +14,7 @@
 //	           -cache-max-bytes 104857600        # bounded CAS replica
 //	isampfleet -version                          # print the build ID
 //
-//	POST   /v1/jobs             submit (dedup, shard, 429 + Retry-After)
+//	POST   /v1/jobs             submit (dedup, queue, 429 + Retry-After)
 //	GET    /v1/jobs/{id}        job status, result, attribution ledger
 //	GET    /v1/jobs/{id}/events relayed live metrics stream (SSE)
 //	GET    /v1/jobs/{id}/trace  the job's Chrome trace (coordinator spans)
@@ -27,8 +28,7 @@
 //
 // The fleet config file is the JSON form of fabric.FleetConf:
 //
-//	{"workers": [{"name": "w0", "url": "http://127.0.0.1:8347"}],
-//	 "steal_threshold": 2}
+//	{"workers": [{"name": "w0", "url": "http://127.0.0.1:8347"}]}
 //
 // SIGHUP re-reads -config and applies it hot: added workers join
 // immediately, removed workers drain (they finish their in-flight cells,

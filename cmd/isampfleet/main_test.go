@@ -123,17 +123,23 @@ done:
 }`, n)
 }
 
+// writeFleetConf writes the fleet config file in the format older
+// coordinators read, with the retired steal_threshold and weight fields:
+// such a file must keep loading, on start and on SIGHUP.
 func writeFleetConf(t *testing.T, path string, workers []*smokeWorker) {
 	t.Helper()
 	type wc struct {
-		Name string `json:"name"`
-		URL  string `json:"url"`
+		Name   string  `json:"name"`
+		URL    string  `json:"url"`
+		Weight float64 `json:"weight"`
 	}
 	var doc struct {
-		Workers []wc `json:"workers"`
+		Workers        []wc `json:"workers"`
+		StealThreshold int  `json:"steal_threshold"`
 	}
+	doc.StealThreshold = 2
 	for _, w := range workers {
-		doc.Workers = append(doc.Workers, wc{w.name, w.url})
+		doc.Workers = append(doc.Workers, wc{w.name, w.url, 2})
 	}
 	data, _ := json.Marshal(doc)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -154,10 +160,11 @@ func terminal(status string) bool {
 }
 
 // TestFleetSmoke boots the real coordinator binary path (run with flags
-// and a config file) over three in-process workers: a mixed batch with
-// duplicates completes, a worker killed mid-run has its cell requeued and
-// is then dropped from the topology via SIGHUP, no submitted job is lost,
-// and a resubmitted cell is a byte-identical CAS hit.
+// and an old-format config file) over three in-process workers: a mixed
+// batch with duplicates completes, a worker killed mid-run has its cell
+// requeued and is then dropped from the topology via SIGHUP, no
+// submitted job is lost, and a resubmitted cell is a byte-identical CAS
+// hit.
 func TestFleetSmoke(t *testing.T) {
 	w0 := startSmokeWorker(t, "w0")
 	w1 := startSmokeWorker(t, "w1")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -17,75 +18,57 @@ import (
 	"instrsample/internal/service"
 )
 
-// claimLocked hands w its next flight: its own queue first, then — when
-// idle — a steal from the most-loaded peer. A peer qualifies for
-// stealing when its queue exceeds the steal threshold, or
-// unconditionally when it is down or draining (reassignment safety
-// net). Caller holds c.mu; the returned flight is marked running on w.
-func (c *Coordinator) claimLocked(w *worker) (fl *flight, stolen string) {
+// claimLocked fills one free slot of w with the oldest queued cell w
+// may run, and returns it with its rendezvous owner. w may run a cell it
+// has not tried, except while the cell's owner is another worker that
+// could take it now: up, not yet tried on the cell, and with a free
+// slot. A busy, down or draining owner never holds a cell back, and
+// nothing waits while a slot idles. Caller holds c.mu; the returned
+// flight is marked running on w.
+func (c *Coordinator) claimLocked(w *worker) (*flight, *worker) {
 	if !w.up || w.draining {
-		return nil, ""
+		return nil, nil
 	}
-	if len(w.queue) > 0 {
-		fl = w.queue[0]
-		w.queue = w.queue[1:]
-	} else {
-		var from *worker
-		best := 0
-		for _, p := range c.workers {
-			if p == w || len(p.queue) == 0 {
-				continue
-			}
-			qualifies := len(p.queue) > c.stealThreshold || !p.up || p.draining
-			if !qualifies || len(p.queue) <= best {
-				continue
-			}
-			// Steal only cells this worker is still allowed to run.
-			if p.queue[len(p.queue)-1].tried[w.name] {
-				continue
-			}
-			from, best = p, len(p.queue)
+	for i, fl := range c.queue {
+		if fl.tried[w.name] {
+			continue
 		}
-		if from == nil {
-			return nil, ""
+		owner := c.ownerLocked(fl)
+		if owner != w && owner.up && !fl.tried[owner.name] && owner.inflight < c.cfg.Slots {
+			continue
 		}
-		// Take from the back: the cell furthest from starting on its owner.
-		fl = from.queue[len(from.queue)-1]
-		from.queue = from.queue[:len(from.queue)-1]
-		stolen = from.name + "→" + w.name
-		c.reg.Counter(MetricSteals).Inc()
+		c.queue = slices.Delete(c.queue, i, i+1)
+		c.reg.Gauge(service.MetricQueueDepth).Add(-1)
+		c.srv.RecordDrain()
+		c.setRunningLocked(fl, w)
+		fl.tried[w.name] = true
+		w.inflight++
+		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(1)
+		c.reg.Counter(workerMetric(w.name, "dispatched")).Inc()
+		if len(c.queue) > 0 {
+			// Filling this slot may release a cell a peer skipped.
+			c.cond.Broadcast()
+		}
+		return fl, owner
 	}
-	prev := fl.assigned
-	fl.assigned = nil
-	c.pending--
-	c.reg.Gauge(service.MetricQueueDepth).Add(-1)
-	if prev != nil {
-		c.reg.Gauge(workerMetric(prev.name, "pending")).Add(-1)
-	}
-	c.srv.RecordDrain()
-	c.setRunningLocked(fl, w)
-	fl.tried[w.name] = true
-	w.inflight++
-	c.reg.Gauge(workerMetric(w.name, "inflight")).Add(1)
-	c.reg.Counter(workerMetric(w.name, "dispatched")).Inc()
-	return fl, stolen
+	return nil, nil
 }
 
-// dispatchLoop is one worker slot: it claims flights for w (stealing
-// when idle) and runs each through the remote dispatch protocol until
-// the coordinator closes or the worker is removed.
+// dispatchLoop is one worker slot: it claims flights for w and runs each
+// through the remote dispatch protocol until the coordinator closes or
+// the worker is removed.
 func (c *Coordinator) dispatchLoop(w *worker) {
 	defer c.wg.Done()
 	for {
 		c.mu.Lock()
 		var fl *flight
-		var stolen string
+		var owner *worker
 		for {
 			if c.closed || w.gone {
 				c.mu.Unlock()
 				return
 			}
-			if fl, stolen = c.claimLocked(w); fl != nil {
+			if fl, owner = c.claimLocked(w); fl != nil {
 				break
 			}
 			c.cond.Wait()
@@ -95,11 +78,12 @@ func (c *Coordinator) dispatchLoop(w *worker) {
 			c.mu.Unlock()
 			continue
 		}
-		if stolen != "" {
-			c.beginStageLocked(fl, obs.StageSteal, stolen)
+		if owner != w {
+			c.reg.Counter(MetricSteals).Inc()
+			c.beginStageLocked(fl, obs.StageSteal, owner.name+"→"+w.name)
 		}
 		c.mu.Unlock()
-		c.dispatch(w, fl, stolen != "")
+		c.dispatch(w, fl, owner)
 	}
 }
 
@@ -126,31 +110,31 @@ func (c *Coordinator) markStartedLocked(fl *flight) {
 // the POST, the worker's event stream, the terminal fetch, and CAS
 // replication. Any worker-side failure requeues the cell elsewhere (at
 // most once per worker); job-side failures resolve the flight.
-func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
+func (c *Coordinator) dispatch(w *worker, fl *flight, owner *worker) {
 	cause := w.name
 	c.mu.Lock()
 	if len(fl.tried) > 1 {
 		// Not the first attempt: this dispatch is a requeue continuation.
 		cause = "requeue:" + w.name
 	}
-	c.beginStageLocked(fl, obs.StageDispatch, cause)
-	primary := c.primaryLocked(fl)
 	addr := fl.addr
 	if addr == "" && c.fleetID != "" {
 		addr = experiment.CASAddr(c.fleetID, fl.key)
 		fl.addr = addr
 	}
+	// Running away from a live owner: the owner may hold the result from
+	// an earlier run, so probe its CAS before paying for a recompute.
+	probe := addr != "" && !fl.spec.Overlap && owner != w && owner.up
 	c.mu.Unlock()
-
-	// Dispatching away from the cell's rendezvous owner (a steal or a
-	// requeue): the owner may hold the result from an earlier run, so
-	// probe its CAS before paying for a recompute.
-	if addr != "" && !fl.spec.Overlap && primary != nil && primary != w {
-		if data := c.remoteProbe(fl, primary, addr); data != nil {
+	if probe {
+		if data := c.remoteProbe(fl, owner, addr); data != nil {
 			c.resolveFromCAS(fl, data, MetricCASRemoteHit)
 			return
 		}
 	}
+	c.mu.Lock()
+	c.beginStageLocked(fl, obs.StageDispatch, cause)
+	c.mu.Unlock()
 
 	body, err := json.Marshal(fl.spec)
 	if err != nil {
@@ -167,8 +151,8 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 		// fall through
 	case http.StatusTooManyRequests:
 		// Worker pushback propagates: honor its Retry-After (bounded),
-		// then put the cell back at the head of this worker's queue; a
-		// 429 is congestion, not failure, so the worker stays eligible.
+		// then put the cell back at the head of the fleet queue; a 429 is
+		// congestion, not failure, so the worker stays eligible.
 		resp.Body.Close()
 		ra := 1
 		if v, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && v > 0 {
@@ -187,6 +171,7 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 			c.setRunningLocked(fl, nil)
 			w.inflight--
 			c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
+			c.retireIfDrainedLocked(w)
 		}
 		if fl.done {
 			c.mu.Unlock()
@@ -196,7 +181,7 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 			c.resolveLocked(fl, service.StatusCancelled, "cancelled", nil)
 		} else {
 			c.beginStageLocked(fl, obs.StageQueueWait, "429:"+w.name)
-			c.requeueLocked(fl, w)
+			c.enqueueLocked(fl, true)
 		}
 		c.mu.Unlock()
 		return
@@ -248,22 +233,6 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 		return
 	}
 	c.settle(w, fl, view)
-}
-
-// primaryLocked returns the flight's current rendezvous owner (used as
-// the remote-CAS probe target). Caller holds c.mu.
-func (c *Coordinator) primaryLocked(fl *flight) *worker {
-	var best *worker
-	bestScore := -1.0
-	for _, w := range c.workers {
-		if w.gone || !w.up {
-			continue
-		}
-		if s := rendezvousScore(fl.key, w.name, w.weight); best == nil || s > bestScore {
-			best, bestScore = w, s
-		}
-	}
-	return best
 }
 
 // remoteView is the subset of a worker job document the coordinator
@@ -450,7 +419,6 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 		w.up = false
 		c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
 		c.reg.Counter(MetricWorkerLost).Inc()
-		c.reassignQueueLocked(w, "failed")
 	}
 	c.retireIfDrainedLocked(w)
 	if fl.cancel {
@@ -459,26 +427,7 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 	}
 	c.reg.Counter(MetricRequeues).Inc()
 	c.beginStageLocked(fl, obs.StageQueueWait, "requeue:"+w.name)
-	c.requeueLocked(fl, w)
-}
-
-// requeueLocked puts a flight back in rotation after a dispatch did not
-// stick. Caller holds c.mu.
-func (c *Coordinator) requeueLocked(fl *flight, last *worker) {
-	if fl.done {
-		return
-	}
-	if !fl.tried[last.name] && last.eligibleLocked(fl) && last.up {
-		// 429 path: back on the same worker's queue, at the head.
-		fl.assigned = last
-		last.queue = append([]*flight{fl}, last.queue...)
-		c.pending++
-		c.reg.Gauge(service.MetricQueueDepth).Add(1)
-		c.reg.Gauge(workerMetric(last.name, "pending")).Add(1)
-		c.cond.Broadcast()
-		return
-	}
-	c.enqueueLocked(fl)
+	c.enqueueLocked(fl, false)
 }
 
 // remoteCancel issues a DELETE for a worker-side job. It is

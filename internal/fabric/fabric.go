@@ -6,16 +6,15 @@
 //
 // The fabric rests on the observation that measurement cells are pure
 // and build-ID-keyed (DESIGN.md §6): a cell key is a content address,
-// so results can be deduplicated cluster-wide (single-flight), sharded
-// by rendezvous hash, stolen by idle workers, and shared through a
-// network content-addressed store (the CAS endpoints every worker and
-// the coordinator serve) — any node's warm cache benefits the whole
-// fleet. Backpressure propagates: worker 429/Retry-After and queue
-// depths roll up into the coordinator's own bounded queue and
-// front-door 429s, and a worker lost mid-job has its cell requeued
-// elsewhere (at most once per worker; failures are never memoized).
-// The fleet topology (worker list, weights, steal threshold) reloads
-// hot on SIGHUP.
+// so results can be deduplicated cluster-wide (single-flight), owned by
+// a rendezvous hash but run by whichever worker slot is free first, and
+// shared through a network content-addressed store (the CAS endpoints
+// every worker and the coordinator serve) — any node's warm cache
+// benefits the whole fleet. Backpressure propagates: worker
+// 429/Retry-After and queue depths roll up into the coordinator's own
+// bounded queue and front-door 429s, and a worker lost mid-job has its
+// cell requeued elsewhere (at most once per worker; failures are never
+// memoized). The fleet topology (the worker list) reloads hot on SIGHUP.
 package fabric
 
 import (
@@ -23,8 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,7 +41,7 @@ const (
 	MetricCASRemoteHit = "fleet.cas.remote_hit"         // counter: jobs answered from a peer's CAS
 	MetricCASMiss      = "fleet.cas.miss"               // counter: CAS probes that found nothing
 	MetricCASRejected  = "fleet.cas.integrity_rejected" // counter: worker CAS payloads refused (address mismatch)
-	MetricSteals       = "fleet.steals"                 // counter: cells claimed from a loaded peer
+	MetricSteals       = "fleet.steals"                 // counter: cells run away from their rendezvous owner
 	MetricRequeues     = "fleet.requeues"               // counter: cells requeued after a worker loss
 	MetricMemoPiggy    = "fleet.singleflight.piggyback" // counter: duplicate submissions attached to an in-flight cell
 	MetricWorkerLost   = "fleet.worker.lost"            // counter: workers marked down
@@ -54,18 +53,13 @@ type WorkerConf struct {
 	Name string `json:"name"`
 	// URL is the worker's base URL (e.g. http://127.0.0.1:8347).
 	URL string `json:"url"`
-	// Weight biases rendezvous sharding toward bigger workers (default 1).
-	Weight float64 `json:"weight,omitempty"`
 }
 
 // FleetConf is the hot-reloadable part of the coordinator's
-// configuration: the worker set and the steal threshold. cmd/isampfleet
-// re-reads it from disk on SIGHUP and applies it with Reload.
+// configuration: the worker set. cmd/isampfleet re-reads it from disk on
+// SIGHUP and applies it with Reload.
 type FleetConf struct {
 	Workers []WorkerConf `json:"workers"`
-	// StealThreshold is the queue length above which an idle worker may
-	// claim a peer's queued cells (default 2).
-	StealThreshold int `json:"steal_threshold,omitempty"`
 }
 
 // Config configures a Coordinator: the fleet's own settings. Queue
@@ -99,16 +93,14 @@ const workerRPCTimeout = 2 * time.Second
 
 // worker is the coordinator's view of one fleet member.
 type worker struct {
-	name   string
-	url    string
-	weight float64
+	name string
+	url  string
 
-	queue    []*flight // cells assigned here, FIFO
-	inflight int       // cells dispatched and not yet resolved
-	up       bool      // health probe OK and build-compatible
-	probed   bool      // at least one health probe answered
+	inflight int  // cells dispatched and not yet resolved
+	up       bool // health probe OK and build-compatible
+	probed   bool // at least one health probe answered
 	buildID  string
-	depth    int  // worker-reported queue depth, for steal/metrics
+	depth    int  // worker-reported queue depth, for /healthz and metrics
 	draining bool // removed by reload: finish inflight, take no new work
 	gone     bool // fully removed
 	// ctx scopes every request to the worker; stop ends it when the
@@ -133,15 +125,14 @@ type Coordinator struct {
 	queueDepth int
 	maxBody    int64
 
-	mu             sync.Mutex
-	cond           *sync.Cond
-	stealThreshold int
-	workers        map[string]*worker
-	flights        map[flightKey]*flight // live cells
-	pending        int                   // queued (undispatched) flights
-	closed         bool
-	fleetID        string
-	cas            *experiment.Cache
+	mu      sync.Mutex
+	cond    *sync.Cond
+	workers map[string]*worker
+	flights map[flightKey]*flight // live cells
+	queue   []*flight             // undispatched flights, oldest first
+	closed  bool
+	fleetID string
+	cas     *experiment.Cache
 
 	wg      sync.WaitGroup // dispatchers + health probes
 	cancels sync.WaitGroup // remote cancels in flight
@@ -155,9 +146,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
-	}
-	if cfg.Fleet.StealThreshold < 1 {
-		cfg.Fleet.StealThreshold = 2
 	}
 	if len(cfg.Fleet.Workers) == 0 {
 		return nil, fmt.Errorf("fabric: no workers configured")
@@ -175,12 +163,11 @@ func New(cfg Config) (*Coordinator, error) {
 		}}
 	}
 	c := &Coordinator{
-		cfg:            cfg,
-		client:         client,
-		logf:           func(string, ...any) {},
-		stealThreshold: cfg.Fleet.StealThreshold,
-		workers:        make(map[string]*worker),
-		flights:        make(map[flightKey]*flight),
+		cfg:     cfg,
+		client:  client,
+		logf:    func(string, ...any) {},
+		workers: make(map[string]*worker),
+		flights: make(map[flightKey]*flight),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if cfg.FleetID != "" {
@@ -219,13 +206,11 @@ func (c *Coordinator) Cache() *experiment.Cache {
 
 // WorkerHealth is one worker's row in the coordinator /healthz document.
 type WorkerHealth struct {
-	URL      string  `json:"url"`
-	Up       bool    `json:"up"`
-	Weight   float64 `json:"weight"`
-	Pending  int     `json:"pending"`
-	Inflight int     `json:"inflight"`
-	Depth    int     `json:"reported_depth"`
-	Draining bool    `json:"draining,omitempty"`
+	URL      string `json:"url"`
+	Up       bool   `json:"up"`
+	Inflight int    `json:"inflight"`
+	Depth    int    `json:"reported_depth"`
+	Draining bool   `json:"draining,omitempty"`
 }
 
 // Health adds the fleet's rows to /healthz: the coordinator role, the
@@ -239,8 +224,7 @@ func (c *Coordinator) Health(doc map[string]any) {
 	for name, wk := range c.workers {
 		names = append(names, name)
 		workers[name] = WorkerHealth{
-			URL: wk.url, Up: wk.up, Weight: wk.weight,
-			Pending: len(wk.queue), Inflight: wk.inflight,
+			URL: wk.url, Up: wk.up, Inflight: wk.inflight,
 			Depth: wk.depth, Draining: wk.draining,
 		}
 	}
@@ -322,14 +306,10 @@ func (c *Coordinator) addWorkerLocked(wc WorkerConf) {
 		return
 	}
 	w := &worker{
-		name:   wc.Name,
-		url:    strings.TrimRight(wc.URL, "/"),
-		weight: wc.Weight,
+		name: wc.Name,
+		url:  strings.TrimRight(wc.URL, "/"),
 	}
 	w.ctx, w.stop = context.WithCancel(context.Background())
-	if w.weight <= 0 {
-		w.weight = 1
-	}
 	c.workers[wc.Name] = w
 	c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
 	c.wg.Add(1 + c.cfg.Slots)
@@ -337,12 +317,12 @@ func (c *Coordinator) addWorkerLocked(wc WorkerConf) {
 	for i := 0; i < c.cfg.Slots; i++ {
 		go c.dispatchLoop(w)
 	}
-	c.logf("fleet: worker %s added (%s, weight %g)", w.name, w.url, w.weight)
+	c.logf("fleet: worker %s added (%s)", w.name, w.url)
 }
 
 // removeWorkerLocked finalizes a drained worker: its dispatchers and
 // health probe stop, and it leaves the topology. Caller holds c.mu and
-// guarantees the worker has no queued or inflight cells.
+// guarantees the worker has no inflight cells.
 func (c *Coordinator) removeWorkerLocked(w *worker) {
 	w.gone = true
 	w.stop()
@@ -353,22 +333,17 @@ func (c *Coordinator) removeWorkerLocked(w *worker) {
 }
 
 // Reload applies a new fleet topology: added workers start immediately;
-// removed workers drain — they take no new cells, their queued cells
-// are reassigned, and they leave once their inflight cells resolve.
-// This is the SIGHUP path (DESIGN.md §15); it never drops a job.
+// removed workers drain — they take no new cells and leave once their
+// inflight cells resolve. A queued cell the new topology leaves without
+// an eligible worker fails, as it would at enqueue. This is the SIGHUP
+// path (DESIGN.md §15); it never drops a job a worker can still run.
 func (c *Coordinator) Reload(fc FleetConf) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fc.StealThreshold > 0 {
-		c.stealThreshold = fc.StealThreshold
-	}
 	keep := make(map[string]bool, len(fc.Workers))
 	for _, wc := range fc.Workers {
 		keep[wc.Name] = true
 		if w, ok := c.workers[wc.Name]; ok {
-			if wc.Weight > 0 {
-				w.weight = wc.Weight
-			}
 			w.draining = false
 		} else {
 			c.addWorkerLocked(wc)
@@ -380,9 +355,12 @@ func (c *Coordinator) Reload(fc FleetConf) {
 		}
 		w.draining = true
 		c.logf("fleet: worker %s draining (removed from config)", name)
-		c.reassignQueueLocked(w, "reload")
-		if w.inflight == 0 && len(w.queue) == 0 {
-			c.removeWorkerLocked(w)
+		c.retireIfDrainedLocked(w)
+	}
+	for _, fl := range slices.Clone(c.queue) {
+		if !c.eligibleLocked(fl) {
+			c.dequeueLocked(fl)
+			c.resolveLocked(fl, service.StatusFailed, errNoWorker, nil)
 		}
 	}
 	c.cond.Broadcast()
@@ -434,8 +412,8 @@ func (c *Coordinator) probe(w *worker) {
 	c.setWorkerUp(w, h.Status == "ok", h.Queued, h.BuildID)
 }
 
-// setWorkerUp applies one probe outcome, marking the worker down (and
-// reassigning its queue) or up (waking dispatchers).
+// setWorkerUp applies one probe outcome, marking the worker down or up;
+// either way the dispatchers wake, because the claim rule reads liveness.
 func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -466,7 +444,6 @@ func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string)
 	if was && !up {
 		c.reg.Counter(MetricWorkerLost).Inc()
 		c.logf("fleet: worker %s down", w.name)
-		c.reassignQueueLocked(w, "down")
 	}
 	if !was && up {
 		c.logf("fleet: worker %s up", w.name)
@@ -474,47 +451,48 @@ func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string)
 	c.cond.Broadcast()
 }
 
-// rendezvousScore is the weighted rendezvous (highest-random-weight)
-// hash: each worker scores every key independently, the best score owns
-// the key, and removing a worker only moves the keys it owned.
-func rendezvousScore(key, name string, weight float64) float64 {
+// rendezvousScore is the rendezvous (highest-random-weight) hash: each
+// worker scores every key independently, the best score owns the key,
+// and removing a worker only moves the keys it owned.
+func rendezvousScore(key, name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
 	h.Write([]byte(key))
-	// Map the hash to (0,1), then weight it logarithmically so a worker
-	// with twice the weight owns twice the keyspace in expectation.
-	u := (float64(h.Sum64()>>11) + 0.5) / (1 << 53)
-	return -weight / math.Log(u)
+	return h.Sum64()
 }
 
-// eligibleLocked reports whether w can be assigned fl: present, not
-// draining, and not already tried for this flight. Liveness is not
-// required — a not-yet-probed worker may come up before dispatch, and
-// stuck queues are stolen by healthy peers.
-func (w *worker) eligibleLocked(fl *flight) bool {
-	return !w.gone && !w.draining && !fl.tried[w.name]
-}
-
-// assignLocked picks the rendezvous owner for fl among eligible
-// workers; nil when every worker has been tried or drained away.
-func (c *Coordinator) assignLocked(fl *flight) *worker {
+// ownerLocked returns fl's rendezvous owner: the best-scoring worker that
+// is neither gone nor draining, up or not. Ownership is a preference, not
+// an assignment (see claimLocked). Caller holds c.mu.
+func (c *Coordinator) ownerLocked(fl *flight) *worker {
 	var best *worker
-	bestScore := math.Inf(-1)
-	// Deterministic iteration keeps assignment reproducible under test.
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := c.workers[name]
-		if !w.eligibleLocked(fl) {
+	var bestScore uint64
+	for _, w := range c.workers {
+		if w.gone || w.draining {
 			continue
 		}
-		if s := rendezvousScore(fl.key, w.name, w.weight); s > bestScore {
+		// Break exact ties by name so map order never decides.
+		s := rendezvousScore(fl.key, w.name)
+		if best == nil || s > bestScore || (s == bestScore && w.name < best.name) {
 			best, bestScore = w, s
 		}
 	}
 	return best
+}
+
+// errNoWorker is the failure of a cell no worker may run.
+const errNoWorker = "no eligible worker (all tried, draining or removed)"
+
+// eligibleLocked reports whether some worker may still run fl: one that
+// is neither gone nor draining and has not tried it. Liveness is not
+// required — a down or not-yet-probed worker may come up. Caller holds
+// c.mu.
+func (c *Coordinator) eligibleLocked(fl *flight) bool {
+	for _, w := range c.workers {
+		if !w.gone && !w.draining && !fl.tried[w.name] {
+			return true
+		}
+	}
+	return false
 }

@@ -265,13 +265,13 @@ func quickSpec(n int64) service.JobSpec { return service.JobSpec{Source: src(n)}
 
 func infSpec(i int64) service.JobSpec { return service.JobSpec{Source: src(1<<40 + i)} }
 
-// ownerOf returns the rendezvous owner of a spec among equal-weight
-// workers — the same choice assignLocked makes when everyone is eligible.
+// ownerOf returns the rendezvous owner of a spec among the named
+// workers — the same choice ownerLocked makes when none is draining.
 func ownerOf(spec service.JobSpec, names ...string) string {
 	key := spec.CellKey()
-	best, bestScore := "", -1.0
+	best, bestScore := "", uint64(0)
 	for _, name := range names {
-		if s := rendezvousScore(key, name, 1); best == "" || s > bestScore {
+		if s := rendezvousScore(key, name); best == "" || s > bestScore {
 			best, bestScore = name, s
 		}
 	}
@@ -700,12 +700,11 @@ func TestFleetRemoteCASHitOnSteal(t *testing.T) {
 
 	f := startCoordinator(t, []*testWorker{w0, w1}, func(cfg *Config, _ *service.Config) {
 		cfg.Slots = 1
-		cfg.Fleet.StealThreshold = 1
 	})
 	f.waitUp(nil)
 
-	// Occupy w0's only slot, then stack two w0-owned cells behind it; the
-	// idle peer steals from the back of the queue — the warm cell.
+	// Occupy w0's only slot, then queue two w0-owned cells behind it; the
+	// idle peer takes each oldest cell it may claim, the warm one last.
 	infID, _ := f.post(infSpecOwnedBy(t, "w0", 10, "w0", "w1"))
 	f.waitRunningOn(infID, "w0")
 	fillID, _ := f.post(specOwnedBy(t, "w0", 1300, "w0", "w1"))
@@ -746,7 +745,6 @@ func TestFleetRemoteCASHitOnSteal(t *testing.T) {
 func TestFleetDuplicateDuringSteal(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config, _ *service.Config) {
 		cfg.Slots = 1
-		cfg.Fleet.StealThreshold = 1
 	})
 	// Pin both workers' single slots with infinite cells they own.
 	infA, _ := f.post(infSpecOwnedBy(t, "w0", 20, "w0", "w1"))
@@ -762,7 +760,8 @@ func TestFleetDuplicateDuringSteal(t *testing.T) {
 		t.Fatalf("piggyback counter = %d, want 1", got)
 	}
 
-	// Free w1: it steals the target (back of w0's queue) and computes it.
+	// Free w1: it takes the oldest cells it may claim — fill, then the
+	// target — and computes them.
 	f.cancel(infB)
 	f.waitTerminal(infB)
 	v1, v2 := f.waitTerminal(id1), f.waitTerminal(id2)
@@ -778,6 +777,148 @@ func TestFleetDuplicateDuringSteal(t *testing.T) {
 	f.cancel(infA)
 	f.waitTerminal(infA)
 	f.waitTerminal(fill)
+}
+
+// TestFleetIdlePeerTakesCell: while the owner's only slot runs a long
+// job, an idle peer takes the owner's next cell at once instead of
+// leaving it queued behind that job. The cell misses the owner's CAS, so
+// its ledger ends steal, remote-cache-probe, dispatch, export: the
+// peer's run is booked to dispatch, not to the probe, and the rows still
+// sum to total_ns.
+func TestFleetIdlePeerTakesCell(t *testing.T) {
+	f := newFleet(t, 2, func(cfg *Config, _ *service.Config) { cfg.Slots = 1 })
+	infID, _ := f.post(infSpecOwnedBy(t, "w0", 60, "w0", "w1"))
+	f.waitRunningOn(infID, "w0")
+
+	id, _ := f.post(specOwnedBy(t, "w0", 1900, "w0", "w1"))
+	v := f.waitTerminal(id)
+	if v.Status != service.StatusDone {
+		t.Fatalf("job %s: status %s (%s)", id, v.Status, v.Error)
+	}
+	if iv := f.view(infID); iv.Status != service.StatusRunning {
+		t.Fatalf("owner's long job: status %s, want still running", iv.Status)
+	}
+	if got := f.counter(MetricSteals); got < 1 {
+		t.Fatalf("steals = %d, want >= 1", got)
+	}
+	want := []obs.Stage{obs.StageSteal, obs.StageRemoteProbe, obs.StageDispatch, obs.StageExport}
+	rows := v.Ledger.Rows
+	if len(rows) < len(want) {
+		t.Fatalf("ledger rows %+v, want them to end %v", rows, want)
+	}
+	tail := rows[len(rows)-len(want):]
+	for i, st := range want {
+		if tail[i].Stage != st {
+			t.Fatalf("ledger rows %+v, want them to end %v", rows, want)
+		}
+	}
+	if tail[0].Cause != "w0→w1" || tail[2].Cause != "w1" {
+		t.Errorf("steal cause %q, dispatch cause %q; want w0→w1 and w1", tail[0].Cause, tail[2].Cause)
+	}
+	if tail[2].Ns <= tail[1].Ns {
+		t.Errorf("dispatch row %d ns is not longer than the remote-cache-probe row %d ns", tail[2].Ns, tail[1].Ns)
+	}
+	if sum := v.Ledger.Sum(); sum != v.Ledger.TotalNs {
+		t.Errorf("ledger rows sum to %d ns, total_ns is %d", sum, v.Ledger.TotalNs)
+	}
+	f.cancel(infID)
+	f.waitTerminal(infID)
+}
+
+// TestFleetOwnerKeepsCell: with every worker idle, a cell runs on its
+// rendezvous owner, so no steal is counted.
+func TestFleetOwnerKeepsCell(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	id, _ := f.post(specOwnedBy(t, "w0", 2100, "w0", "w1"))
+	v := f.waitTerminal(id)
+	if v.Status != service.StatusDone {
+		t.Fatalf("job %s: status %s (%s)", id, v.Status, v.Error)
+	}
+	if cause, ok := ledgerCause(v.Ledger, obs.StageDispatch); !ok || cause != "w0" {
+		t.Errorf("dispatch cause %q (found %v), want w0", cause, ok)
+	}
+	if got := f.counter(MetricSteals); got != 0 {
+		t.Errorf("steals = %d, want 0", got)
+	}
+}
+
+// TestFleetReloadStrandsQueuedCell: a reload that drains the last worker
+// a queued cell may run on fails that cell with "no eligible worker", as
+// enqueue would, while the drained worker's running job keeps running.
+func TestFleetReloadStrandsQueuedCell(t *testing.T) {
+	f := newFleet(t, 1, func(cfg *Config, _ *service.Config) { cfg.Slots = 1 })
+	infID, _ := f.post(infSpec(90))
+	f.waitRunningOn(infID, "w0")
+	id, _ := f.post(quickSpec(2300))
+	if v := f.view(id); v.Status != service.StatusQueued {
+		t.Fatalf("job %s: status %s, want queued behind the long job", id, v.Status)
+	}
+
+	f.c.Reload(FleetConf{})
+	if v := f.waitTerminal(id); v.Status != service.StatusFailed || !strings.Contains(v.Error, "no eligible worker") {
+		t.Fatalf("stranded job: status %s (%q), want failed with no eligible worker", v.Status, v.Error)
+	}
+	if v := f.view(infID); v.Status != service.StatusRunning {
+		t.Fatalf("drained worker's job: status %s, want running", v.Status)
+	}
+	f.cancel(infID)
+	f.waitTerminal(infID)
+}
+
+// congestedWorker is a scripted worker that is healthy but answers every
+// job submission 429 with Retry-After: 1, signalling each on posted.
+func congestedWorker(posted chan<- struct{}) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"status":"ok","queued":0,"build_id":%q}`, experiment.BuildID())
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case posted <- struct{}{}:
+		default:
+		}
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "busy", http.StatusTooManyRequests)
+	})
+	return mux
+}
+
+// TestFleetDrainDuring429Backoff: a worker removed by reload while its
+// dispatcher backs off a 429 leaves the fleet when the backoff ends, and
+// the pushed-back cell runs on the survivor.
+func TestFleetDrainDuring429Backoff(t *testing.T) {
+	posted := make(chan struct{}, 1)
+	hs := httptest.NewServer(congestedWorker(posted))
+	t.Cleanup(hs.Close)
+	w1 := newTestWorker(t, "w1")
+	f := startCoordinator(t, []*testWorker{w1}, func(cfg *Config, _ *service.Config) {
+		cfg.Fleet.Workers = append(cfg.Fleet.Workers, WorkerConf{Name: "w0", URL: hs.URL})
+	})
+	f.waitUp(nil)
+
+	id, _ := f.post(specOwnedBy(t, "w0", 2500, "w0", "w1"))
+	select {
+	case <-posted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the congested owner never received the cell")
+	}
+	f.c.Reload(FleetConf{Workers: []WorkerConf{{Name: "w1", URL: w1.hs.URL}}})
+	if v := f.waitTerminal(id); v.Status != service.StatusDone {
+		t.Fatalf("job %s: status %s (%s)", id, v.Status, v.Error)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		f.c.mu.Lock()
+		gone := f.c.workers["w0"] == nil
+		f.c.mu.Unlock()
+		if gone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker w0, drained during its 429 backoff, never left the fleet")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // fakeWorker is a scripted worker: it completes every job instantly with

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"time"
 
 	"instrsample/internal/experiment"
@@ -31,7 +32,6 @@ type flight struct {
 
 	attached []*service.Job  // live riders (the first opened the flight)
 	tried    map[string]bool // workers that already failed this cell
-	assigned *worker         // queue the flight currently sits in (nil once dispatched)
 	running  *worker         // worker executing it (nil while queued)
 	remoteID string          // worker-side job ID while running
 	started  time.Time       // when the worker accepted it (zero before)
@@ -47,8 +47,8 @@ type flight struct {
 // Admit is the fleet's side of POST /v1/jobs (service.Executor): a
 // duplicate of an in-flight cell piggybacks on it, a cell already in
 // the coordinator's CAS replica resolves at once, and everything else
-// shards onto a worker queue — or, with QueueDepth cells already
-// queued, is refused with the server's 429.
+// joins the fleet queue — or, with QueueDepth cells already queued, is
+// refused with the server's 429.
 func (c *Coordinator) Admit(j *service.Job) bool {
 	spec := j.Spec()
 	fk := flightKey{cell: spec.CellKey(), overlap: spec.Overlap}
@@ -81,7 +81,7 @@ func (c *Coordinator) Admit(j *service.Job) bool {
 	}
 
 	// Bounded queue: propagated backpressure, proportional Retry-After.
-	if c.pending >= c.queueDepth {
+	if len(c.queue) >= c.queueDepth {
 		return false
 	}
 	tr.Begin(obs.StageQueueWait, "")
@@ -95,7 +95,7 @@ func (c *Coordinator) Admit(j *service.Job) bool {
 	}
 	c.flights[fk] = fl
 	c.attachLocked(fl, j)
-	c.enqueueLocked(fl)
+	c.enqueueLocked(fl, false)
 	return true
 }
 
@@ -170,60 +170,34 @@ func (c *Coordinator) setRunningLocked(fl *flight, w *worker) {
 	}
 }
 
-// enqueueLocked places a flight on its rendezvous owner's queue (or
-// fails it when no worker remains eligible). Caller holds c.mu.
-func (c *Coordinator) enqueueLocked(fl *flight) {
-	w := c.assignLocked(fl)
-	if w == nil {
-		c.resolveLocked(fl, service.StatusFailed,
-			"no eligible worker (all tried, draining or removed)", nil)
+// enqueueLocked puts a flight on the fleet queue — at the tail, or at
+// the head for a cell a worker pushed back with 429, so it keeps its
+// place — or fails it when no worker remains eligible. Caller holds c.mu.
+func (c *Coordinator) enqueueLocked(fl *flight, head bool) {
+	if !c.eligibleLocked(fl) {
+		c.resolveLocked(fl, service.StatusFailed, errNoWorker, nil)
 		return
 	}
-	fl.assigned = w
-	w.queue = append(w.queue, fl)
-	c.pending++
+	if head {
+		c.queue = slices.Insert(c.queue, 0, fl)
+	} else {
+		c.queue = append(c.queue, fl)
+	}
 	c.reg.Gauge(service.MetricQueueDepth).Add(1)
-	c.reg.Gauge(workerMetric(w.name, "pending")).Add(1)
 	c.cond.Broadcast()
 }
 
-// dequeueLocked removes a queued flight from its assigned worker (a
-// cancel, or a reassignment). Caller holds c.mu.
+// dequeueLocked takes a still-queued flight off the fleet queue (a
+// cancel, or a cell a reload stranded); it reports false when the flight
+// is not queued. Caller holds c.mu.
 func (c *Coordinator) dequeueLocked(fl *flight) bool {
-	w := fl.assigned
-	if w == nil {
+	i := slices.Index(c.queue, fl)
+	if i < 0 {
 		return false
 	}
-	for i, q := range w.queue {
-		if q == fl {
-			w.queue = append(w.queue[:i], w.queue[i+1:]...)
-			fl.assigned = nil
-			c.pending--
-			c.reg.Gauge(service.MetricQueueDepth).Add(-1)
-			c.reg.Gauge(workerMetric(w.name, "pending")).Add(-1)
-			return true
-		}
-	}
-	fl.assigned = nil
-	return false
-}
-
-// reassignQueueLocked moves every queued flight off a down or draining
-// worker to its next rendezvous choice. Caller holds c.mu.
-func (c *Coordinator) reassignQueueLocked(w *worker, why string) {
-	moved := w.queue
-	w.queue = nil
-	for _, fl := range moved {
-		fl.assigned = nil
-		c.pending--
-		c.reg.Gauge(service.MetricQueueDepth).Add(-1)
-		c.reg.Gauge(workerMetric(w.name, "pending")).Add(-1)
-		if fl.cancel || fl.done {
-			continue
-		}
-		c.logf("fleet: cell %.20q reassigned off %s (%s)", fl.key, w.name, why)
-		c.enqueueLocked(fl)
-	}
+	c.queue = slices.Delete(c.queue, i, i+1)
+	c.reg.Gauge(service.MetricQueueDepth).Add(-1)
+	return true
 }
 
 // resolveLocked fans a flight's terminal outcome out to every rider and
@@ -257,7 +231,7 @@ func (c *Coordinator) resolveLocked(fl *flight, st service.JobStatus, errMsg str
 // retireIfDrainedLocked completes a draining worker's removal once its
 // last inflight cell resolves. Caller holds c.mu.
 func (c *Coordinator) retireIfDrainedLocked(w *worker) {
-	if w.draining && !w.gone && w.inflight == 0 && len(w.queue) == 0 {
+	if w.draining && !w.gone && w.inflight == 0 {
 		c.removeWorkerLocked(w)
 	}
 }

@@ -29,12 +29,13 @@ const (
 	// StageCacheProbe covers the on-disk result cache lookup (and load,
 	// when it hits).
 	StageCacheProbe
-	// StageRemoteProbe covers a fleet coordinator probing a peer's CAS
+	// StageSteal covers the instant a worker claims a queued cell its
+	// rendezvous owner could not take (fabric only); its Cause names the
+	// move ("owner→worker").
+	StageSteal
+	// StageRemoteProbe covers a fleet coordinator probing the owner's CAS
 	// for an already-computed result before dispatching (fabric only).
 	StageRemoteProbe
-	// StageSteal covers the instant a drained worker claims a queued cell
-	// from a loaded peer; its Cause names the move ("from→to").
-	StageSteal
 	// StageDispatch covers handing the cell to a fleet worker and waiting
 	// for the remote run; its Cause names the worker (or "requeue:<w>"
 	// when a prior worker was lost mid-job).
@@ -58,8 +59,8 @@ var stageNames = [numStages]string{
 	StageQueueWait:   "queue-wait",
 	StageMemoFlight:  "memo-flight",
 	StageCacheProbe:  "cache-probe",
-	StageRemoteProbe: "remote-cache-probe",
 	StageSteal:       "steal",
+	StageRemoteProbe: "remote-cache-probe",
 	StageDispatch:    "dispatch",
 	StageCompile:     "compile",
 	StageVMRun:       "vm-run",
