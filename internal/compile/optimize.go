@@ -13,9 +13,10 @@ import "instrsample/internal/ir"
 // It returns the number of instructions removed or simplified.
 func Optimize(m *ir.Method) int {
 	changed := 0
+	defs := newDefClock(m)
 	// To a fixpoint, bounded to keep compile times predictable.
 	for round := 0; round < 4; round++ {
-		n := foldConstants(m) + localCSE(m) + propagateCopies(m) +
+		n := foldConstants(m) + localCSE(m, defs) + propagateCopies(m, defs) +
 			eliminateDeadCode(m) + threadJumps(m)
 		changed += n
 		if n == 0 {
@@ -33,50 +34,92 @@ func Optimize(m *ir.Method) int {
 
 // localCSE eliminates common pure subexpressions within a block: a
 // repeated (op, a, b, imm) computation over unmodified operands becomes a
-// register copy, which copy propagation then folds away.
-func localCSE(m *ir.Method) int {
+// register copy, which copy propagation then folds away. An expression
+// stays available until its dst or one of its a and b fields is
+// redefined; unused fields count too (a def of r0 kills every constant,
+// whose A and B are 0).
+func localCSE(m *ir.Method, defs *defClock) int {
 	type exprKey struct {
 		op   ir.Op
 		a, b ir.Reg
 		imm  int64
 	}
+	// expr is an expression computed into dst at time at.
+	type expr struct {
+		dst ir.Reg
+		at  uint32
+	}
 	changed := 0
 	for _, blk := range m.Blocks {
-		avail := make(map[exprKey]ir.Reg)
-		invalidate := func(r ir.Reg) {
-			for k, dst := range avail {
-				if dst == r || k.a == r || k.b == r {
-					delete(avail, k)
-				}
-			}
-		}
+		avail := make(map[exprKey]expr)
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
+			defs.now++
 			cseable := isPure(in.Op) && in.Op != ir.OpMove
 			if cseable {
 				k := exprKey{op: in.Op, a: in.A, b: in.B, imm: in.Imm}
-				if prev, ok := avail[k]; ok && prev != in.Dst {
+				if e, ok := avail[k]; ok && e.dst != in.Dst &&
+					max(defs.lastDef(e.dst), defs.lastDef(k.a), defs.lastDef(k.b)) <= e.at {
 					dst := in.Dst
-					*in = ir.Instr{Op: ir.OpMove, Dst: dst, A: prev}
+					*in = ir.Instr{Op: ir.OpMove, Dst: dst, A: e.dst}
 					changed++
-					invalidate(dst)
+					defs.define(dst)
 					continue
 				}
 				d := in.Dst
-				invalidate(d)
+				defs.define(d)
 				// Self-referential expressions (acc = acc+x) are not
 				// available afterwards: the def killed the operand.
 				if k.a != d && k.b != d {
-					avail[k] = d
+					avail[k] = expr{dst: d, at: defs.now}
 				}
 				continue
 			}
 			if d := in.Def(); d != ir.NoReg {
-				invalidate(d)
+				defs.define(d)
 			}
 		}
 	}
 	return changed
+}
+
+// defClock gives the instructions that one Optimize call's passes visit
+// increasing times, and keeps the time of each register's last
+// definition. A fact made at time t holds while no register it names
+// has been defined after t, so a definition kills every fact naming its
+// register with one store; scanning the facts instead made the passes
+// quadratic in block length. The clock never restarts, so definitions
+// seen by earlier blocks and passes are older than any current fact.
+type defClock struct {
+	now  uint32
+	last []uint32 // registers in [0, NumRegs)
+	// far holds the other registers, which are legal input here
+	// because Verify runs after the optimizer.
+	far map[ir.Reg]uint32
+}
+
+func newDefClock(m *ir.Method) *defClock {
+	return &defClock{last: make([]uint32, m.NumRegs)}
+}
+
+// define records that the current instruction defines r.
+func (c *defClock) define(r ir.Reg) {
+	if r >= 0 && int(r) < len(c.last) {
+		c.last[r] = c.now
+		return
+	}
+	if c.far == nil {
+		c.far = make(map[ir.Reg]uint32)
+	}
+	c.far[r] = c.now
+}
+
+// lastDef returns the time of r's last definition, 0 if none.
+func (c *defClock) lastDef(r ir.Reg) uint32 {
+	if r >= 0 && int(r) < len(c.last) {
+		return c.last[r]
+	}
+	return c.far[r]
 }
 
 // foldConstants evaluates arithmetic over registers whose values are
@@ -196,23 +239,19 @@ func b2i(b bool) int64 {
 
 // propagateCopies rewrites uses of move destinations to their sources
 // within a block, when neither register is redefined in between.
-func propagateCopies(m *ir.Method) int {
+func propagateCopies(m *ir.Method, defs *defClock) int {
 	changed := 0
 	for _, b := range m.Blocks {
+		// copyOf[d] = s is the move d = s, which stays d's last
+		// definition (any other deletes it); it holds while s has not
+		// been defined since.
 		copyOf := make(map[ir.Reg]ir.Reg)
-		invalidate := func(r ir.Reg) {
-			delete(copyOf, r)
-			for d, s := range copyOf {
-				if s == r {
-					delete(copyOf, d)
-				}
-			}
-		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
+			defs.now++
 			// Rewrite uses.
 			rewrite := func(r *ir.Reg) {
-				if s, ok := copyOf[*r]; ok && s != *r {
+				if s, ok := copyOf[*r]; ok && defs.lastDef(s) < defs.lastDef(*r) {
 					*r = s
 					changed++
 				}
@@ -233,12 +272,13 @@ func propagateCopies(m *ir.Method) int {
 				}
 			}
 			if in.Op == ir.OpMove && in.Dst != in.A {
-				invalidate(in.Dst)
+				defs.define(in.Dst)
 				copyOf[in.Dst] = in.A
 				continue
 			}
 			if d := in.Def(); d != ir.NoReg {
-				invalidate(d)
+				defs.define(d)
+				delete(copyOf, d)
 			}
 		}
 	}

@@ -26,15 +26,26 @@ const DefaultFieldAccessCost = 6
 func (*FieldAccess) Name() string { return "field-access" }
 
 // Instrument inserts a ProbeEvent immediately before every field access.
+// A block without field accesses keeps its slice; any other block is
+// rebuilt in one allocation.
 func (f *FieldAccess) Instrument(p *ir.Program, m *ir.Method, owner int) {
 	cost := f.Cost
 	if cost == 0 {
 		cost = DefaultFieldAccessCost
 	}
 	for _, b := range m.Blocks {
-		var out []ir.Instr
+		k := 0
+		for i := range b.Instrs {
+			if isFieldAccess(b.Instrs[i].Op) {
+				k++
+			}
+		}
+		if k == 0 {
+			continue
+		}
+		out := make([]ir.Instr, 0, len(b.Instrs)+k)
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpGetField || in.Op == ir.OpPutField {
+			if isFieldAccess(in.Op) {
 				out = append(out, ir.Instr{
 					Op: ir.OpProbe,
 					Probe: &ir.Probe{
@@ -50,6 +61,8 @@ func (f *FieldAccess) Instrument(p *ir.Program, m *ir.Method, owner int) {
 		b.Instrs = out
 	}
 }
+
+func isFieldAccess(op ir.Op) bool { return op == ir.OpGetField || op == ir.OpPutField }
 
 // NewRuntime returns a field-access profile accumulator.
 func (f *FieldAccess) NewRuntime(p *ir.Program) Runtime {

@@ -120,6 +120,35 @@ func TestFieldAccessCounts(t *testing.T) {
 	}
 }
 
+// TestFieldAccessInstrumentAllocatesOnce: a block without field
+// accesses keeps its backing array, and a block with some is rebuilt at
+// exactly its new length.
+func TestFieldAccessInstrumentAllocatesOnce(t *testing.T) {
+	p, _ := testProgram()
+	q := ir.CloneProgram(p)
+	before := map[*ir.Block]*ir.Instr{}
+	for _, b := range q.Main.Blocks {
+		before[b] = &b.Instrs[0]
+	}
+	(&FieldAccess{}).Instrument(q, q.Main, 0)
+	rebuilt := 0
+	for _, b := range q.Main.Blocks {
+		probed := b.HasProbe()
+		if kept := &b.Instrs[0] == before[b]; kept == probed {
+			t.Errorf("block %s: probed %v, kept its array %v", b.Name(), probed, kept)
+		}
+		if probed {
+			rebuilt++
+			if cap(b.Instrs) != len(b.Instrs) {
+				t.Errorf("block %s: cap %d, len %d", b.Name(), cap(b.Instrs), len(b.Instrs))
+			}
+		}
+	}
+	if rebuilt == 0 || rebuilt == len(q.Main.Blocks) {
+		t.Fatalf("%d of %d blocks have field accesses; the test needs both kinds", rebuilt, len(q.Main.Blocks))
+	}
+}
+
 func TestBlockCountMatchesBranchSplit(t *testing.T) {
 	p, _ := testProgram()
 	rt, out := instrumentAndRun(t, p, &BlockCount{})
