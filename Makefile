@@ -181,19 +181,25 @@ doc-lint:
 		echo "doc-lint: missing package docs:$$bad"; exit 1; fi
 
 # Fusion smoke for ci, two halves. (1) Correctness: the seeded
-# differential sweep (one variant per fused framework token) plus every
-# fused-block edge-case test (trap inside a superinstruction or right
-# after a probe, cancellation/quantum mid-pair, fused checks firing on
-# every poll or on a timer with exact poll and probe contexts, the
+# differential sweep (one variant per fused framework token), the
+# call-boundary sweep (generated programs aimed at fused calls and
+# returns: calls mid-block, every virtual override, null receivers and
+# missing methods, traps right after a call or a return, yields inside
+# callees at quantum 1, overflow from a fused call, a scaled callee, an
+# unfused block between fused callers; six variations x two triggers x
+# three observers, fused against the reference) plus every fused-block
+# edge-case test (trap inside a superinstruction or right after a
+# probe, cancellation/quantum mid-pair, fused checks firing on every
+# poll or on a timer with exact poll and probe contexts, the
 # operand-overflow fallback to per-instruction dispatch, observer
 # degradation, sparse observers kept fused with exact yield wakes and
-# episode boundaries, coverage floors for plain and instrumented code)
-# under -race. (2) Performance floor:
+# episode boundaries, coverage floors for plain, instrumented and
+# call-heavy code) under -race. (2) Performance floor:
 # BenchmarkFusedVsReference over three interleaved rounds fails if the
 # median same-window fused/reference ratio drops below 1.0 — the fast
 # path must never be slower than the reference dispatcher.
 fusion-smoke:
-	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestFused|TestFuseBlockOperandOverflow|TestAllEventsObserverDisablesFusion|TestSparseObserverKeepsFusion)' \
+	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestCallBoundarySweep|TestFused|TestFuseBlockOperandOverflow|TestAllEventsObserverDisablesFusion|TestSparseObserverKeepsFusion)' \
 		./internal/vm/
 	$(GO) test -run '^$$' -bench '^BenchmarkFusedVsReference$$' -benchtime 3x .
 

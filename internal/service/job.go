@@ -142,9 +142,15 @@ type Job struct {
 	trace *obs.JobTrace
 	// onFinish, when non-nil, runs once when the job reaches a terminal
 	// state, after the span chain closes and before done closes — the
-	// server's hook for terminal accounting, ledger metrics and the
-	// trace-dir dump. Set before the job is shared.
+	// server's hook for terminal accounting and ledger metrics. Set
+	// before the job is shared.
 	onFinish func(*Job, JobStatus)
+	// dump, when non-nil, writes the closed span chain out (the server's
+	// trace-dir dump). Finish runs it once, under mu, between closing the
+	// chain and publishing the terminal status, so a client that sees
+	// the job terminal finds the dump complete. Set before the job is
+	// shared.
+	dump func(*Job)
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 	// events is the job's SSE event log.
@@ -269,6 +275,9 @@ func (j *Job) Finish(st JobStatus, errMsg string, result any) {
 	// a final ledger whose stage sum equals the end-to-end latency — and,
 	// closed after the finished stamp, brackets created-to-finished.
 	j.trace.Finish(string(st))
+	if j.dump != nil {
+		j.dump(j)
+	}
 	j.status = st
 	j.errMsg = errMsg
 	j.result = result

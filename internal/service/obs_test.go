@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -618,6 +619,22 @@ func TestObsTraceDir(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace file has no events")
+	}
+}
+
+// TestJobDumpBeforeTerminal pins the order TestObsTraceDir relies on:
+// Finish runs the trace dump after closing the span chain and before
+// the terminal status is visible, so a client that polls the job to a
+// terminal state can read the dump at once.
+func TestJobDumpBeforeTerminal(t *testing.T) {
+	j := newJob("job-000001", JobSpec{}, context.Background(), nil)
+	var during JobStatus
+	dumps := 0
+	j.dump = func(j *Job) { during, dumps = j.status, dumps+1 } // under j.mu
+	j.Finish(StatusDone, "", nil)
+	j.Finish(StatusCancelled, "late", nil)
+	if dumps != 1 || during.Terminal() || j.Status() != StatusDone {
+		t.Fatalf("dumped %d times with status %q during the dump, final status %q; want once, not yet terminal, done", dumps, during, j.Status())
 	}
 }
 

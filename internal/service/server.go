@@ -222,9 +222,8 @@ func (s *Server) slogAt(level slog.Level, msg string, args ...any) {
 }
 
 // jobFinished runs once per terminal job (Job.onFinish): it bumps the
-// terminal-state counters and the duration histogram, feeds the
-// attribution ledger into the per-stage duration histograms and, when
-// TraceDir is set, dumps the job's merged Chrome trace.
+// terminal-state counters and the duration histogram and feeds the
+// attribution ledger into the per-stage duration histograms.
 func (s *Server) jobFinished(j *Job, st JobStatus) {
 	switch st {
 	case StatusDone:
@@ -241,9 +240,6 @@ func (s *Server) jobFinished(j *Job, st JobStatus) {
 			s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
 				Observe(uint64(row.Ns / 1e3))
 		}
-		if s.cfg.TraceDir != "" {
-			s.dumpTrace(j)
-		}
 	}
 	s.logf("job %s %s", j.id, st)
 	level := slog.LevelInfo
@@ -254,7 +250,8 @@ func (s *Server) jobFinished(j *Job, st JobStatus) {
 	s.inflight.Done()
 }
 
-// dumpTrace writes the job's merged Chrome trace into TraceDir.
+// dumpTrace writes the job's merged Chrome trace into TraceDir
+// (Job.dump).
 func (s *Server) dumpTrace(j *Job) {
 	path := filepath.Join(s.cfg.TraceDir, j.id+".trace.json")
 	f, err := os.Create(path)
@@ -361,6 +358,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := newJob(id, spec, s.baseCtx, s.now)
 	j.trace = tr
 	j.onFinish = s.jobFinished
+	if tr != nil && s.cfg.TraceDir != "" {
+		j.dump = s.dumpTrace
+	}
 	s.inflight.Add(1) // jobFinished releases it
 	if !s.exec.Admit(j) {
 		s.seq-- // id not used

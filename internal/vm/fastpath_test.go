@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,6 +223,127 @@ func TestPooledRegistersZeroed(t *testing.T) {
 	}
 	if out.Return != 0 {
 		t.Fatalf("unwritten register in pooled frame reads %#x, want 0", out.Return)
+	}
+}
+
+// frameClearProg builds main calling dirty(), which leaves junk in
+// every register of its pooled frame, then maybe(0) and maybe(1):
+//
+//	maybe(p): entry: y = 7; br p [set, join]
+//	          set:   x = 5; jmp join
+//	          join:  return x*1000 + y
+//
+// x is read on the path that skips its write, so it is live at maybe's
+// entry and a recycled frame must zero it; y is written before every
+// read. main returns maybe(0)*1_000_000 + maybe(1), 7_005_007 when x
+// reads 0 on the first call. mutate, when set, runs on the sealed
+// program before it is returned.
+func frameClearProg(mutate func(dirty, maybe, main *ir.Method, p *ir.Program)) (*ir.Program, ir.Reg) {
+	dirty := ir.NewFunc("dirty", 0)
+	{
+		c := dirty.At(dirty.EntryBlock())
+		acc := c.Const(0x7eadbeef)
+		for i := 0; i < 12; i++ {
+			acc = c.Bin(ir.OpAdd, acc, acc)
+		}
+		c.Return(acc)
+	}
+	maybe := ir.NewFunc("maybe", 1)
+	x := maybe.FreshReg()
+	{
+		c := maybe.At(maybe.EntryBlock())
+		y := c.Const(7)
+		set := maybe.Block("set")
+		join := maybe.Block("join")
+		c.Branch(0, set, join)
+		maybe.At(set).ConstTo(x, 5)
+		maybe.At(set).Jump(join)
+		jc := maybe.At(join)
+		jc.Return(jc.Bin(ir.OpAdd, jc.Bin(ir.OpMul, x, jc.Const(1000)), y))
+	}
+	mb := ir.NewFunc("main", 0)
+	{
+		c := mb.At(mb.EntryBlock())
+		c.Call(dirty.M)
+		first := c.Call(maybe.M, c.Const(0))
+		c.Call(dirty.M)
+		second := c.Call(maybe.M, c.Const(1))
+		c.Return(c.Bin(ir.OpAdd, c.Bin(ir.OpMul, first, c.Const(1_000_000)), second))
+	}
+	if dirty.M.NumRegs < maybe.M.NumRegs {
+		panic("frameClearProg: dirty's frame must be at least as wide as maybe's")
+	}
+	p := &ir.Program{Name: "frameclear", Funcs: []*ir.Method{dirty.M, maybe.M, mb.M}, Main: mb.M}
+	p.Seal()
+	if mutate != nil {
+		mutate(dirty.M, maybe.M, mb.M, p)
+	}
+	return p, x
+}
+
+// TestFrameClearLiveRegisters pins the frame-clear rule: a recycled
+// frame zeroes exactly the non-parameter registers live at its method's
+// entry, so a register read on only one path still reads 0 after
+// another method dirtied the pooled frame, on both dispatchers. When
+// the Method.ID-indexed table cannot be trusted (colliding or
+// out-of-range IDs) the VM zeroes every register instead, with the same
+// results, and so it does for a method the table has no row for.
+func TestFrameClearLiveRegisters(t *testing.T) {
+	const want = 7_005_007
+	cases := []struct {
+		name   string
+		mutate func(dirty, maybe, main *ir.Method, p *ir.Program)
+		table  bool // whether the VM keeps its frame-clear table
+	}{
+		{"live-set", nil, true},
+		{"colliding-ids", func(dirty, maybe, _ *ir.Method, _ *ir.Program) { maybe.ID = dirty.ID }, false},
+		{"out-of-range-id", func(_, maybe, _ *ir.Method, p *ir.Program) { maybe.ID = p.NumMethods() }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ref := range []bool{false, true} {
+				p, x := frameClearProg(tc.mutate)
+				v := New(p, Config{Reference: ref})
+				out, err := v.Run()
+				if err != nil {
+					t.Fatalf("reference=%v: %v", ref, err)
+				}
+				if out.Return != want {
+					t.Fatalf("reference=%v: returned %d, want %d (x must read 0 on the path that skips its write)", ref, out.Return, want)
+				}
+				if ref {
+					continue
+				}
+				if (v.entryLive != nil) != tc.table {
+					t.Fatalf("frame-clear table kept = %v, want %v", v.entryLive != nil, tc.table)
+				}
+				if !tc.table {
+					continue
+				}
+				for _, row := range v.entryLive {
+					switch {
+					case row.m == nil:
+						t.Fatalf("method without a frame-clear row")
+					case row.m.Name == "maybe":
+						if len(row.regs) != 1 || row.regs[0] != x {
+							t.Fatalf("maybe clears %v, want only x = r%d", row.regs, x)
+						}
+					case len(row.regs) != 0:
+						t.Fatalf("%s clears %v, want nothing: every register is written before it is read", row.m.Name, row.regs)
+					}
+				}
+				// A method the program does not list may carry any ID,
+				// here main's: it must not borrow main's row.
+				unlisted := ir.NewFunc("unlisted", 0)
+				unlisted.M.NumRegs = 4
+				unlisted.M.ID = p.Main.ID
+				junk := &Frame{Regs: []Value{{I: 1}, {I: 2}, {I: 3}, {I: 4}}}
+				v.freeFrames = append(v.freeFrames, junk)
+				if f := v.acquireFrame(unlisted.M, ir.NoReg, nil, -1); f != junk || slices.ContainsFunc(f.Regs, func(r Value) bool { return r != Value{} }) {
+					t.Fatalf("recycled frame for an unlisted method kept registers %v", f.Regs)
+				}
+			}
+		})
 	}
 }
 

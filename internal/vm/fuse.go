@@ -9,22 +9,34 @@ import (
 // Fused streams: the fast path's block-granular tier.
 //
 // The fast dispatcher runs every block one of two ways. Blocks that
-// call, return, spawn or join run per instruction in runThread. Every
-// other block (fusible: computation, yieldpoints, probes and sample
-// checks, ending in a jump, branch, check or loop check) is translated
+// spawn or join run per instruction in runThread. Every other block
+// (fusible: computation, calls, yieldpoints, probes and sample checks,
+// ending in a jump, branch, check, loop check or return) is translated
 // once per VM into a fused stream and run by runFusedBlocks, which
 // removes two per-instruction costs:
 //
 //   - cost accounting: the whole block's cycle cost and instruction
 //     count are charged at the terminator from precomputed prefix sums,
 //     which also reconstruct the exact per-instruction counters wherever
-//     something can read them (trap, yieldpoint, probe, check,
+//     something can read them (trap, yieldpoint, probe, check, call,
 //     cancellation);
 //   - dispatch: a peephole pass matches the hot opcode pairs/triples
 //     observed in the benchmark suite (const+ALU, ALU+ALU,
 //     compare+branch, field/array pairs, and the add+yield+jmp loop
 //     latch) and rewrites the block into a stream of fixed-width fused
 //     instructions (fInstr), one dispatch per superinstruction.
+//
+// Calls and returns (runFused): a call or return token ends the fused
+// segment. The token charges the block prefix up to and including
+// itself and leaves runFusedBlocks, whose loop therefore never switches
+// frames; the trampoline runFused pushes or pops the frame through the
+// same call and ret paths per-instruction dispatch uses, then re-enters
+// the callee's entry stream or the caller's stream at the token after
+// the call. A stream entered at original pc p starts with its counters
+// lowered by prefix[p] and p, so every prefix-sum reconstruction below
+// stays exact mid-block; resume maps each pc to the token starting
+// there (a call is always a single base token, so pc+1 always starts
+// one).
 //
 // Dispatch is token-threaded: fInstr.tok is a dense token index and the
 // executor switches over it, which the Go compiler lowers to a jump
@@ -55,11 +67,14 @@ import (
 //     the count per-instruction dispatch has there, with f.PC = P at a
 //     probe. Its own costs (the check, the probe's payload cost) are
 //     charged immediately, like OpIO's, so they commute with the
-//     deferred block charge.
+//     deferred block charge;
+//   - a call at original pc P leaves with f.PC = P and the counters at
+//     cycles + prefix[P+1], as per-instruction dispatch has them when
+//     it pushes the frame.
 //
 // A fusible block whose operands do not fit the compact encoding gets
 // no stream (fuse[gid] == nil) and runs per instruction, like every
-// block that switches frames, and so does a frame whose method runs at
+// block that spawns or joins, and so does a frame whose method runs at
 // a cost scale other than 1.
 //
 // Observers (DESIGN.md §7.6): one whose event mask has EvTransfer —
@@ -72,7 +87,8 @@ import (
 // ends at every checking↔duplicated edge, so leaveFused delivers that
 // sampling-episode boundary. The probe and check tokens need no
 // variants: like per-instruction dispatch they test the observer once
-// per probe or check. Results are bit-identical either way.
+// per probe or check, and the call and ret paths deliver OnEnter and
+// OnExit for both tiers. Results are bit-identical either way.
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -120,6 +136,10 @@ const (
 	fBranch
 	fCheck
 	fLoopCheck
+	// fCall serves OpCall and OpCallVirt: runFused reads the callee,
+	// receiver and arguments from the original instruction.
+	fCall
+	fReturn
 
 	// const + op superinstructions.
 	fConstAdd
@@ -255,6 +275,7 @@ var superNames = map[fuseTok]string{
 //	branch           a=A
 //	io               imm=Imm
 //	probe/check/…    (none)
+//	call/return      (none)
 //
 // pc is the original index of sub-op 1 in Block.Instrs; n is the number
 // of original instructions the token covers. Targets, classes, probes
@@ -301,9 +322,14 @@ type fusedBlock struct {
 	// pointer load instead of a side-table lookup.
 	next []*fusedBlock
 	mask uint8
-	// execs counts fused-tier entries into this block, entry-granular
-	// (see FusionStats). It lives in the stream itself — already hot at
-	// transfer time — rather than in a GID-indexed side slice.
+	// resume[p] is the index of the token that starts at original pc
+	// p, or noResume when p lies inside a superinstruction: where a
+	// return or a rescheduled thread may re-enter the stream.
+	resume []uint16
+	// execs counts fused-tier entries into this block at its first
+	// instruction, entry-granular (see FusionStats). It lives in the
+	// stream itself — already hot at transfer time — rather than in a
+	// GID-indexed side slice.
 	execs uint64
 	// supers is the number of superinstructions (n >= 2) in code;
 	// covered is the number of original instructions inside them.
@@ -314,9 +340,14 @@ type fusedBlock struct {
 
 // FusionStats reports fusion coverage for a VM. Static fields describe
 // the fused streams built for the program; dynamic fields aggregate
-// execution counts. Dynamic counters are entry-granular: a fused block
-// counts in full when the fused loop enters it, including the rare runs
-// that then exit early through a trap or reschedule. Fusion statistics
+// execution counts. Instrs is exact: every instruction retired on a
+// fused stream counts once, whether its block was entered at the top
+// or resumed mid-way after a call or a reschedule. BlockRuns,
+// Dispatches, Fused and ByKind stay entry-granular: a fused block
+// counts in full when the fused loop enters it at its first
+// instruction, including the rare runs that then stop early through a
+// trap or cancellation, and a mid-block resume (after a call returns
+// or a reschedule) counts nothing. Fusion statistics
 // are deliberately kept out of Stats, which is compared bit-for-bit
 // between dispatchers (and the reference never fuses).
 type FusionStats struct {
@@ -326,12 +357,12 @@ type FusionStats struct {
 	FusedBlocks int
 	Supers      int
 	Covered     int
-	// BlockRuns counts fused-stream block executions; Dispatches the
-	// fused-stream tokens dispatched for them; Instrs the original
-	// instructions those tokens executed; Fused the subset executed
-	// inside superinstructions. Fused/Instrs is the fused-dispatch
-	// fraction of the fused tier; Instrs/Stats.Instrs is the fused
-	// tier's share of the whole run.
+	// BlockRuns counts fused-stream block entries; Dispatches the
+	// fused-stream tokens of those blocks; Instrs the original
+	// instructions retired on fused streams; Fused the instructions of
+	// the entered blocks that sit inside superinstructions. Fused/Instrs
+	// is the fused-dispatch fraction of the fused tier; Instrs/
+	// Stats.Instrs is the fused tier's share of the whole run.
 	BlockRuns  uint64
 	Dispatches uint64
 	Instrs     uint64
@@ -344,7 +375,7 @@ type FusionStats struct {
 // FusionStats returns the fusion coverage accumulated so far. The
 // result is never nil-mapped; with fusion disabled all fields are zero.
 func (v *VM) FusionStats() FusionStats {
-	fs := FusionStats{ByKind: make(map[string]uint64)}
+	fs := FusionStats{ByKind: make(map[string]uint64), Instrs: v.fusedInstrs}
 	for _, fb := range v.fuse {
 		if fb == nil {
 			continue
@@ -358,7 +389,6 @@ func (v *VM) FusionStats() FusionStats {
 		}
 		fs.BlockRuns += runs
 		fs.Dispatches += runs * uint64(len(fb.code))
-		fs.Instrs += runs * fb.count
 		fs.Fused += runs * uint64(fb.covered)
 		for _, kc := range fb.kinds {
 			fs.ByKind[superNames[kc.tok]] += runs * uint64(kc.n)
@@ -455,25 +485,30 @@ func (v *VM) buildFusion() {
 }
 
 // fusible reports whether b may run as a fused stream: it ends in its
-// only terminator, a jump, branch, check or loop check, and nothing in it
-// switches frames (a call, return, spawn or join). Every other opcode has
-// a base token; fuseBlock rejects one that does not.
+// only terminator, a jump, branch, check, loop check or return, and it
+// neither spawns nor joins a thread. Every other opcode has a base
+// token; fuseBlock rejects one that does not.
 func fusible(b *ir.Block) bool {
-	n := len(b.Instrs)
-	if n == 0 {
+	if !wellFormed(b) {
 		return false
 	}
 	for i := range b.Instrs {
-		switch op := b.Instrs[i].Op; op {
-		case ir.OpCall, ir.OpCallVirt, ir.OpReturn, ir.OpSpawn, ir.OpJoin:
+		if op := b.Instrs[i].Op; op == ir.OpSpawn || op == ir.OpJoin {
 			return false
-		default:
-			if op.IsTerminator() != (i == n-1) {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// wellFormed reports whether b ends in its only terminator.
+func wellFormed(b *ir.Block) bool {
+	n := len(b.Instrs)
+	for i := range b.Instrs {
+		if b.Instrs[i].IsTerminator() != (i == n-1) {
+			return false
+		}
+	}
+	return n > 0
 }
 
 // fuseBlock translates one fusible block into a fused stream, greedily
@@ -485,7 +520,7 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 	if len(ins) > 0xFFFF {
 		return nil
 	}
-	fb := &fusedBlock{}
+	fb := &fusedBlock{resume: make([]uint16, len(ins))}
 	kinds := make(map[fuseTok]uint32)
 	for pc := 0; pc < len(ins); {
 		tok, n := matchSuper(ins, pc)
@@ -494,6 +529,10 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 			if tok == fuseInvalid {
 				return nil // an opcode with no token
 			}
+		}
+		fb.resume[pc] = uint16(len(fb.code))
+		for k := 1; k < n; k++ {
+			fb.resume[pc+k] = noResume
 		}
 		fi := fInstr{tok: tok, n: uint8(n), pc: uint16(pc)}
 		var ok bool
@@ -520,6 +559,11 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 	}
 	return fb
 }
+
+// noResume marks a resume entry inside a superinstruction. Token
+// indices stay below it because a stream covers at most 0xFFFF
+// instructions.
+const noResume = 0xFFFF
 
 // baseToks maps each fusible opcode to its base token; fuseInvalid
 // marks opcodes the fused tier cannot represent.
@@ -562,6 +606,9 @@ var baseToks = [ir.NumOpcodes]fuseTok{
 	ir.OpBranch:       fBranch,
 	ir.OpCheck:        fCheck,
 	ir.OpLoopCheck:    fLoopCheck,
+	ir.OpCall:         fCall,
+	ir.OpCallVirt:     fCall,
+	ir.OpReturn:       fReturn,
 }
 
 // cmpBrToks maps a comparison opcode to its fused compare+branch token.
@@ -654,7 +701,8 @@ func matchSuper(ins []ir.Instr, pc int) (fuseTok, int) {
 func opSlots(in *ir.Instr) (s1, s2, s3 int16, ok bool) {
 	switch in.Op {
 	case ir.OpNop, ir.OpYield, ir.OpJump, ir.OpIO,
-		ir.OpProbe, ir.OpCheckedProbe, ir.OpCheck, ir.OpLoopCheck:
+		ir.OpProbe, ir.OpCheckedProbe, ir.OpCheck, ir.OpLoopCheck,
+		ir.OpCall, ir.OpCallVirt, ir.OpReturn:
 		return 0, 0, 0, true
 	case ir.OpConst:
 		s1, ok = reg16(in.Dst)
@@ -707,13 +755,77 @@ func field16(f int) (int16, bool) {
 	return int16(f), true
 }
 
-// runFusedBlocks executes a chain of fused blocks starting at f.Block,
-// whose stream is fb (f.PC == 0, cost scale 1), charging cycles and
-// instruction counts a block at a time. It returns the updated local
-// counters plus how the caller should proceed: err != nil means trap or
-// cancellation (counters already flushed), sched means runThread should
-// return (true, nil) (counters already flushed), and otherwise dispatch
-// continues per instruction at f.Block/f.PC.
+// fusedExit says how runFusedBlocks left its loop. The frame switches
+// runFused handles come last.
+type fusedExit uint8
+
+const (
+	// exitInstr: continue per instruction at f.Block/f.PC.
+	exitInstr fusedExit = iota
+	// exitSched: runThread returns (true, nil).
+	exitSched
+	// exitCall: the call at f.PC is charged; runFused pushes its frame.
+	exitCall
+	// exitReturn: the return at f.PC is charged; runFused pops f.
+	exitReturn
+)
+
+// runFused runs fused code in frame f from token ti of its block's
+// stream fb (cost scale 1) until it has to leave the fused tier. It is
+// the trampoline around runFusedBlocks: at a call token it pushes the
+// callee's frame and continues in the callee's entry stream, and at a
+// return token it pops f and continues in the caller's stream at the
+// token after the call, each through the path per-instruction dispatch
+// uses (call, ret). It returns the updated local counters plus how the
+// caller should proceed: err != nil means trap or cancellation
+// (counters already flushed), sched means runThread should return
+// (true, nil) (counters already flushed), and otherwise dispatch
+// continues per instruction at the top frame's Block and PC.
+func (v *VM) runFused(t *Thread, f *Frame, fb *fusedBlock, ti int, cycles, icount uint64) (uint64, uint64, bool, error) {
+	start := icount
+	var exit fusedExit
+	var err error
+	for {
+		if ti == 0 {
+			fb.execs++
+		} else {
+			// Mid-block entry keeps the block-start base.
+			p := fb.code[ti].pc
+			cycles -= fb.prefix[p]
+			icount -= uint64(p)
+		}
+		cycles, icount, exit, err = v.runFusedBlocks(t, f, fb, fb.code[ti:], cycles, icount)
+		if err != nil || exit < exitCall {
+			break
+		}
+		in := &f.Block.Instrs[f.PC]
+		if exit == exitCall {
+			if f, cycles, err = v.call(t, f, in, cycles, icount); err != nil {
+				break
+			}
+		} else if f, cycles = v.ret(t, f, in, cycles, icount); f == nil {
+			exit = exitSched
+			break
+		} else {
+			f.PC++ // step past the call
+		}
+		if fb = v.fuse[f.Block.GID]; fb == nil || f.costScale != 1 {
+			exit = exitInstr
+			break
+		}
+		ti = int(fb.resume[f.PC])
+	}
+	v.fusedInstrs += icount - start
+	return cycles, icount, exit == exitSched, err
+}
+
+// runFusedBlocks executes a chain of fused blocks in frame f, starting
+// with code, a suffix of f.Block's stream fb, whose first token starts
+// at original pc p with the counters lowered by prefix[p] and p. It
+// charges cycles and instruction counts a block at a time and never
+// switches frames: a call or return token ends it. It returns the
+// updated local counters plus how it left (fusedExit); err != nil
+// means trap or cancellation (counters already flushed).
 //
 // Within a block, cost additions that merely accumulate (OpIO, the
 // OpNewArray zeroing charge, a checked probe's check, a probe's payload
@@ -722,12 +834,10 @@ func field16(f int) (int16, bool) {
 // value. Early exits charge prefix[pc+1]: the cost of every instruction
 // up to and including the current one, matching the reference's
 // charge-before-execute order.
-func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount uint64) (uint64, uint64, bool, error) {
+func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, cycles, icount uint64) (uint64, uint64, fusedExit, error) {
 	regs := f.Regs
 	limit := v.cfg.MaxCycles
 	quantum := v.quantum
-	code := fb.code
-	fb.execs++
 	var tgt int // taken target index
 	for {
 		for pc := 0; pc < len(code); pc++ {
@@ -867,7 +977,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 					icount += uint64(in.pc) + 1
 					v.quantum = quantum
 					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, true, nil
+					return cycles, icount, exitSched, nil
 				}
 
 			// The framework's own opcodes. cycles + prefix[pc+1] is the
@@ -938,6 +1048,16 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 					tgt = 0
 				}
 				goto transfer
+
+			// Frame switches leave the loop for runFused.
+			case fCall:
+				f.PC = int(in.pc)
+				v.quantum = quantum
+				return cycles + fb.prefix[int(in.pc)+1], icount + uint64(in.pc) + 1, exitCall, nil
+			case fReturn:
+				f.PC = int(in.pc)
+				v.quantum = quantum
+				return cycles + fb.total, icount + fb.count, exitReturn, nil
 
 			// ---- superinstructions ----
 
@@ -1079,7 +1199,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 					icount += uint64(in.pc) + 1
 					v.quantum = quantum
 					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, true, nil
+					return cycles, icount, exitSched, nil
 				}
 				tgt = 0
 				goto transfer
@@ -1108,7 +1228,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 					icount += uint64(in.pc) + 2
 					v.quantum = quantum
 					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, true, nil
+					return cycles, icount, exitSched, nil
 				}
 				tgt = 0
 				goto transfer
@@ -1219,7 +1339,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 			}
 		}
 		// Unreachable: fuseBlock always emits a terminator token last,
-		// and every terminator jumps to transfer.
+		// and every terminator jumps to transfer or returns.
 		return v.fusedTrap(t, f, 0, fb.prefix, cycles, icount, quantum, "fused dispatch: stream without terminator")
 
 	transfer:
@@ -1228,7 +1348,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 		nfb := fb.next[tgt]
 		if nfb == nil {
 			v.quantum = quantum
-			return v.leaveFused(t, f, fb, tgt, cycles, icount)
+			return v.leaveFused(t, f, tgt, cycles, icount)
 		}
 		if fb.mask&(1<<uint(tgt)) != 0 {
 			v.stats.Backedges++
@@ -1242,7 +1362,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 		}
 		if cycles > limit {
 			v.quantum = quantum
-			return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
+			return cycles, icount, exitInstr, v.trapBudgetAt(t, cycles, icount)
 		}
 		fb = nfb
 		fb.execs++
@@ -1255,24 +1375,9 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount 
 // lies across a sampling-episode boundary. It performs the transfer the
 // way per-instruction dispatch does — the OnTransfer hook sees the source
 // block — and returns runFusedBlocks' results.
-func (v *VM) leaveFused(t *Thread, f *Frame, fb *fusedBlock, tgt int, cycles, icount uint64) (uint64, uint64, bool, error) {
-	if v.obs != nil {
-		v.observeTransfer(t, f, &f.Block.Instrs[len(f.Block.Instrs)-1], tgt, cycles)
-	}
-	if fb.mask&(1<<uint(tgt)) != 0 {
-		v.stats.Backedges++
-	}
-	b := fb.targets[tgt]
-	f.Block, f.PC = b, 0
-	if v.ic != nil {
-		v.cycles = cycles
-		v.touchCode(b)
-		cycles = v.cycles
-	}
-	if cycles > v.cfg.MaxCycles {
-		return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
-	}
-	return cycles, icount, false, nil
+func (v *VM) leaveFused(t *Thread, f *Frame, tgt int, cycles, icount uint64) (uint64, uint64, fusedExit, error) {
+	cycles, err := v.transfer(t, f, &f.Block.Instrs[len(f.Block.Instrs)-1], tgt, cycles, icount)
+	return cycles, icount, exitInstr, err
 }
 
 // wakeYield delivers a due OnYield from a fused yieldpoint at its exact
@@ -1290,23 +1395,23 @@ func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
 // fusedCancel is the cold cancellation exit of runFusedBlocks at the
 // observation point (yieldpoint or check) at original pc, which stays
 // the frame's resume pc.
-func (v *VM) fusedCancel(f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, bool, error) {
+func (v *VM) fusedCancel(f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
 	cycles += prefix[pc+1]
 	icount += uint64(pc) + 1
 	v.quantum = quantum
 	f.PC = pc
-	return cycles, icount, false, v.stopCancelled(cycles, icount)
+	return cycles, icount, exitInstr, v.stopCancelled(cycles, icount)
 }
 
 // fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the
 // exact per-instruction counters for the partially executed block,
 // flushes everything the per-instruction path keeps current, and builds
 // the trap.
-func (v *VM) fusedTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, bool, error) {
+func (v *VM) fusedTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, fusedExit, error) {
 	cycles += prefix[pc+1]
 	icount += uint64(pc) + 1
 	v.quantum = quantum
 	f.PC = pc
 	v.cycles, v.stats.Instrs = cycles, icount
-	return cycles, icount, false, v.trap(t, reason)
+	return cycles, icount, exitInstr, v.trap(t, reason)
 }

@@ -289,8 +289,9 @@ func overflowLoop(big ir.Reg, iters, trapAt int64, threads int) func() *ir.Progr
 // register beyond the fused encoding's int16 range end to end: to
 // completion, with a trap inside the overflowing block, and with two
 // threads rotating at its yieldpoint. The block must stay unfused (its
-// pure neighbours still fuse) and every run must match the reference
-// dispatcher bit for bit.
+// neighbours still fuse, the return block and a main that only calls
+// included) and every run must match the reference dispatcher bit for
+// bit.
 func TestFuseBlockOperandOverflow(t *testing.T) {
 	const big, iters = 0x9C40, 40 // register 40000 > 0x7FFF
 	cases := []struct {
@@ -316,15 +317,20 @@ func TestFuseBlockOperandOverflow(t *testing.T) {
 			} else {
 				requireIdenticalResult(t, rs, errs)
 			}
-			// entry and M fuse, L does not.
-			if fs := ms[0].FusionStats(); fs.FusedBlocks != 2 || fs.Instrs == 0 {
-				t.Fatalf("want exactly entry and M fused and run, got %+v", fs)
+			// entry, M and the return block done fuse, L does not; so
+			// does main's entry unless it spawns and joins.
+			want := 3
+			if tc.threads == 1 {
+				want = 4
+			}
+			if fs := ms[0].FusionStats(); fs.FusedBlocks != want || fs.Instrs == 0 {
+				t.Fatalf("want exactly entry, M, done and (single-threaded) main's entry fused and run, got %+v", fs)
 			}
 			// Control: the same program with a small register fuses L too.
 			ctl := vm.New(overflowLoop(8, iters, tc.trapAt, tc.threads)(), cfg)
 			_, _ = ctl.Run() // the trap case traps; only the stream count matters here
-			if fs := ctl.FusionStats(); fs.FusedBlocks != 3 {
-				t.Fatalf("control run fused %d blocks, want 3", fs.FusedBlocks)
+			if fs := ctl.FusionStats(); fs.FusedBlocks != want+1 {
+				t.Fatalf("control run fused %d blocks, want %d", fs.FusedBlocks, want+1)
 			}
 		})
 	}
@@ -579,47 +585,92 @@ func TestFusedWakeQuantum(t *testing.T) {
 // fused tier must carry more than half the executed instructions, and
 // superinstructions more than a quarter of the fused tier. Instrumented
 // code (call-edge + field-access, exhaustive or sampled every 1000
-// checks) must keep at least 85% on the fused tier: probes and checks
-// run inside fused streams, so only calls and returns leave them.
+// checks) must keep at least 85% on the fused tier: probes, checks,
+// calls and returns all run inside fused streams.
 func TestFusedFractionCompress(t *testing.T) {
-	legs := []struct {
-		name  string
-		inst  bool
-		fw    *core.Options
-		floor float64
-	}{
-		{"uninstrumented", false, nil, 0.5},
-		{"exhaustive", true, nil, 0.85},
-		{"full-dup", true, &core.Options{Variation: core.FullDuplication}, 0.85},
-		{"nodup", true, &core.Options{Variation: core.NoDuplication}, 0.85},
-	}
-	for _, leg := range legs {
+	for _, leg := range fractionLegs {
 		t.Run(leg.name, func(t *testing.T) {
-			opts := compile.Options{Framework: leg.fw}
-			if leg.inst {
-				opts.Instrumenters = []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}}
-			}
-			res, err := compile.Compile(bench.Compress(0.01), opts)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			m := vm.New(res.Prog, vm.Config{Handlers: res.Handlers, Trigger: trigger.NewCounter(1000), MaxCycles: 1 << 33})
-			if _, err := m.Run(); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			fs, total := m.FusionStats(), m.Stats().Instrs
-			if total == 0 || fs.Instrs == 0 {
-				t.Fatalf("no instructions attributed: fs=%+v total=%d", fs, total)
+			fs, total := fractionRun(t, bench.Compress(0.01), leg.inst, leg.fw)
+			floor := 0.85
+			if !leg.inst {
+				floor = 0.5
 			}
 			share := float64(fs.Instrs) / float64(total)
-			if share < leg.floor {
-				t.Errorf("fused tier carried %.1f%% of instructions, want >= %.0f%%", share*100, leg.floor*100)
+			if share < floor {
+				t.Errorf("fused tier carried %.1f%% of instructions, want >= %.0f%%", share*100, floor*100)
 			}
 			t.Logf("fused tier carried %.1f%% of instructions", share*100)
 			if frac := float64(fs.Fused) / float64(fs.Instrs); !leg.inst && frac < 0.25 {
 				t.Errorf("fused-dispatch fraction %.1f%%, want >= 25%%", frac*100)
 			}
 		})
+	}
+}
+
+// fractionLegs are the coverage-floor tests' configurations:
+// uninstrumented, and call-edge + field-access exhaustive or under two
+// sampling variations.
+var fractionLegs = []struct {
+	name string
+	inst bool
+	fw   *core.Options
+}{
+	{"uninstrumented", false, nil},
+	{"exhaustive", true, nil},
+	{"full-dup", true, &core.Options{Variation: core.FullDuplication}},
+	{"nodup", true, &core.Options{Variation: core.NoDuplication}},
+}
+
+// fractionRun compiles prog for one leg, runs it on the fast path with
+// a counter trigger sampling every 1000 checks, and returns the fusion
+// coverage and the executed instruction count.
+func fractionRun(t *testing.T, prog *ir.Program, inst bool, fw *core.Options) (vm.FusionStats, uint64) {
+	t.Helper()
+	opts := compile.Options{Framework: fw}
+	if inst {
+		opts.Instrumenters = []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}}
+	}
+	res, err := compile.Compile(prog, opts)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	m := vm.New(res.Prog, vm.Config{Handlers: res.Handlers, Trigger: trigger.NewCounter(1000), MaxCycles: 1 << 33})
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	fs, total := m.FusionStats(), m.Stats().Instrs
+	if total == 0 || fs.Instrs == 0 {
+		t.Fatalf("no instructions attributed: fs=%+v total=%d", fs, total)
+	}
+	return fs, total
+}
+
+// TestFusedFractionCalls is TestFusedFractionCompress for the
+// call-heavy suite programs: calls and returns end fused segments
+// instead of unfusing their blocks, so at least 99% of the executed
+// instructions run fused, uninstrumented and instrumented. Only pbob's
+// main, which spawns and joins, runs per instruction. FusionStats.Instrs
+// is exact, so on a program whose every executed block fuses it equals
+// Stats.Instrs: mid-block resumes after calls never count a block twice.
+func TestFusedFractionCalls(t *testing.T) {
+	for _, name := range []string{"jess", "javac", "mtrt", "optc", "pbob"} {
+		for _, leg := range fractionLegs {
+			t.Run(name+"/"+leg.name, func(t *testing.T) {
+				b, err := bench.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, total := fractionRun(t, b.Build(0.01), leg.inst, leg.fw)
+				share := float64(fs.Instrs) / float64(total)
+				if share < 0.99 {
+					t.Errorf("fused tier carried %.2f%% of instructions, want >= 99%%", share*100)
+				}
+				if name != "pbob" && fs.Instrs != total {
+					t.Errorf("fused tier retired %d of %d instructions, want all", fs.Instrs, total)
+				}
+				t.Logf("fused tier carried %.3f%% of instructions", share*100)
+			})
+		}
 	}
 }
 
@@ -770,12 +821,13 @@ func sampledRun(iters int64, trig trigger.Trigger, obs *wakeObserver, reference 
 	return m, h, res, err
 }
 
-// requireAllFused asserts that every instruction but the final return
-// ran on the fused tier: every check and probe stayed inside a chain.
+// requireAllFused asserts that every instruction, the final return
+// included, ran on the fused tier: every check and probe stayed inside
+// a chain.
 func requireAllFused(t *testing.T, m *vm.VM) {
 	t.Helper()
-	if fs, total := m.FusionStats(), m.Stats().Instrs; fs.Instrs != total-1 {
-		t.Fatalf("fused tier ran %d of %d instructions, want all but the return", fs.Instrs, total)
+	if fs, total := m.FusionStats(), m.Stats().Instrs; fs.Instrs != total {
+		t.Fatalf("fused tier ran %d of %d instructions, want all", fs.Instrs, total)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -20,7 +21,7 @@ func TestFInstrSize(t *testing.T) {
 		t.Fatalf("%d fused tokens overflow the uint8 token space", n)
 	}
 	for tok := range superNames {
-		if tok < fuseNumToks && tok > fLoopCheck {
+		if tok < fuseNumToks && tok > fReturn {
 			continue
 		}
 		t.Errorf("superNames names token %d, which is not a superinstruction token", tok)
@@ -109,6 +110,35 @@ func TestFuseBlockMatching(t *testing.T) {
 	}
 	if fb := fuseBlock(mk(1)); len(fb.code) != 2 || fb.code[0].tok != fCmpLT || fb.code[1].tok != fBranch {
 		t.Errorf("br on an unrelated register fused anyway: %+v", fb.code)
+	}
+
+	// A call is a single base token between superinstructions, the
+	// return a terminator token, and resume maps every token start:
+	// the pc after the call must start one, for the caller's resume.
+	leaf := ir.NewFunc("leaf", 0)
+	leaf.At(leaf.EntryBlock()).Return(ir.NoReg)
+	cb := ir.NewFunc("main", 0)
+	entry := cb.EntryBlock()
+	entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 2})
+	entry.Append(ir.Instr{Op: ir.OpAdd, Dst: 2, A: 1, B: 1})
+	entry.Append(ir.Instr{Op: ir.OpCall, Dst: 3, Method: leaf.M})
+	entry.Append(ir.Instr{Op: ir.OpConst, Dst: 4, Imm: 3})
+	entry.Append(ir.Instr{Op: ir.OpAdd, Dst: 5, A: 4, B: 3})
+	entry.Append(ir.Instr{Op: ir.OpReturn, A: 5})
+	(&ir.Program{Name: "call", Funcs: []*ir.Method{leaf.M, cb.M}, Main: cb.M}).Seal()
+	if !fusible(entry) {
+		t.Fatal("a block with a call and a return is not fusible")
+	}
+	fb = fuseBlock(entry)
+	var got []fuseTok
+	for _, fi := range fb.code {
+		got = append(got, fi.tok)
+	}
+	if !slices.Equal(got, []fuseTok{fConstAdd, fCall, fConstAdd, fReturn}) {
+		t.Fatalf("call block fused to %+v", fb.code)
+	}
+	if want := []uint16{0, noResume, 1, 2, noResume, 3}; !slices.Equal(fb.resume, want) {
+		t.Errorf("resume = %v, want %v", fb.resume, want)
 	}
 }
 

@@ -29,37 +29,40 @@ import (
 //   - The frame position (f.PC) is tracked in a local and written back
 //     only where something else can observe it: traps, probes, calls,
 //     and scheduler returns.
-//   - Every entry into a block with a fused stream (thread entry at pc
-//     0, calls and block transfers, at cost scale 1) hands the chain of
-//     fused blocks to runFusedBlocks (fuse.go); all other blocks run
-//     here, one instruction per dispatch.
+//   - Wherever the thread enters a block or resumes a frame (thread
+//     entry, calls, returns and block transfers) at a pc where a token
+//     of the block's fused stream starts, at cost scale 1, the one
+//     fused-tier entry, at the enter label, hands execution to runFused
+//     (fuse.go), which may run many blocks and frames; all other code
+//     runs here, one instruction per dispatch.
 func (v *VM) runThread(t *Thread) (bool, error) {
 	f := t.Top()
 	if f.PC == 0 {
 		v.touchCode(f.Block)
 	}
-	limit := v.cfg.MaxCycles
 	cycles := v.cycles
 	icount := v.stats.Instrs
-	if cycles > limit {
+	if cycles > v.cfg.MaxCycles {
 		return false, v.trapBudgetAt(t, cycles, icount)
 	}
-	regs := f.Regs
-	instrs := f.Block.Instrs
 	pc := f.PC
-	scale := f.costScale
-	if fb := v.fuse[f.Block.GID]; fb != nil && pc == 0 && scale == 1 {
+enter:
+	if fb := v.fuse[f.Block.GID]; fb != nil && f.costScale == 1 && fb.resume[pc] != noResume {
 		var sched bool
 		var err error
-		cycles, icount, sched, err = v.runFusedBlocks(t, f, fb, cycles, icount)
+		cycles, icount, sched, err = v.runFused(t, f, fb, int(fb.resume[pc]), cycles, icount)
 		if err != nil {
 			return false, err
 		}
 		if sched {
 			return true, nil
 		}
-		instrs, pc = f.Block.Instrs, 0
+		f = t.Top()
+		pc = f.PC
 	}
+	regs := f.Regs
+	instrs := f.Block.Instrs
+	scale := f.costScale
 	for {
 		in := &instrs[pc]
 		// The uint32 multiply intentionally wraps before widening,
@@ -67,6 +70,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 		cycles += uint64(v.costTab[in.Op] * scale)
 		icount++
 
+		var tgt int // a terminator's taken target
 		switch in.Op {
 		case ir.OpNop:
 
@@ -180,72 +184,14 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			}
 			regs[in.Dst] = Value{I: int64(len(a.Elems))}
 
-		case ir.OpCall:
+		case ir.OpCall, ir.OpCallVirt:
 			f.PC = pc
-			v.cycles, v.stats.Instrs = cycles, icount
-			nf, err := v.pushCall(t, f, in, in.Method)
-			if err != nil {
+			var err error
+			if f, cycles, err = v.call(t, f, in, cycles, icount); err != nil {
 				return false, err
 			}
-			cycles = v.cycles // i-cache touch may have charged misses
-			f = nf
-			regs = nf.Regs
-			instrs = nf.Block.Instrs
 			pc = 0
-			scale = nf.costScale
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
-		case ir.OpCallVirt:
-			recv := regs[in.Args[0]].R
-			if recv == nil || recv.Class == nil {
-				return false, v.trapAt(t, f, pc, cycles, icount, "callvirt on null or classless receiver")
-			}
-			m, ok := recv.Class.Lookup(in.Name)
-			if !ok {
-				return false, v.trapAt(t, f, pc, cycles, icount, fmt.Sprintf("no method %s on class %s", in.Name, recv.Class.Name))
-			}
-			f.PC = pc
-			v.cycles, v.stats.Instrs = cycles, icount
-			nf, err := v.pushCall(t, f, in, m)
-			if err != nil {
-				return false, err
-			}
-			cycles = v.cycles
-			f = nf
-			regs = nf.Regs
-			instrs = nf.Block.Instrs
-			pc = 0
-			scale = nf.costScale
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
+			goto enter
 
 		case ir.OpSpawn:
 			m := in.Method
@@ -327,191 +273,61 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			}
 
 		case ir.OpJump:
-			if v.obs != nil {
-				v.observeTransfer(t, f, in, 0, cycles)
-			}
-			v.countBackedge(in, 0)
-			b := in.Targets[0]
-			f.Block, f.PC = b, 0
-			instrs, pc = b.Instrs, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
+			goto transfer
 		case ir.OpBranch:
-			i := 1
+			tgt = 1
 			if regs[in.A].I != 0 {
-				i = 0
+				tgt = 0
 			}
-			if v.obs != nil {
-				v.observeTransfer(t, f, in, i, cycles)
-			}
-			v.countBackedge(in, i)
-			b := in.Targets[i]
-			f.Block, f.PC = b, 0
-			instrs, pc = b.Instrs, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
-
+			goto transfer
 		case ir.OpCheck:
 			if v.cancelled() {
 				f.PC = pc
 				return false, v.stopCancelled(cycles, icount)
 			}
 			v.stats.Checks++
-			target := 1
+			tgt = 1
 			if v.trig.Poll(t.ID, cycles) {
 				v.stats.CheckFires++
 				v.stats.DupEntries++
 				if v.cfg.IterBudget > 0 {
 					f.IterBudget = v.cfg.IterBudget
 				}
-				target = 0
+				tgt = 0
 			}
 			if v.obs != nil {
-				v.observeCheck(t, f, in, target == 0, cycles)
-				v.observeTransfer(t, f, in, target, cycles)
+				v.observeCheck(t, f, in, tgt == 0, cycles)
 			}
-			v.countBackedge(in, target)
-			b := in.Targets[target]
-			f.Block, f.PC = b, 0
-			instrs, pc = b.Instrs, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
+			goto transfer
 		case ir.OpLoopCheck:
 			v.stats.LoopChecks++
 			f.IterBudget--
-			target := 1
+			tgt = 1
 			if f.IterBudget > 0 {
-				target = 0
+				tgt = 0
 			}
-			if v.obs != nil {
-				v.observeTransfer(t, f, in, target, cycles)
-			}
-			v.countBackedge(in, target)
-			b := in.Targets[target]
-			f.Block, f.PC = b, 0
-			instrs, pc = b.Instrs, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				return false, v.trapBudgetAt(t, cycles, icount)
-			}
-			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
-				var sched bool
-				var perr error
-				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
-				if perr != nil {
-					return false, perr
-				}
-				if sched {
-					return true, nil
-				}
-				instrs, pc = f.Block.Instrs, 0
-			}
-			continue
+			goto transfer
 
 		case ir.OpReturn:
-			var ret Value
-			if in.A != ir.NoReg {
-				ret = regs[in.A]
-			}
-			retDst := f.RetDst
-			if v.obs != nil {
-				v.observeExit(t, f, cycles)
-			}
-			t.Frames = t.Frames[:len(t.Frames)-1]
-			v.releaseFrame(f)
-			if len(t.Frames) == 0 {
-				t.State = StateDone
-				t.Result = ret
-				v.cycles, v.stats.Instrs = cycles, icount
-				for _, w := range t.waiters {
-					if w.State == StateBlocked {
-						w.State = StateRunnable
-						v.runq.push(w)
-					}
-				}
-				t.waiters = nil
+			if f, cycles = v.ret(t, f, in, cycles, icount); f == nil {
 				return true, nil
 			}
-			f = t.Top()
-			if retDst != ir.NoReg {
-				f.Regs[retDst] = ret
-			}
-			regs = f.Regs
-			scale = f.costScale
-			instrs = f.Block.Instrs
 			pc = f.PC + 1 // step past the call
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(f.Block)
-				cycles = v.cycles
-			}
-			continue
+			goto enter
 
 		default:
 			return false, v.trapAt(t, f, pc, cycles, icount, fmt.Sprintf("unimplemented opcode %s", in.Op))
 		}
 		pc++
+		continue
+
+	transfer:
+		var err error
+		if cycles, err = v.transfer(t, f, in, tgt, cycles, icount); err != nil {
+			return false, err
+		}
+		pc = 0
+		goto enter
 	}
 }
 
@@ -531,16 +347,31 @@ func (v *VM) trapBudgetAt(t *Thread, cycles, icount uint64) error {
 	return v.trap(t, fmt.Sprintf("cycle budget exhausted (%d)", v.cfg.MaxCycles))
 }
 
-// pushCall pushes a frame for m onto t, copying argument registers
-// directly from the caller's frame into the (pooled) callee registers.
-// The caller must have synced f.PC and the cycle counter, so traps,
-// call-stack walks and the i-cache touch see current state.
-func (v *VM) pushCall(t *Thread, f *Frame, in *ir.Instr, m *ir.Method) (*Frame, error) {
+// call performs the call in at f.PC, which the caller has charged,
+// for both tiers: it resolves a virtual call (with the reference's
+// null-receiver and missing-method traps), pushes a frame for the callee
+// with the argument registers copied straight from f into the (pooled)
+// callee registers, delivers OnEnter, touches the callee's entry block
+// and checks the cycle budget. It returns the new frame and the cycle
+// counter, which the i-cache touch may have raised.
+func (v *VM) call(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Frame, uint64, error) {
+	m := in.Method
+	if in.Op == ir.OpCallVirt {
+		recv := f.Regs[in.Args[0]].R
+		if recv == nil || recv.Class == nil {
+			return nil, cycles, v.trapAt(t, f, f.PC, cycles, icount, "callvirt on null or classless receiver")
+		}
+		var ok bool
+		if m, ok = recv.Class.Lookup(in.Name); !ok {
+			return nil, cycles, v.trapAt(t, f, f.PC, cycles, icount, fmt.Sprintf("no method %s on class %s", in.Name, recv.Class.Name))
+		}
+	}
+	v.cycles, v.stats.Instrs = cycles, icount
 	if len(t.Frames) >= v.cfg.MaxStack {
-		return nil, v.trap(t, fmt.Sprintf("stack overflow (depth %d)", len(t.Frames)))
+		return nil, cycles, v.trap(t, fmt.Sprintf("stack overflow (depth %d)", len(t.Frames)))
 	}
 	if len(in.Args) != m.NumParams {
-		return nil, v.trap(t, fmt.Sprintf("call %s with %d args, wants %d", m.FullName(), len(in.Args), m.NumParams))
+		return nil, cycles, v.trap(t, fmt.Sprintf("call %s with %d args, wants %d", m.FullName(), len(in.Args), m.NumParams))
 	}
 	nf := v.acquireFrame(m, in.Dst, f.Method, int(in.Imm))
 	for i, r := range in.Args {
@@ -552,7 +383,76 @@ func (v *VM) pushCall(t *Thread, f *Frame, in *ir.Instr, m *ir.Method) (*Frame, 
 		v.observeEnter(t, nf)
 	}
 	v.touchCode(nf.Block)
-	return nf, nil
+	if v.cycles > v.cfg.MaxCycles {
+		return nil, v.cycles, v.trapBudgetAt(t, v.cycles, icount)
+	}
+	return nf, v.cycles, nil
+}
+
+// ret performs the return in ending frame f, the top of t, which the
+// caller has charged, for both tiers: it delivers OnExit, pops and
+// recycles f and writes the return value into the caller's RetDst
+// register. When the stack empties it finishes the thread, wakes its
+// joiners, flushes the counters and returns a nil frame. Otherwise it
+// touches the caller's block and returns the caller, whose PC is still
+// the call's, and the cycle counter.
+func (v *VM) ret(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Frame, uint64) {
+	var r Value
+	if in.A != ir.NoReg {
+		r = f.Regs[in.A]
+	}
+	retDst := f.RetDst
+	if v.obs != nil {
+		v.observeExit(t, f, cycles)
+	}
+	t.Frames = t.Frames[:len(t.Frames)-1]
+	v.releaseFrame(f)
+	if len(t.Frames) == 0 {
+		t.State = StateDone
+		t.Result = r
+		v.cycles, v.stats.Instrs = cycles, icount
+		for _, w := range t.waiters {
+			if w.State == StateBlocked {
+				w.State = StateRunnable
+				v.runq.push(w)
+			}
+		}
+		t.waiters = nil
+		return nil, cycles
+	}
+	f = t.Top()
+	if retDst != ir.NoReg {
+		f.Regs[retDst] = r
+	}
+	if v.ic != nil {
+		v.cycles = cycles
+		v.touchCode(f.Block)
+		cycles = v.cycles
+	}
+	return f, cycles
+}
+
+// transfer performs the transfer of f's terminator in to its target tgt
+// for both tiers: it delivers OnTransfer (the hook sees the source
+// block), counts a backedge, enters and touches the target block and
+// checks the cycle budget. It returns the cycle counter, which the
+// i-cache touch may have raised.
+func (v *VM) transfer(t *Thread, f *Frame, in *ir.Instr, tgt int, cycles, icount uint64) (uint64, error) {
+	if v.obs != nil {
+		v.observeTransfer(t, f, in, tgt, cycles)
+	}
+	v.countBackedge(in, tgt)
+	b := in.Targets[tgt]
+	f.Block, f.PC = b, 0
+	if v.ic != nil {
+		v.cycles = cycles
+		v.touchCode(b)
+		cycles = v.cycles
+	}
+	if cycles > v.cfg.MaxCycles {
+		return cycles, v.trapBudgetAt(t, cycles, icount)
+	}
+	return cycles, nil
 }
 
 func (v *VM) countBackedge(in *ir.Instr, target int) {

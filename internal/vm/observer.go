@@ -38,9 +38,11 @@ import (
 // Hooks run synchronously on the VM's goroutine. They must not mutate
 // VM state and must not retain *Frame or Frame.Regs/Scratch past the
 // call: the fast path pools frames (DESIGN.md §7), so a retained pointer
-// is recycled by a later call. On the fast path Frame.PC may be stale at
-// hook time (the dispatcher tracks it lazily); observers must not read
-// it.
+// is recycled by a later call. Nor may they read a register the program
+// has not written: a recycled frame zeroes only the registers its
+// method can read before writing them. On the fast path Frame.PC may be
+// stale at hook time (the dispatcher tracks it lazily); observers must
+// not read it.
 //
 // Timestamps: at every hook the VM's cycle counter is current — the fast
 // path flushes its lazily tracked counter before invoking any hook — so

@@ -36,10 +36,17 @@ func (s ThreadState) String() string {
 // method and call-site ID are recorded at call time so the call-edge
 // instrumentation can "examine the call stack" (§4.2) at probe cost
 // rather than interpreter cost.
+//
+// The fast path recycles frames (DESIGN.md §7): nothing may keep a
+// *Frame past the hook or handler it was handed to, and a register the
+// program has not written yet may hold a stale value, which the program
+// itself never reads.
 type Frame struct {
 	// Method is the executing method.
 	Method *ir.Method
-	// Regs are the frame's virtual registers.
+	// Regs are the frame's virtual registers. Read only registers the
+	// program has written: a recycled frame zeroes just the registers
+	// its method can read before writing them.
 	Regs []Value
 	// Scratch holds per-frame instrumentation state (e.g. the Ball–Larus
 	// path register), sized by Method.ProbeRegs.

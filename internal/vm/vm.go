@@ -39,6 +39,9 @@ type ProbeEvent struct {
 // probe so that executing a probe allocates nothing. A handler must not
 // retain ev (or any pointer into it) after HandleProbe returns, the same
 // rule that holds for *Frame (DESIGN.md §7): copy the fields it needs.
+// A handler walking ev.Thread's frames must not read a register the
+// program has not written: a recycled frame may still hold an earlier
+// frame's value there.
 type ProbeHandler interface {
 	HandleProbe(ev *ProbeEvent)
 }
@@ -202,6 +205,12 @@ type VM struct {
 	// block runs per instruction. It is per-VM: the shared ir.Program is
 	// never mutated.
 	fuse []*fusedBlock
+	// fusedInstrs counts the instructions retired on fused streams
+	// (FusionStats.Instrs).
+	fusedInstrs uint64
+	// entryLive is the Method.ID-indexed frame-clear table (see
+	// acquireFrame), built with fuse; nil clears every register.
+	entryLive []entryLive
 
 	threads []*Thread
 	runq    threadQueue // fast-path scheduler queue
@@ -269,6 +278,7 @@ func (v *VM) Run() (*Result, error) {
 	}
 	if v.fuse == nil {
 		v.buildFusion()
+		v.buildEntryLive()
 	}
 	main := v.newThread(v.prog.Main)
 	v.runq.push(main)
@@ -351,6 +361,7 @@ func (v *VM) newThread(m *ir.Method) *Thread {
 	t := &Thread{ID: len(v.threads), State: StateRunnable}
 	t.handle = &Object{Thread: t}
 	f := v.acquireFrame(m, ir.NoReg, nil, -1)
+	clear(f.Regs[:min(m.NumParams, len(f.Regs))])
 	t.Frames = append(t.Frames, f)
 	v.threads = append(v.threads, t)
 	v.stats.MethodEntries++
@@ -361,10 +372,16 @@ func (v *VM) newThread(m *ir.Method) *Thread {
 }
 
 // acquireFrame returns a frame for m, reusing the free list when
-// possible. Registers and scratch slots are zeroed (the zero register
-// state is part of the IR semantics: an unwritten register reads as 0 /
-// null); callers copy arguments into Regs directly, with no intermediate
-// slice. The frame returns to the pool when popped (releaseFrame).
+// possible. The zero register state is part of the IR semantics (an
+// unwritten register reads as 0 / null), so a recycled frame zeroes
+// every non-parameter register live at m's entry: the only ones the
+// method can read before writing them. Callers copy arguments into
+// the parameter registers directly, with no intermediate slice; every
+// other register is written before any read, so its stale value is
+// never seen (the Observer and ProbeHandler rule: read only registers
+// the program has written). A method missing from the entryLive table
+// gets every register zeroed. Scratch slots are always zeroed. The
+// frame returns to the pool when popped (releaseFrame).
 func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site int) *Frame {
 	var f *Frame
 	if n := len(v.freeFrames); n > 0 {
@@ -376,7 +393,13 @@ func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site i
 	}
 	if cap(f.Regs) >= m.NumRegs {
 		f.Regs = f.Regs[:m.NumRegs]
-		clear(f.Regs)
+		if id := m.ID; id >= 0 && id < len(v.entryLive) && v.entryLive[id].m == m {
+			for _, r := range v.entryLive[id].regs {
+				f.Regs[r] = Value{}
+			}
+		} else {
+			clear(f.Regs)
+		}
 	} else {
 		f.Regs = make([]Value, m.NumRegs)
 	}
@@ -406,10 +429,65 @@ func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site i
 	return f
 }
 
+// entryLive is one method's row of the frame-clear table: the method
+// and its non-parameter registers live at entry.
+type entryLive struct {
+	m    *ir.Method
+	regs []ir.Reg
+}
+
+// buildEntryLive computes the Method.ID-indexed frame-clear table once
+// per VM from ir liveness. Like buildFusion with GIDs, it leaves the
+// table empty when a method ID is out of range or two methods share
+// one, and a method whose CFG liveness cannot describe (a block not
+// ending in its only terminator, or a target outside the method) gets
+// no row; acquireFrame then zeroes every register.
+func (v *VM) buildEntryLive() {
+	ms := v.prog.Methods()
+	table := make([]entryLive, len(ms))
+	for _, m := range ms {
+		if m.ID < 0 || m.ID >= len(table) || table[m.ID].m != nil {
+			return
+		}
+		table[m.ID].m = m
+	}
+	for _, m := range ms {
+		lv := m.ComputeLiveness()
+		if !livenessExact(m, lv) {
+			table[m.ID].m = nil
+			continue
+		}
+		for r := m.NumParams; r < m.NumRegs; r++ {
+			if lv.LiveInAt(m.Entry(), ir.Reg(r)) {
+				table[m.ID].regs = append(table[m.ID].regs, ir.Reg(r))
+			}
+		}
+	}
+	v.entryLive = table
+}
+
+// livenessExact reports whether lv covers every path the VM can take
+// through m: each block ends in its only terminator, and every target
+// is a block of m.
+func livenessExact(m *ir.Method, lv *ir.Liveness) bool {
+	for _, b := range m.Blocks {
+		if !wellFormed(b) {
+			return false
+		}
+		for _, s := range b.Succs() {
+			if _, ok := lv.LiveIn[s]; !ok {
+				return false
+			}
+		}
+	}
+	return len(m.Blocks) > 0
+}
+
 // releaseFrame recycles a popped frame. The registers are cleared lazily
-// on the next acquire; until then the pooled slices may pin heap objects
-// the program no longer references, which is an accepted trade for a
-// simulator whose heap dies with the run.
+// on the next acquire, as far as the next method can read them; until
+// then, and past it, the pooled slices may pin heap objects the program
+// no longer references, which is an accepted trade for a simulator
+// whose heap dies with the run.
 func (v *VM) releaseFrame(f *Frame) {
 	v.freeFrames = append(v.freeFrames, f)
 }
