@@ -32,8 +32,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The experiment engine runs measurement cells on concurrent goroutines,
-# the VM's differential tests run parallel subtests over the frame pools
+# The experiment engine runs measurement cells on concurrent goroutines
+# that share compiled programs through its program table, the VM's
+# differential tests run parallel subtests over the frame pools
 # and scheduler, the oracle tests exercise the observer hooks from
 # parallel seeds, the trigger tests drive fault-injected timers under
 # threaded programs, the service daemon runs its queue/worker/SSE
@@ -91,10 +92,11 @@ telemetry-smoke:
 	done
 
 # Daemon smoke: boot isampd on an ephemeral port under -race, submit a
-# job over HTTP, stream its SSE events to completion, cancel a
-# long-running job (must stop at the next observation point), validate
-# the /metrics exposition format, and drain via the SIGTERM path. Fails
-# unless go test succeeds and the PASS line appears.
+# job over HTTP, stream its SSE events to completion, submit its
+# configuration again at another interval (one program-table miss, then
+# one hit), cancel a long-running job (must stop at the next observation
+# point), validate the /metrics exposition format, and drain via the
+# SIGTERM path. Fails unless go test succeeds and the PASS line appears.
 service-smoke:
 	@out=$$($(GO) test -race -run '^TestServiceSmoke$$' -v ./cmd/isampd/) \
 		|| { echo "$$out"; exit 1; }; \

@@ -15,8 +15,9 @@ import (
 
 // TestServiceSmoke is the `make service-smoke` CI gate: the whole daemon
 // loop on an ephemeral port (under -race via the Makefile) — submit a
-// job, stream its events to completion, cancel a long-running job, and
-// validate the /metrics exposition format line by line.
+// job, stream its events to completion, repeat its configuration at
+// another interval and see the program table hit, cancel a long-running
+// job, and validate the /metrics exposition format line by line.
 func TestServiceSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -44,6 +45,17 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	if sawDone != "done" {
 		t.Errorf("event stream ended with status %q, want done", sawDone)
+	}
+
+	// The same configuration at another interval is a new cell but the
+	// same compiled program: the engine's program table serves it, one
+	// miss then one hit.
+	again := smokeSubmit(t, base, `{"bench":"db","scale":0.02,"instrument":["call-edge"],"variation":"full","interval":501,"events_interval":1024}`)
+	if _, st := smokeStream(t, base, again); st != "done" {
+		t.Errorf("repeated configuration ended with status %q, want done", st)
+	}
+	if body := smokeMetrics(t, base); !strings.Contains(body, "programs_miss 1\n") || !strings.Contains(body, "programs_hit 1\n") {
+		t.Errorf("two jobs of one configuration: want programs_miss 1 and programs_hit 1 in /metrics:\n%s", body)
 	}
 
 	// 2. Submit an effectively endless job and cancel it over HTTP; it
@@ -90,7 +102,7 @@ func TestServiceSmoke(t *testing.T) {
 			t.Errorf("metrics line violates exposition format: %q", line)
 		}
 	}
-	for _, want := range []string{"jobs_accepted 2", "jobs_completed 1", "jobs_cancelled 1", "queue_depth 0"} {
+	for _, want := range []string{"jobs_accepted 3", "jobs_completed 2", "jobs_cancelled 1", "queue_depth 0"} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
@@ -126,6 +138,21 @@ func smokeSubmit(t *testing.T, base, body string) string {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, m.Error)
 	}
 	return m.ID
+}
+
+// smokeMetrics returns the /metrics body.
+func smokeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
+	}
+	return string(body)
 }
 
 func smokeStatus(t *testing.T, base, id string) string {

@@ -15,6 +15,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"instrsample/internal/core"
@@ -66,12 +67,17 @@ type Options struct {
 	DevirtSites map[int]int
 }
 
-// Result is a compiled program plus compilation statistics.
+// Result is a compiled program plus compilation statistics. Apart from
+// Runtimes and Handlers, nothing in it changes after Compile returns:
+// the VM only reads the program, so one Result can back many runs, also
+// concurrent ones, as long as each run takes its own runtimes from
+// NewRuntimes (DESIGN.md §5, §10).
 type Result struct {
 	// Prog is the compiled program (a private clone of the input).
 	Prog *ir.Program
-	// Runtimes are the instrumentation runtimes, in owner order; plug
-	// Handlers into vm.Config.
+	// Runtimes are the instrumentation runtimes of one run, in owner
+	// order; plug Handlers into vm.Config. Compile fills them from
+	// NewRuntimes, so a program run once needs no other.
 	Runtimes []instr.Runtime
 	// Handlers is the vm.Config.Handlers slice matching Runtimes.
 	Handlers []vm.ProbeHandler
@@ -105,6 +111,21 @@ type Result struct {
 	// SitesDevirtualized is the number of virtual call sites rewritten to
 	// guarded direct calls (0 unless Options.DevirtSites).
 	SitesDevirtualized int
+
+	// instrumenters are the instances the program was instrumented
+	// with; their runtimes read what they recorded at compile time
+	// (block labels, path numberings).
+	instrumenters []instr.Instrumenter
+}
+
+// NewRuntimes returns fresh instrumentation runtimes for one run of the
+// compiled program, in owner order, with the matching vm.Config.Handlers
+// slice. Both are nil for an uninstrumented program.
+func (r *Result) NewRuntimes() ([]instr.Runtime, []vm.ProbeHandler) {
+	if len(r.instrumenters) == 0 {
+		return nil, nil
+	}
+	return instr.NewRuntimes(r.Prog, r.instrumenters)
 }
 
 // Compile clones the source program and runs the pipeline on the clone,
@@ -155,7 +176,8 @@ func Compile(src *ir.Program, opts Options) (*Result, error) {
 	// Instrumentation.
 	if len(opts.Instrumenters) > 0 {
 		instr.InstrumentMethods(p, opts.Instrumenters, opts.InstrumentFilter)
-		res.Runtimes, res.Handlers = instr.NewRuntimes(p, opts.Instrumenters)
+		res.instrumenters = slices.Clone(opts.Instrumenters)
+		res.Runtimes, res.Handlers = res.NewRuntimes()
 	}
 
 	// The sampling framework.

@@ -22,11 +22,12 @@ import (
 // cells, which lets the engine run them across a worker pool, deduplicate
 // cells shared between artifacts, and cache their results on disk.
 //
-// Cells must be pure: Run builds a fresh program, compiles it, and
-// executes it in a private VM, sharing no mutable state with any other
-// cell. Two cells with equal non-empty Keys must produce identical
-// results; the engine relies on this to memoize. A Cell with an empty Key
-// is never deduplicated or cached.
+// Cells must be pure: Run executes in a private VM with its own
+// trigger and instrumentation runtimes, sharing no mutable state with
+// any other cell; the compiled program it runs may be shared, read-only,
+// through the engine's program table. Two cells with equal non-empty
+// Keys must produce identical results; the engine relies on this to
+// memoize. A Cell with an empty Key is never deduplicated or cached.
 type Cell struct {
 	// Key canonically identifies the measurement ("" = uncacheable).
 	Key string
@@ -172,6 +173,17 @@ func (o OptsSpec) Compile(prog *ir.Program) (*compile.Result, error) {
 // packages (the profiling service's job keys) can compose cell keys from
 // the same canonical vocabulary.
 func (o OptsSpec) Key() string {
+	k := fmt.Sprintf("%s iter=%d", o.compileKey(), o.IterBudget)
+	if o.Verify {
+		// Appended only when set so pre-oracle cache entries stay valid.
+		k += " verify"
+	}
+	return k
+}
+
+// compileKey renders the fields Compile reads, the part of Key a
+// compiled program depends on.
+func (o OptsSpec) compileKey() string {
 	instrs := "-"
 	if len(o.Instr) > 0 {
 		instrs = strings.Join(o.Instr, "+")
@@ -200,13 +212,7 @@ func (o OptsSpec) Key() string {
 			checks += "me"
 		}
 	}
-	k := fmt.Sprintf("instr=%s fw=%s checks=%s inline=%v iter=%d",
-		instrs, fw, checks, o.Inline, o.IterBudget)
-	if o.Verify {
-		// Appended only when set so pre-oracle cache entries stay valid.
-		k += " verify"
-	}
-	return k
+	return fmt.Sprintf("instr=%s fw=%s checks=%s inline=%v", instrs, fw, checks, o.Inline)
 }
 
 // TriggerSpec is a pure-data description of a trigger.Trigger. Triggers
@@ -339,8 +345,8 @@ func (s TriggerSpec) Key() string {
 // measurement independently of which artifact requested it, which is what
 // lets the engine share cells across artifacts.
 func (c Config) Cell(benchName string, o OptsSpec, t TriggerSpec) Cell {
-	key := fmt.Sprintf("bench=%s scale=%g icache=%v %s %s",
-		benchName, c.Scale, c.ICache, o.Key(), t.Key())
+	key := fmt.Sprintf("%s icache=%v %s %s",
+		c.benchID(benchName), c.ICache, o.Key(), t.Key())
 	return Cell{Key: key, Run: func(ctx context.Context) (*CellResult, error) {
 		return c.runCell(ctx, benchName, o, t, 0)
 	}}
@@ -352,16 +358,23 @@ func (c Config) Cell(benchName string, o OptsSpec, t TriggerSpec) Cell {
 // part of the cell key — convergence cells never collide with standard
 // cells, and pre-telemetry cache entries stay valid.
 func (c Config) ConvergenceCell(benchName string, o OptsSpec, t TriggerSpec, convInterval uint64) Cell {
-	key := fmt.Sprintf("bench=%s scale=%g icache=%v %s %s conv=%d",
-		benchName, c.Scale, c.ICache, o.Key(), t.Key(), convInterval)
+	key := fmt.Sprintf("%s icache=%v %s %s conv=%d",
+		c.benchID(benchName), c.ICache, o.Key(), t.Key(), convInterval)
 	return Cell{Key: key, Run: func(ctx context.Context) (*CellResult, error) {
 		return c.runCell(ctx, benchName, o, t, convInterval)
 	}}
 }
 
+// benchID is a benchmark's program identity at the Config's scale, the
+// prefix of its cell keys and of its programKey.
+func (c Config) benchID(benchName string) string {
+	return fmt.Sprintf("bench=%s scale=%g", benchName, c.Scale)
+}
+
 // runCell performs the standard cell measurement through Prepare and
-// Execute on the Config's i-cache geometry; convInterval > 0 also
-// records periodic profile snapshots. Errors carry the benchmark name.
+// Execute on the Config's i-cache geometry, taking the compiled program
+// from the engine's table; convInterval > 0 also records periodic
+// profile snapshots. Errors carry the benchmark name.
 func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t TriggerSpec, convInterval uint64) (*CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -373,23 +386,21 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 	if err != nil {
 		return nil, err
 	}
-	cr, err := o.Compile(build(c.Scale))
+	cr, err := c.Engine.Compiled(c.benchID(benchName), o, func() (*ir.Program, error) {
+		return build(c.Scale), nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", benchName, err)
 	}
 	vs := VMSpec{Trigger: t, ICache: c.icache()}
+	var run *Run
 	var conv *telemetry.Convergence
 	if convInterval > 0 {
-		conv = telemetry.NewConvergence(convInterval, 0, func() []*profile.Profile {
-			live := make([]*profile.Profile, len(cr.Runtimes))
-			for i, rt := range cr.Runtimes {
-				live[i] = rt.Profile()
-			}
-			return live
-		})
+		conv = telemetry.NewConvergence(convInterval, 0, func() []*profile.Profile { return run.profiles() })
 		vs.Observers = []vm.Observer{conv}
 	}
-	res, err := Prepare(ctx, cr, o, vs).Execute()
+	run = Prepare(ctx, cr, o, vs)
+	res, err := run.Execute()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", benchName, err)
 	}
@@ -407,7 +418,9 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 // BenchBuilder looks up the builder of a named benchmark: a suite
 // member or "resonant", the purpose-built periodic workload of the
 // resonance ablation. Cells and bench jobs both name programs this way.
-// Each build returns a fresh sealed program, so cells never share IR.
+// Each build returns a fresh sealed program; cells and jobs that share
+// one compiled program share it through the engine's program table,
+// read-only (Engine.Compiled).
 func BenchBuilder(name string) (func(scale float64) *ir.Program, error) {
 	if name == "resonant" {
 		return bench.Resonant, nil

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"instrsample/internal/compile"
+	"instrsample/internal/ir"
 	"instrsample/internal/telemetry"
 )
 
@@ -14,17 +16,20 @@ import (
 // in-flight and completed cells by key (so a cell shared by several
 // artifacts runs once per process) and consulting an optional on-disk
 // Cache before running anything (so repeated invocations at the same
-// scale are near-instant).
+// scale are near-instant). Its table of compiled programs lets cells
+// that differ only in how they run (trigger, interval, oracle) share
+// one build and compile (Compiled).
 //
 // One Engine is meant to be shared by every artifact generated in one
 // invocation: cmd/experiments creates one and stores it in
 // Config.Engine. An Engine is safe for concurrent use; generators
 // running in parallel goroutines may call Do simultaneously.
 type Engine struct {
-	workers int
-	cache   *Cache
-	metrics *telemetry.Registry
-	sem     chan struct{}
+	workers  int
+	cache    *Cache
+	metrics  *telemetry.Registry
+	sem      chan struct{}
+	programs *programTable
 
 	mu        sync.Mutex
 	memo      map[string]*flight
@@ -86,10 +91,11 @@ func NewEngine(workers int, cache *Cache) *Engine {
 		workers = 1
 	}
 	return &Engine{
-		workers: workers,
-		cache:   cache,
-		sem:     make(chan struct{}, workers),
-		memo:    make(map[string]*flight),
+		workers:  workers,
+		cache:    cache,
+		sem:      make(chan struct{}, workers),
+		memo:     make(map[string]*flight),
+		programs: newProgramTable(programBudget),
 	}
 }
 
@@ -108,13 +114,38 @@ const (
 	MetricCellMillis    = "cells.duration_ms" // histogram: per-cell resolution time
 )
 
-// AttachMetrics directs the engine's per-cell accounting into reg; nil
-// detaches. Attach before running any cells.
+// AttachMetrics directs the engine's per-cell and program-table
+// accounting into reg; nil detaches. Attach before running any cells.
 func (e *Engine) AttachMetrics(reg *telemetry.Registry) {
 	e.mu.Lock()
 	e.metrics = reg
 	e.mu.Unlock()
+	e.programs.attach(reg)
 }
+
+// Compiled returns the program that build returns, compiled under o,
+// from the engine's table of compiled programs: a miss builds and
+// compiles it, concurrent misses on one programKey(prog, o) do so once,
+// and a failure is returned but not kept. prog is the program's
+// identity, the prefix its cell keys start with. The result is shared:
+// run it through Prepare, which never writes to it. A nil engine
+// builds and compiles every time.
+func (e *Engine) Compiled(prog string, o OptsSpec, build func() (*ir.Program, error)) (*compile.Result, error) {
+	mk := func() (*compile.Result, error) {
+		p, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return o.Compile(p)
+	}
+	if e == nil {
+		return mk()
+	}
+	return e.programs.lookup(programKey(prog, o), mk)
+}
+
+// ProgramStats returns the program table's counters.
+func (e *Engine) ProgramStats() ProgramStats { return e.programs.Stats() }
 
 // count bumps a per-artifact engine counter.
 func (e *Engine) count(cfg Config, name string) {

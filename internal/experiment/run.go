@@ -6,7 +6,9 @@ import (
 
 	"instrsample/internal/compile"
 	"instrsample/internal/core"
+	"instrsample/internal/instr"
 	"instrsample/internal/oracle"
+	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/vm"
 )
@@ -106,19 +108,24 @@ type VMSpec struct {
 type Run struct {
 	ctx context.Context
 	cr  *compile.Result
+	rts []instr.Runtime
 	vm  *vm.VM
 	tok *vm.Cancel
 	orc *oracle.Oracle
 }
 
 // Prepare builds the VM that runs cr, the program compiled under o, on
-// the VM side vs. A cancellable ctx stops Execute within one
+// the VM side vs. The run gets its own instrumentation runtimes and
+// never writes to cr, so any number of runs may share one compiled
+// program (DESIGN.md §10). A cancellable ctx stops Execute within one
 // observation interval of its cancellation.
 func Prepare(ctx context.Context, cr *compile.Result, o OptsSpec, vs VMSpec) *Run {
 	r := &Run{ctx: ctx, cr: cr}
+	var handlers []vm.ProbeHandler
+	r.rts, handlers = cr.NewRuntimes()
 	cfg := vm.Config{
 		Trigger:    vs.Trigger.New(),
-		Handlers:   cr.Handlers,
+		Handlers:   handlers,
 		ICache:     vs.ICache,
 		MaxCycles:  vs.MaxCycles,
 		IterBudget: o.IterBudget,
@@ -176,8 +183,16 @@ func (r *Run) Execute() (*CellResult, error) {
 			"oracle-expected-p1": int64(r.orc.ExpectedPropertyViolations()),
 		}
 	}
-	for _, rt := range r.cr.Runtimes {
-		res.Profiles = append(res.Profiles, rt.Profile())
-	}
+	res.Profiles = r.profiles()
 	return res, nil
+}
+
+// profiles returns the run's live instrumentation profiles, in owner
+// order.
+func (r *Run) profiles() []*profile.Profile {
+	var ps []*profile.Profile
+	for _, rt := range r.rts {
+		ps = append(ps, rt.Profile())
+	}
+	return ps
 }

@@ -202,6 +202,21 @@ func (f *fleet) view(id string) tv {
 	return v
 }
 
+// workerView reads a job document straight from a worker.
+func (f *fleet) workerView(tw *testWorker, id string) tv {
+	f.t.Helper()
+	resp, err := http.Get(tw.hs.URL + "/v1/jobs/" + id)
+	if err != nil {
+		f.t.Fatalf("get %s from %s: %v", id, tw.name, err)
+	}
+	defer resp.Body.Close()
+	var v tv
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		f.t.Fatalf("decode %s from %s: %v", id, tw.name, err)
+	}
+	return v
+}
+
 func (f *fleet) cancel(id string) {
 	f.t.Helper()
 	req, _ := http.NewRequest(http.MethodDelete, f.front.URL+"/v1/jobs/"+id, nil)
@@ -783,7 +798,8 @@ func TestFleetDuplicateDuringSteal(t *testing.T) {
 // job, an idle peer takes the owner's next cell at once instead of
 // leaving it queued behind that job. The cell misses the owner's CAS, so
 // its ledger ends steal, remote-cache-probe, dispatch, export: the
-// peer's run is booked to dispatch, not to the probe, and the rows still
+// peer's run is booked to dispatch, not to the probe (the peer's own
+// ledger of the run fits inside the dispatch row), and the rows still
 // sum to total_ns.
 func TestFleetIdlePeerTakesCell(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config, _ *service.Config) { cfg.Slots = 1 })
@@ -815,8 +831,16 @@ func TestFleetIdlePeerTakesCell(t *testing.T) {
 	if tail[0].Cause != "w0→w1" || tail[2].Cause != "w1" {
 		t.Errorf("steal cause %q, dispatch cause %q; want w0→w1 and w1", tail[0].Cause, tail[2].Cause)
 	}
-	if tail[2].Ns <= tail[1].Ns {
-		t.Errorf("dispatch row %d ns is not longer than the remote-cache-probe row %d ns", tail[2].Ns, tail[1].Ns)
+	// The thief's own run of the cell, from its accept to its terminal
+	// state, happens inside the coordinator's dispatch row, whatever the
+	// host's timing: booking that run to any other row leaves the
+	// dispatch row shorter than the run.
+	run := f.workerView(f.workers[1], "job-000001")
+	if run.Status != service.StatusDone || run.Ledger == nil {
+		t.Fatalf("thief's job: status %s, ledger %v; want done with a ledger", run.Status, run.Ledger)
+	}
+	if run.Ledger.TotalNs > tail[2].Ns {
+		t.Errorf("thief's run took %d ns, longer than the dispatch row's %d ns that contains it", run.Ledger.TotalNs, tail[2].Ns)
 	}
 	if sum := v.Ledger.Sum(); sum != v.Ledger.TotalNs {
 		t.Errorf("ledger rows sum to %d ns, total_ns is %d", sum, v.Ledger.TotalNs)

@@ -149,6 +149,13 @@ type Program struct {
 // class methods in declaration order). Valid after Seal.
 func (p *Program) Methods() []*Method { return p.methods }
 
+// Lists reports whether m is the method p lists at m.ID. A method p
+// does not list keeps whatever ID and block GIDs it last had, so it
+// must not index p's ID- or GID-indexed tables. Valid after Seal.
+func (p *Program) Lists(m *Method) bool {
+	return m != nil && m.ID >= 0 && m.ID < len(p.methods) && p.methods[m.ID] == m
+}
+
 // NumMethods returns the number of methods. Valid after Seal.
 func (p *Program) NumMethods() int { return len(p.methods) }
 

@@ -34,7 +34,11 @@ func (p *Program) Verify(mode VerifyMode) error {
 	}
 	var errs []error
 	for _, m := range p.methods {
-		if err := VerifyMethod(m, mode); err != nil {
+		err := VerifyMethod(m, mode)
+		if err == nil {
+			err = p.verifyCallees(m)
+		}
+		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", m.FullName(), err))
 			if len(errs) >= 8 {
 				break
@@ -42,6 +46,21 @@ func (p *Program) Verify(mode VerifyMode) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// verifyCallees checks that every direct call and spawn in m targets a
+// method p lists (Lists).
+func (p *Program) verifyCallees(m *Method) error {
+	for _, b := range m.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if (in.Op == OpCall || in.Op == OpSpawn) && !p.Lists(in.Method) {
+				return fmt.Errorf("%s: instr %d (%s): callee %s is not a method of the program",
+					b.Name(), i, in.Op, in.Method.FullName())
+			}
+		}
+	}
+	return nil
 }
 
 // VerifyMethod validates a single method.

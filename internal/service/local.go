@@ -107,9 +107,9 @@ func (p *localExecutor) run(j *Job) {
 	// jobs whose run starts after the toggle, and only jobs that carry a
 	// span chain (mode was not off at accept) can attach one.
 	full := j.trace != nil && s.cfg.Obs.Mode() == obs.ModeFull
-	cells := []experiment.Cell{jobCell(j.spec, j, full)}
+	cells := []experiment.Cell{jobCell(p.eng, j.spec, j, full)}
 	if j.spec.Overlap {
-		cells = append(cells, jobCell(j.spec.overlapSpec(), nil, false))
+		cells = append(cells, jobCell(p.eng, j.spec.overlapSpec(), nil, false))
 	}
 	res, err := p.eng.DoContext(j.ctx, experiment.Config{Artifact: "service", Engine: p.eng, Owner: j.id}, cells)
 	if err != nil {

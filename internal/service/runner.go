@@ -115,10 +115,11 @@ func (p *meterPublisher) OnProbe(t *vm.Thread, f *vm.Frame, pr *ir.Probe) {
 }
 func (p *meterPublisher) OnYield(t *vm.Thread, f *vm.Frame) { p.m.OnYield(t, f); p.publish() }
 
-// jobCell builds the engine cell for a spec. events, when non-nil, is
-// the job whose SSE stream receives the run's metrics series; it is
-// deliberately NOT part of the cell key — events change what a client
-// observes mid-run, never the result, so memo/cache sharing stays legal.
+// jobCell builds the engine cell for a spec, compiling through eng's
+// program table. events, when non-nil, is the job whose SSE stream
+// receives the run's metrics series; it is deliberately NOT part of the
+// cell key — events change what a client observes mid-run, never the
+// result, so memo/cache sharing stays legal.
 // (A job served from the memo or cache therefore streams no metrics
 // rows, only the completion event; see DESIGN.md §10.)
 //
@@ -128,9 +129,9 @@ func (p *meterPublisher) OnYield(t *vm.Thread, f *vm.Frame) { p.m.OnYield(t, f);
 // job's ID as cause) and cache-probe into that chain; the engine's
 // "run" stage is ignored because runSpec opens compile itself at the
 // same instant. Like events, neither is part of the cell key.
-func jobCell(spec JobSpec, events *Job, full bool) experiment.Cell {
+func jobCell(eng *experiment.Engine, spec JobSpec, events *Job, full bool) experiment.Cell {
 	c := experiment.Cell{Key: spec.cellKey(), Run: func(ctx context.Context) (*experiment.CellResult, error) {
-		return runSpec(ctx, spec, events, full)
+		return runSpec(ctx, eng, spec, events, full)
 	}}
 	if events != nil && events.trace != nil {
 		tr := events.trace
@@ -150,10 +151,11 @@ func jobCell(spec JobSpec, events *Job, full bool) experiment.Cell {
 // Execute, the run path isamp's run and bench commands also take, so a
 // job and the equivalent command line run the same code. runSpec adds
 // what only a job has: program selection, the SSE meter publisher, the
-// ModeFull recorder and the ledger stages — compile spans program
-// selection and compilation, vm-run opens right before the VM starts,
-// and export covers the final metrics publication.
-func runSpec(ctx context.Context, spec JobSpec, events *Job, full bool) (*experiment.CellResult, error) {
+// ModeFull recorder and the ledger stages — compile spans the lookup in
+// eng's table of compiled programs (program selection and compilation
+// on a miss; nil eng always compiles), vm-run opens right before the VM
+// starts, and export covers the final metrics publication.
+func runSpec(ctx context.Context, eng *experiment.Engine, spec JobSpec, events *Job, full bool) (*experiment.CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -162,15 +164,11 @@ func runSpec(ctx context.Context, spec JobSpec, events *Job, full bool) (*experi
 		tr = events.trace
 	}
 	tr.Begin(obs.StageCompile, "")
-	prog, err := jobProgram(spec)
-	if err != nil {
-		return nil, err
-	}
 	o, t, err := spec.specs()
 	if err != nil {
 		return nil, err
 	}
-	cr, err := o.Compile(prog)
+	cr, err := eng.Compiled(spec.programID(), o, func() (*ir.Program, error) { return jobProgram(spec) })
 	if err != nil {
 		return nil, err
 	}

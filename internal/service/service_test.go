@@ -225,7 +225,7 @@ func TestJobMatchesDirectRun(t *testing.T) {
 		t.Errorf("implausible result: cycles=%d profiles=%d", v.Result.Stats.Cycles, len(v.Result.Profiles))
 	}
 
-	cr, err := runSpec(context.Background(), spec.withDefaults(), nil, false)
+	cr, err := runSpec(context.Background(), nil, spec.withDefaults(), nil, false)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -256,11 +256,11 @@ func TestMemoizedResultHoldsNoLabeler(t *testing.T) {
 	}.withDefaults()
 	eng := experiment.NewEngine(1, nil)
 	cfg := experiment.Config{Engine: eng}
-	first, err := eng.Do(cfg, []experiment.Cell{jobCell(spec, nil, false)})
+	first, err := eng.Do(cfg, []experiment.Cell{jobCell(eng, spec, nil, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := eng.Do(cfg, []experiment.Cell{jobCell(spec, nil, false)})
+	second, err := eng.Do(cfg, []experiment.Cell{jobCell(eng, spec, nil, false)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,19 +215,23 @@ func (s JobSpec) specs() (experiment.OptsSpec, experiment.TriggerSpec, error) {
 // deliberately not part of the key: it changes what a client observes
 // mid-run, never the result.
 func (s JobSpec) cellKey() string {
-	var prog string
+	o, t, _ := s.specs() // validate has accepted the names
+	return fmt.Sprintf("job %s icache=%v max=%d %s %s",
+		s.programID(), s.ICache, s.MaxCycles, o.Key(), t.Key())
+}
+
+// programID identifies the job's program: a source hash, a scenario
+// family hash and index, or a benchmark and scale. It prefixes the cell
+// key and keys the engine's table of compiled programs.
+func (s JobSpec) programID() string {
 	switch {
 	case s.Source != "":
 		sum := sha256.Sum256([]byte(s.Source))
-		prog = "src=" + hex.EncodeToString(sum[:16])
+		return "src=" + hex.EncodeToString(sum[:16])
 	case s.Scenario != nil:
-		prog = fmt.Sprintf("scn=%s/%d", s.Scenario.SpecHash()[:16], s.ScenarioIndex)
-	default:
-		prog = fmt.Sprintf("bench=%s scale=%g", s.Bench, s.Scale)
+		return fmt.Sprintf("scn=%s/%d", s.Scenario.SpecHash()[:16], s.ScenarioIndex)
 	}
-	o, t, _ := s.specs() // validate has accepted the names
-	return fmt.Sprintf("job %s icache=%v max=%d %s %s",
-		prog, s.ICache, s.MaxCycles, o.Key(), t.Key())
+	return fmt.Sprintf("bench=%s scale=%g", s.Bench, s.Scale)
 }
 
 // overlapSpec is the exhaustive reference configuration an Overlap job

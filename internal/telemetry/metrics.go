@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -255,27 +256,73 @@ type Sample struct {
 // sample each; a histogram named h contributes h.count, h.sum, one
 // h.le.<bound> per bucket and h.le.inf for the overflow bucket.
 func (r *Registry) Snapshot() []Sample {
+	cols := r.columns()
+	out := make([]Sample, len(cols))
+	for i, c := range cols {
+		out[i] = Sample{c.name, c.value()}
+	}
+	return out
+}
+
+// column is one flattened metric sample: its name and a handle to read
+// its value. Exactly one of c, g and h is set; a histogram column reads
+// its count, its sum or the bucket at index part. Columns hold no func
+// values, so two series compare with reflect.DeepEqual.
+type column struct {
+	name string
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
+	part int
+}
+
+// Histogram column parts other than a bucket index.
+const (
+	partCount = -1
+	partSum   = -2
+)
+
+// columns resolves every metric into Snapshot's columns, in its order.
+// Snapshot and Series share it; a Series resolves once and reads the
+// handles at every capture.
+func (r *Registry) columns() []column {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, len(r.m))
+	out := make([]column, 0, len(r.m))
 	for name, m := range r.m {
 		switch v := m.(type) {
 		case *Counter:
-			out = append(out, Sample{name, int64(v.Value())})
+			out = append(out, column{name: name, c: v})
 		case *Gauge:
-			out = append(out, Sample{name, v.Value()})
+			out = append(out, column{name: name, g: v})
 		case *Histogram:
-			out = append(out, Sample{name + ".count", int64(v.Count())})
-			out = append(out, Sample{name + ".sum", int64(v.Sum())})
-			for _, b := range v.Buckets() {
+			out = append(out,
+				column{name: name + ".count", h: v, part: partCount},
+				column{name: name + ".sum", h: v, part: partSum})
+			for i := range v.counts {
 				le := "inf"
-				if !b.Inf {
-					le = fmt.Sprint(b.Le)
+				if i < len(v.bounds) {
+					le = strconv.FormatUint(v.bounds[i], 10)
 				}
-				out = append(out, Sample{name + ".le." + le, int64(b.N)})
+				out = append(out, column{name: name + ".le." + le, h: v, part: i})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// value reads the column's current value.
+func (c column) value() int64 {
+	switch {
+	case c.c != nil:
+		return int64(c.c.Value())
+	case c.g != nil:
+		return c.g.Value()
+	case c.part == partCount:
+		return int64(c.h.Count())
+	case c.part == partSum:
+		return int64(c.h.Sum())
+	}
+	return int64(c.h.counts[c.part].Load())
 }

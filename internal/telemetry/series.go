@@ -11,9 +11,11 @@ import (
 // one column per metric sample. The column set is frozen at the first
 // capture — metrics registered afterwards are not added retroactively,
 // so every row has the same width. (The Meter registers all its metrics
-// up front for exactly this reason.)
+// up front for exactly this reason.) The first capture resolves the
+// columns to handles on the metrics; later captures only read them.
 type Series struct {
-	reg *Registry
+	reg  *Registry
+	cols []column
 	// Columns are the metric sample names, in snapshot (sorted) order.
 	Columns []string
 	// Rows are the captures, in capture order.
@@ -34,20 +36,16 @@ func NewSeries(reg *Registry) *Series { return &Series{reg: reg} }
 // Capture snapshots the registry as a row timestamped at the given
 // cycle count.
 func (s *Series) Capture(at uint64) {
-	snap := s.reg.Snapshot()
 	if s.Columns == nil {
-		s.Columns = make([]string, len(snap))
-		for i, sm := range snap {
-			s.Columns[i] = sm.Name
+		s.cols = s.reg.columns()
+		s.Columns = make([]string, len(s.cols))
+		for i, c := range s.cols {
+			s.Columns[i] = c.name
 		}
 	}
-	byName := make(map[string]int64, len(snap))
-	for _, sm := range snap {
-		byName[sm.Name] = sm.Value
-	}
-	row := SeriesRow{At: at, Values: make([]int64, len(s.Columns))}
-	for i, name := range s.Columns {
-		row.Values[i] = byName[name]
+	row := SeriesRow{At: at, Values: make([]int64, len(s.cols))}
+	for i, c := range s.cols {
+		row.Values[i] = c.value()
 	}
 	s.Rows = append(s.Rows, row)
 }

@@ -370,3 +370,50 @@ func TestBudgetTrapBothDispatchers(t *testing.T) {
 		}
 	}
 }
+
+// TestUnlistedCallee: main calls a method the program does not list.
+// The callee was never sealed, so its entry block's GID is 0, the GID
+// of main's entry block. The verifier rejects the program; unverified,
+// the fast path builds no fused table and must match the reference
+// instead of running main's stream in the callee's frame.
+func TestUnlistedCallee(t *testing.T) {
+	sq := ir.NewFunc("square", 1)
+	{
+		c := sq.At(sq.EntryBlock())
+		c.Return(c.Bin(ir.OpMul, 0, 0))
+	}
+	mb := ir.NewFunc("main", 0)
+	{
+		c := mb.At(mb.EntryBlock())
+		c.Return(c.Call(sq.M, c.Const(7)))
+	}
+	p := &ir.Program{Name: "unlisted", Funcs: []*ir.Method{mb.M}, Main: mb.M}
+	p.Seal()
+	if sq.M.Entry().GID != mb.M.Entry().GID {
+		t.Fatalf("callee entry GID %d, want main's %d", sq.M.Entry().GID, mb.M.Entry().GID)
+	}
+	if err := p.Verify(ir.VerifyBase); err == nil || !strings.Contains(err.Error(), "square is not a method of the program") {
+		t.Fatalf("Verify = %v, want the unlisted callee rejected", err)
+	}
+	var want *Result
+	for _, ref := range []bool{true, false} {
+		v := New(p, Config{Reference: ref})
+		got, err := v.Run()
+		if err != nil {
+			t.Fatalf("reference=%v: %v", ref, err)
+		}
+		if got.Return != 49 {
+			t.Fatalf("reference=%v: returned %d, want 49", ref, got.Return)
+		}
+		if ref {
+			want = got
+			continue
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("fast path stats %+v, reference %+v", got.Stats, want.Stats)
+		}
+		if len(v.fuse) != 0 {
+			t.Fatalf("fused table of %d entries, want none", len(v.fuse))
+		}
+	}
+}

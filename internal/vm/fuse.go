@@ -401,43 +401,22 @@ func (v *VM) FusionStats() FusionStats {
 // the VM's cost model. Called once per VM, lazily from Run.
 //
 // A program mutated after its last Seal can carry stale or colliding
-// GIDs. The table must never charge one block with another block's
-// costs, so GIDs are validated first (in-range and collision-free); on
-// any violation no block is fused, which keeps the whole run on the
-// always-correct per-instruction path. An observer whose mask has
-// EvTransfer must see every block transfer, which fused chains would
-// hide, so it also leaves the table empty; the per-instruction dispatch
-// then emits a hook at each transfer (the Observer cost contract). Any
-// other observer gets wake yieldpoint tokens and chains cut at
-// sampling-episode boundaries.
+// GIDs, and a method the program does not list carries whatever GIDs
+// it last had, possibly a listed block's. The table must never charge
+// one block with another block's costs, so unless gidsTrusted holds,
+// the table stays empty and the whole run takes the always-correct
+// per-instruction path; stream never indexes past the table. An
+// observer whose mask has EvTransfer must see every block transfer,
+// which fused chains would hide, so it also leaves the table empty; the
+// per-instruction dispatch then emits a hook at each transfer (the
+// Observer cost contract). Any other observer gets wake yieldpoint
+// tokens and chains cut at sampling-episode boundaries.
 func (v *VM) buildFusion() {
-	size := v.prog.NumBlocks()
-	valid := true
-	for _, m := range v.prog.Methods() {
-		for _, b := range m.Blocks {
-			if b.GID < 0 {
-				valid = false
-			} else if b.GID >= size {
-				valid = false
-				size = b.GID + 1
-			}
-		}
-	}
-	v.fuse = make([]*fusedBlock, size)
-	if valid {
-		seen := make([]bool, size)
-		for _, m := range v.prog.Methods() {
-			for _, b := range m.Blocks {
-				if seen[b.GID] {
-					valid = false
-				}
-				seen[b.GID] = true
-			}
-		}
-	}
-	if !valid || v.evMask&EvTransfer != 0 {
+	v.fuse = []*fusedBlock{}
+	if !gidsTrusted(v.prog) || v.evMask&EvTransfer != 0 {
 		return
 	}
+	v.fuse = make([]*fusedBlock, v.prog.NumBlocks())
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
 			if !fusible(b) {
@@ -477,11 +456,43 @@ func (v *VM) buildFusion() {
 			fb.next = make([]*fusedBlock, len(fb.targets))
 			for i, tb := range fb.targets {
 				if v.obs == nil || !episodeEdge(b, tb) {
-					fb.next[i] = v.fuse[tb.GID]
+					fb.next[i] = v.stream(tb)
 				}
 			}
 		}
 	}
+}
+
+// gidsTrusted reports whether the program's block GIDs can index the
+// fused-stream table: every listed block's GID is in [0, NumBlocks) and
+// no two share one, and every direct call or spawn targets a listed
+// method, so every block a run can reach is a listed one.
+func gidsTrusted(p *ir.Program) bool {
+	seen := make([]bool, p.NumBlocks())
+	for _, m := range p.Methods() {
+		for _, b := range m.Blocks {
+			if b.GID < 0 || b.GID >= len(seen) || seen[b.GID] {
+				return false
+			}
+			seen[b.GID] = true
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				if (in.Op == ir.OpCall || in.Op == ir.OpSpawn) && !p.Lists(in.Method) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// stream returns b's fused stream, or nil. The table is empty when GIDs
+// cannot be trusted, so an out-of-range GID is never an index.
+func (v *VM) stream(b *ir.Block) *fusedBlock {
+	if uint(b.GID) < uint(len(v.fuse)) {
+		return v.fuse[b.GID]
+	}
+	return nil
 }
 
 // fusible reports whether b may run as a fused stream: it ends in its
@@ -809,7 +820,7 @@ func (v *VM) runFused(t *Thread, f *Frame, fb *fusedBlock, ti int, cycles, icoun
 		} else {
 			f.PC++ // step past the call
 		}
-		if fb = v.fuse[f.Block.GID]; fb == nil || f.costScale != 1 {
+		if fb = v.stream(f.Block); fb == nil || f.costScale != 1 {
 			exit = exitInstr
 			break
 		}

@@ -47,7 +47,7 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 	}
 	pc := f.PC
 enter:
-	if fb := v.fuse[f.Block.GID]; fb != nil && f.costScale == 1 && fb.resume[pc] != noResume {
+	if fb := v.stream(f.Block); fb != nil && f.costScale == 1 && fb.resume[pc] != noResume {
 		var sched bool
 		var err error
 		cycles, icount, sched, err = v.runFused(t, f, fb, int(fb.resume[pc]), cycles, icount)
