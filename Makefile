@@ -33,7 +33,7 @@ test:
 	$(GO) test ./...
 
 # The experiment engine runs measurement cells on concurrent goroutines
-# that share compiled programs through its program table, the VM's
+# that share results and compiled programs through its stores, the VM's
 # differential tests run parallel subtests over the frame pools
 # and scheduler, the oracle tests exercise the observer hooks from
 # parallel seeds, the trigger tests drive fault-injected timers under
@@ -93,10 +93,13 @@ telemetry-smoke:
 
 # Daemon smoke: boot isampd on an ephemeral port under -race, submit a
 # job over HTTP, stream its SSE events to completion, submit its
-# configuration again at another interval (one program-table miss, then
-# one hit), cancel a long-running job (must stop at the next observation
-# point), validate the /metrics exposition format, and drain via the
-# SIGTERM path. Fails unless go test succeeds and the PASS line appears.
+# configuration again at another interval (one program-store miss, then
+# one hit), resubmit its exact spec (a result-store hit with a
+# byte-identical result, no eviction, retained bytes above 0), cancel a
+# long-running job (must stop at the next observation point and leave
+# nothing in the result store), validate the /metrics exposition format,
+# and drain via the SIGTERM path. Fails unless go test succeeds and the
+# PASS line appears.
 service-smoke:
 	@out=$$($(GO) test -race -run '^TestServiceSmoke$$' -v ./cmd/isampd/) \
 		|| { echo "$$out"; exit 1; }; \

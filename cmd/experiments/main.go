@@ -177,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*quiet {
 		st := eng.Stats()
 		fmt.Fprintf(stderr, "%d cells (%d cache hits, %d shared) on %d workers in %v\n",
-			st.CellsRun, st.CacheHits, st.MemoHits, eng.Workers(),
+			st.CellsRun, st.CacheHits, eng.ResultStats().Hits, eng.Workers(),
 			time.Since(start).Round(time.Millisecond))
 	}
 	if *timings {

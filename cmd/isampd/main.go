@@ -2,7 +2,8 @@
 // HTTP server that accepts instrumentation jobs (assembly sources,
 // suite benchmarks, or scenario workload-family members — all with the
 // isamp flag vocabulary), runs them on a
-// bounded worker pool over the experiment engine's memo table and
+// bounded worker pool over the experiment engine's stores of results and
+// compiled programs, each bounded by a constant byte budget, and the
 // on-disk cache, and exposes results, live metrics streams and a
 // Prometheus endpoint.
 //

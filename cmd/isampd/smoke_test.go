@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +17,10 @@ import (
 // TestServiceSmoke is the `make service-smoke` CI gate: the whole daemon
 // loop on an ephemeral port (under -race via the Makefile) — submit a
 // job, stream its events to completion, repeat its configuration at
-// another interval and see the program table hit, cancel a long-running
-// job, and validate the /metrics exposition format line by line.
+// another interval and see the program store hit, resubmit its exact
+// spec and get a byte-identical result from the result store, cancel a
+// long-running job and see it leave nothing in the result store, and
+// validate the /metrics exposition format line by line.
 func TestServiceSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -38,7 +41,8 @@ func TestServiceSmoke(t *testing.T) {
 	}
 
 	// 1. Submit a real instrumented job and stream its events end to end.
-	id := smokeSubmit(t, base, `{"bench":"db","scale":0.02,"instrument":["call-edge"],"variation":"full","interval":500,"events_interval":1024}`)
+	const first = `{"bench":"db","scale":0.02,"instrument":["call-edge"],"variation":"full","interval":500,"events_interval":1024}`
+	id := smokeSubmit(t, base, first)
 	metrics, sawDone := smokeStream(t, base, id)
 	if metrics == 0 {
 		t.Error("event stream carried no metrics rows")
@@ -48,7 +52,7 @@ func TestServiceSmoke(t *testing.T) {
 	}
 
 	// The same configuration at another interval is a new cell but the
-	// same compiled program: the engine's program table serves it, one
+	// same compiled program: the engine's program store serves it, one
 	// miss then one hit.
 	again := smokeSubmit(t, base, `{"bench":"db","scale":0.02,"instrument":["call-edge"],"variation":"full","interval":501,"events_interval":1024}`)
 	if _, st := smokeStream(t, base, again); st != "done" {
@@ -56,6 +60,25 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	if body := smokeMetrics(t, base); !strings.Contains(body, "programs_miss 1\n") || !strings.Contains(body, "programs_hit 1\n") {
 		t.Errorf("two jobs of one configuration: want programs_miss 1 and programs_hit 1 in /metrics:\n%s", body)
+	}
+
+	// The first job's exact spec again is the same cell: the result store
+	// serves it, and its result document is the first job's, byte for
+	// byte.
+	twin := smokeSubmit(t, base, first)
+	if _, st := smokeStream(t, base, twin); st != "done" {
+		t.Errorf("resubmitted job ended with status %q, want done", st)
+	}
+	if a, b := smokeResult(t, base, id), smokeResult(t, base, twin); len(a) == 0 || string(a) != string(b) {
+		t.Errorf("resubmitted job's result differs from the first job's:\n%s\n%s", a, b)
+	}
+	body := smokeMetrics(t, base)
+	if smokeMetric(t, body, "cells_memo_hit_service") != 1 || smokeMetric(t, body, "cells_memo_evict") != 0 {
+		t.Errorf("want cells_memo_hit_service 1 and cells_memo_evict 0 in /metrics:\n%s", body)
+	}
+	retained := smokeMetric(t, body, "cells_memo_retained_bytes")
+	if retained <= 0 {
+		t.Errorf("cells_memo_retained_bytes %d, want the two results' estimate", retained)
 	}
 
 	// 2. Submit an effectively endless job and cancel it over HTTP; it
@@ -85,25 +108,30 @@ func TestServiceSmoke(t *testing.T) {
 
 	// 3. Validate the metrics endpoint: exposition content type, every
 	// line well-formed, and the daemon counters present with the values
-	// this exact scenario produced.
+	// this exact scenario produced. The cancelled job's cell failed, so
+	// the result store holds what it held before.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	body = string(raw)
+	if got := smokeMetric(t, body, "cells_memo_retained_bytes"); got != retained {
+		t.Errorf("cells_memo_retained_bytes %d after the cancelled job, want %d", got, retained)
+	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("metrics content-type %q, want text exposition 0.0.4", ct)
 	}
 	typeLine := regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$`)
 	sampleLine := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? -?[0-9]+$`)
-	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
 		if !typeLine.MatchString(line) && !sampleLine.MatchString(line) {
 			t.Errorf("metrics line violates exposition format: %q", line)
 		}
 	}
-	for _, want := range []string{"jobs_accepted 3", "jobs_completed 2", "jobs_cancelled 1", "queue_depth 0"} {
-		if !strings.Contains(string(body), want+"\n") {
+	for _, want := range []string{"jobs_accepted 4", "jobs_completed 3", "jobs_cancelled 1", "queue_depth 0"} {
+		if !strings.Contains(body, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
@@ -153,6 +181,37 @@ func smokeMetrics(t *testing.T, base string) string {
 		t.Fatalf("read /metrics: %v", err)
 	}
 	return string(body)
+}
+
+// smokeMetric returns one sample's value from a /metrics body.
+func smokeMetric(t *testing.T, body, name string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (-?[0-9]+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("/metrics has no %s:\n%s", name, body)
+	}
+	v, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// smokeResult returns a job document's result, as the daemon encoded it.
+func smokeResult(t *testing.T, base, id string) json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatalf("GET job: %v", err)
+	}
+	defer resp.Body.Close()
+	var v struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatalf("decode job: %v", err)
+	}
+	return v.Result
 }
 
 func smokeStatus(t *testing.T, base, id string) string {

@@ -1,11 +1,11 @@
 package experiment
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,27 +28,17 @@ import (
 // written to a temporary file and renamed into place.
 //
 // A byte budget (SetMaxBytes) turns on LRU eviction: the cache then
-// tracks every entry's exact size and drops the least-recently-used
+// tracks every entry's exact size and deletes the least-recently-used
 // entries whenever a store would push the total over the budget, so
 // long-lived CAS nodes do not grow without bound.
 type Cache struct {
 	dir string
 	id  string
 
-	// LRU state, active only once SetMaxBytes has run with a positive
-	// budget. index maps addr → element in lru; lru front is the most
-	// recently used entry.
-	mu       sync.Mutex
-	maxBytes int64
-	size     int64
-	index    map[string]*list.Element
-	lru      *list.List
-}
-
-// lruEntry is one indexed entry: its address and exact on-disk size.
-type lruEntry struct {
-	addr string
-	size int64
+	// sizes holds every entry's exact on-disk size, least recently used
+	// last; nil until SetMaxBytes arms a positive budget.
+	mu    sync.Mutex
+	sizes *lru
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir, addressed
@@ -111,43 +101,31 @@ func (c *Cache) path(key string) string { return c.addrPath(c.Addr(key)) }
 func (c *Cache) SetMaxBytes(n int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.maxBytes = n
+	c.sizes = nil
 	if n <= 0 {
-		c.index, c.lru, c.size = nil, nil, 0
 		return nil
 	}
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("experiment: cache: %w", err)
 	}
-	type aged struct {
-		lruEntry
-		mtime int64
-	}
-	var found []aged
+	var found []fs.FileInfo
 	for _, e := range entries {
-		name := e.Name()
-		addr, ok := strings.CutSuffix(name, ".json")
+		addr, ok := strings.CutSuffix(e.Name(), ".json")
 		if !ok || !ValidAddr(addr) || e.IsDir() {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
+		if info, err := e.Info(); err == nil {
+			found = append(found, info)
 		}
-		found = append(found, aged{lruEntry{addr: addr, size: info.Size()}, info.ModTime().UnixNano()})
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
-	c.index = make(map[string]*list.Element, len(found))
-	c.lru = list.New()
-	c.size = 0
+	sort.Slice(found, func(i, j int) bool { return found[i].ModTime().Before(found[j].ModTime()) })
+	c.sizes = newLRU(n, func(addr string) { os.Remove(c.addrPath(addr)) })
 	for _, f := range found {
-		// Oldest first, each pushed to the front, leaves the newest at the
+		// Oldest first, each put at the front, leaves the newest at the
 		// front — the LRU order a cold index can best reconstruct.
-		c.index[f.addr] = c.lru.PushFront(f.lruEntry)
-		c.size += f.size
+		c.sizes.put(strings.TrimSuffix(f.Name(), ".json"), f.Size())
 	}
-	c.evictLocked()
 	return nil
 }
 
@@ -156,7 +134,10 @@ func (c *Cache) SetMaxBytes(n int64) error {
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size
+	if c.sizes == nil {
+		return 0
+	}
+	return c.sizes.bytes
 }
 
 // Entries returns the number of indexed entries (0 when no budget is
@@ -164,64 +145,16 @@ func (c *Cache) Bytes() int64 {
 func (c *Cache) Entries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.index == nil {
+	if c.sizes == nil {
 		return 0
 	}
-	return len(c.index)
+	return len(c.sizes.items)
 }
 
-// MaxBytes returns the armed byte budget (0 = unbounded).
-func (c *Cache) MaxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxBytes
-}
-
-// touch refreshes an entry's LRU position on a hit.
-func (c *Cache) touch(addr string) {
-	c.mu.Lock()
-	if el, ok := c.index[addr]; ok {
-		c.lru.MoveToFront(el)
-	}
-	c.mu.Unlock()
-}
-
-// account records a freshly written entry of the given size, replacing
-// any previous accounting for the same address, and evicts past the
-// budget.
-func (c *Cache) account(addr string, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.index == nil {
-		return
-	}
-	if el, ok := c.index[addr]; ok {
-		c.size -= el.Value.(lruEntry).size
-		c.lru.Remove(el)
-	}
-	c.index[addr] = c.lru.PushFront(lruEntry{addr: addr, size: size})
-	c.size += size
-	c.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries until the total is back
-// under the budget. Caller holds c.mu.
-func (c *Cache) evictLocked() {
-	if c.maxBytes <= 0 || c.lru == nil {
-		return
-	}
-	for c.size > c.maxBytes && c.lru.Len() > 0 {
-		el := c.lru.Back()
-		e := el.Value.(lruEntry)
-		c.lru.Remove(el)
-		delete(c.index, e.addr)
-		c.size -= e.size
-		os.Remove(c.addrPath(e.addr))
-	}
-}
-
-// writeEntry atomically writes one entry file and updates the LRU
-// accounting.
+// writeEntry atomically writes one entry file and accounts it. The
+// rename and the accounting happen under one hold of the lock: an
+// eviction between them could delete the file just renamed into place
+// while the index went on counting it.
 func (c *Cache) writeEntry(addr string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, "cell-*.tmp")
 	if err != nil {
@@ -236,11 +169,15 @@ func (c *Cache) writeEntry(addr string, data []byte) error {
 		}
 		return cerr
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := os.Rename(tmp.Name(), c.addrPath(addr)); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	c.account(addr, int64(len(data)))
+	if c.sizes != nil {
+		c.sizes.put(addr, int64(len(data)))
+	}
 	return nil
 }
 
@@ -375,11 +312,10 @@ func (c *Cache) Load(key string) (*CellResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	var in cachedCell
-	if err := json.Unmarshal(data, &in); err != nil || in.CellKey != key {
-		return nil, false
+	if res, k, err := DecodeCAS(data); err == nil && k == key {
+		return res, true
 	}
-	return decodeCell(in), true
+	return nil, false
 }
 
 // Store writes the result for key. Failures are ignored: the cache is an

@@ -97,7 +97,11 @@ func (c *Cache) GetAddr(addr string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	c.touch(addr)
+	c.mu.Lock()
+	if c.sizes != nil {
+		c.sizes.touch(addr)
+	}
+	c.mu.Unlock()
 	return data, true
 }
 

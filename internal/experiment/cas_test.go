@@ -3,9 +3,11 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -265,5 +267,39 @@ func TestValidAddr(t *testing.T) {
 		if ValidAddr(bad) {
 			t.Fatalf("ValidAddr(%q) = true", bad)
 		}
+	}
+}
+
+// TestCacheLRUConcurrentAccounting: stores racing on overlapping keys
+// under a budget that holds a few entries leave the index's accounting
+// equal to the bytes and entries on disk.
+func TestCacheLRUConcurrentAccounting(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCacheID(dir, "test-build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Store("probe", smallResult(1))
+	if err := c.SetMaxBytes(4 * entryBytes(t, c, "probe")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				c.Store(fmt.Sprintf("cell %d", (g+i)%6), smallResult(int64(i%3+1)))
+			}
+		}()
+	}
+	wg.Wait()
+	var diskTotal int64
+	disk := diskEntries(t, dir)
+	for _, n := range disk {
+		diskTotal += n
+	}
+	if diskTotal != c.Bytes() || len(disk) != c.Entries() {
+		t.Fatalf("disk holds %d entries of %d bytes, index accounts %d of %d", len(disk), diskTotal, c.Entries(), c.Bytes())
 	}
 }

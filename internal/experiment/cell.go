@@ -25,7 +25,7 @@ import (
 // Cells must be pure: Run executes in a private VM with its own
 // trigger and instrumentation runtimes, sharing no mutable state with
 // any other cell; the compiled program it runs may be shared, read-only,
-// through the engine's program table. Two cells with equal non-empty
+// through the engine's program store. Two cells with equal non-empty
 // Keys must produce identical results; the engine relies on this to
 // memoize. A Cell with an empty Key is never deduplicated or cached.
 type Cell struct {
@@ -54,7 +54,7 @@ func (c Cell) stage(stage, cause string) {
 
 // CellResult is the serializable outcome of one cell: everything the
 // artifact generators consume when assembling tables. Results are shared
-// between generators by the engine's memo table, so consumers must treat
+// between requests by the engine's result store, so consumers must treat
 // them as immutable.
 type CellResult struct {
 	// Stats are the VM's execution counters.
@@ -419,7 +419,7 @@ func (c Config) runCell(ctx context.Context, benchName string, o OptsSpec, t Tri
 // member or "resonant", the purpose-built periodic workload of the
 // resonance ablation. Cells and bench jobs both name programs this way.
 // Each build returns a fresh sealed program; cells and jobs that share
-// one compiled program share it through the engine's program table,
+// one compiled program share it through the engine's program store,
 // read-only (Engine.Compiled).
 func BenchBuilder(name string) (func(scale float64) *ir.Program, error) {
 	if name == "resonant" {

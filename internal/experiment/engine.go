@@ -9,16 +9,18 @@ import (
 
 	"instrsample/internal/compile"
 	"instrsample/internal/ir"
+	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
 )
 
 // Engine executes cells across a bounded worker pool, deduplicating
-// in-flight and completed cells by key (so a cell shared by several
-// artifacts runs once per process) and consulting an optional on-disk
-// Cache before running anything (so repeated invocations at the same
-// scale are near-instant). Its table of compiled programs lets cells
-// that differ only in how they run (trigger, interval, oracle) share
-// one build and compile (Compiled).
+// in-flight and completed cells by key in its result store (so a cell
+// shared by several artifacts runs once per process) and consulting an
+// optional on-disk Cache before running anything (so repeated
+// invocations at the same scale are near-instant). Its program store
+// lets cells that differ only in how they run (trigger, interval,
+// oracle) share one build and compile (Compiled). Both stores are
+// bounded (DESIGN.md §10): an evicted cell is recomputed when asked for.
 //
 // One Engine is meant to be shared by every artifact generated in one
 // invocation: cmd/experiments creates one and stores it in
@@ -29,27 +31,15 @@ type Engine struct {
 	cache    *Cache
 	metrics  *telemetry.Registry
 	sem      chan struct{}
-	programs *programTable
+	results  *store[*CellResult]
+	programs *store[*compile.Result]
 
 	mu        sync.Mutex
-	memo      map[string]*flight
 	timings   []CellTiming // the keptTimings slowest, in Slowest's order
 	scheduled int
 	completed int
 	runs      int
-	memoHits  int
 	cacheHits int
-}
-
-// flight is one unique cell's execution slot: requesters past the first
-// wait on done and share the result. owner labels who runs the cell
-// (Config.Owner — the service sets its job ID) so waiters can attribute
-// their memo-flight wait to the job actually doing the work.
-type flight struct {
-	done  chan struct{}
-	owner string
-	res   *CellResult
-	err   error
 }
 
 // CellTiming records how long one executed cell took, split into the
@@ -77,9 +67,6 @@ const keptTimings = 10
 type EngineStats struct {
 	// CellsRun is the number of unique cells executed or cache-loaded.
 	CellsRun int
-	// MemoHits is the number of requests served by the in-memory memo
-	// (cells shared across artifacts or repeated within one).
-	MemoHits int
 	// CacheHits is the number of unique cells served by the on-disk cache.
 	CacheHits int
 }
@@ -94,9 +81,49 @@ func NewEngine(workers int, cache *Cache) *Engine {
 		workers:  workers,
 		cache:    cache,
 		sem:      make(chan struct{}, workers),
-		memo:     make(map[string]*flight),
-		programs: newProgramTable(programBudget),
+		results:  newStore(resultBudget, resultBytes),
+		programs: newStore(programBudget, programBytes),
 	}
+}
+
+// resultBudget bounds the estimated bytes of the cell results an engine
+// retains. A 15 s isampbench service run on a 2-vCPU host resolved 3,632
+// unique jobs (3.0 MB estimated) and a cmd/experiments -scale 0.1 run of
+// every artifact 689 cells (0.7 MB), so only sustained unique load
+// evicts, once about 40,000 job results are held.
+const resultBudget = 32 << 20
+
+// Estimated heap bytes one retained result holds: a fixed part (the
+// CellResult, its store entry and key), then per profile and per profile
+// entry (in snapshots too), per output value and per aux value. A
+// least-squares fit, within ±14% per result, to the heap each result
+// frees, measured on go1.24/amd64 over the 689 cells of a
+// cmd/experiments -scale 0.1 run and 150 service-plan job cells (about
+// 840 bytes each).
+const (
+	resultBaseBytes    = 472
+	resultProfileBytes = 166
+	resultEntryBytes   = 29
+	resultOutputBytes  = 13
+	resultAuxBytes     = 127
+)
+
+// resultBytes is the deterministic size estimate the result budget
+// applies to. A profile's labeler is not counted: on an experiment cell
+// it pins the compiled program, which the program store accounts for,
+// and job results drop theirs.
+func resultBytes(r *CellResult) int64 {
+	n := resultBaseBytes + resultOutputBytes*int64(len(r.Output)) + resultAuxBytes*int64(len(r.Aux))
+	profiles := func(ps []*profile.Profile) {
+		for _, p := range ps {
+			n += resultProfileBytes + resultEntryBytes*int64(p.NumEvents())
+		}
+	}
+	profiles(r.Profiles)
+	for _, s := range r.Snapshots {
+		profiles(s.Profiles)
+	}
+	return n
 }
 
 // Workers returns the engine's concurrency bound.
@@ -112,24 +139,28 @@ const (
 	MetricCellCacheMiss = "cells.cache_miss"  // counter: executed (not in cache)
 	MetricCellMemoHit   = "cells.memo_hit"    // counter: served from the in-memory memo
 	MetricCellMillis    = "cells.duration_ms" // histogram: per-cell resolution time
+	// Result-store metrics, not per artifact:
+	MetricCellMemoEvict    = "cells.memo_evict"          // counter: results dropped under the budget
+	MetricCellMemoRetained = "cells.memo_retained_bytes" // gauge: estimated bytes the memo holds
 )
 
-// AttachMetrics directs the engine's per-cell and program-table
-// accounting into reg; nil detaches. Attach before running any cells.
+// AttachMetrics directs the engine's per-cell and store accounting into
+// reg. Attach once, before running any cells.
 func (e *Engine) AttachMetrics(reg *telemetry.Registry) {
 	e.mu.Lock()
 	e.metrics = reg
 	e.mu.Unlock()
-	e.programs.attach(reg)
+	e.results.attach(reg, "", "", MetricCellMemoEvict, MetricCellMemoRetained)
+	e.programs.attach(reg, MetricProgramHit, MetricProgramMiss, MetricProgramEvict, MetricProgramRetained)
 }
 
 // Compiled returns the program that build returns, compiled under o,
-// from the engine's table of compiled programs: a miss builds and
-// compiles it, concurrent misses on one programKey(prog, o) do so once,
-// and a failure is returned but not kept. prog is the program's
-// identity, the prefix its cell keys start with. The result is shared:
-// run it through Prepare, which never writes to it. A nil engine
-// builds and compiles every time.
+// from the engine's program store: a miss builds and compiles it,
+// concurrent misses on one programKey(prog, o) do so once, and a failure
+// is returned but not kept. prog is the program's identity, the prefix
+// its cell keys start with. The result is shared: run it through
+// Prepare, which never writes to it. A nil engine builds and compiles
+// every time.
 func (e *Engine) Compiled(prog string, o OptsSpec, build func() (*ir.Program, error)) (*compile.Result, error) {
 	mk := func() (*compile.Result, error) {
 		p, err := build()
@@ -141,11 +172,21 @@ func (e *Engine) Compiled(prog string, o OptsSpec, build func() (*ir.Program, er
 	if e == nil {
 		return mk()
 	}
-	return e.programs.lookup(programKey(prog, o), mk)
+	key := programKey(prog, o)
+	c, hit := e.programs.join(key, "")
+	if !hit {
+		cr, err := mk()
+		return e.programs.finish(key, c, cr, err)
+	}
+	<-c.ready
+	return c.val, c.err
 }
 
-// ProgramStats returns the program table's counters.
-func (e *Engine) ProgramStats() ProgramStats { return e.programs.Stats() }
+// ResultStats returns the result store's counters.
+func (e *Engine) ResultStats() StoreStats { return e.results.Stats() }
+
+// ProgramStats returns the program store's counters.
+func (e *Engine) ProgramStats() StoreStats { return e.programs.Stats() }
 
 // count bumps a per-artifact engine counter.
 func (e *Engine) count(cfg Config, name string) {
@@ -203,39 +244,26 @@ func (e *Engine) DoContext(ctx context.Context, cfg Config, cells []Cell) ([]*Ce
 	return results, nil
 }
 
-// one resolves a single cell request through the memo table.
+// one resolves a single cell request through the result store. A
+// request that joins another's flight reports memo-flight, caused by the
+// flight's owner, and waits on it.
 func (e *Engine) one(ctx context.Context, cfg Config, c Cell) (*CellResult, error) {
 	if c.Key == "" {
 		return e.execute(ctx, cfg, c)
 	}
-	e.mu.Lock()
-	if f, ok := e.memo[c.Key]; ok {
-		e.memoHits++
-		e.mu.Unlock()
-		e.count(cfg, MetricCellMemoHit)
-		c.stage("memo-flight", f.owner)
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	f, hit := e.results.join(c.Key, cfg.Owner)
+	if !hit {
+		res, err := e.execute(ctx, cfg, c)
+		return e.results.finish(c.Key, f, res, err)
 	}
-	f := &flight{done: make(chan struct{}), owner: cfg.Owner}
-	e.memo[c.Key] = f
-	e.mu.Unlock()
-	f.res, f.err = e.execute(ctx, cfg, c)
-	if f.err != nil {
-		// Failures are not memoized: a cancellation belongs to the
-		// requester that owned the flight, and a later identical request
-		// must be free to run the cell for itself. Waiters already parked
-		// on this flight still observe the error.
-		e.mu.Lock()
-		delete(e.memo, c.Key)
-		e.mu.Unlock()
+	e.count(cfg, MetricCellMemoHit)
+	c.stage("memo-flight", f.owner)
+	select {
+	case <-f.ready:
+		return f.val, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	close(f.done)
-	return f.res, f.err
 }
 
 // execute runs (or cache-loads) one unique cell under the worker
@@ -307,7 +335,7 @@ func (e *Engine) record(cfg Config, key string, probe, exec time.Duration, cache
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return EngineStats{CellsRun: e.runs, MemoHits: e.memoHits, CacheHits: e.cacheHits}
+	return EngineStats{CellsRun: e.runs, CacheHits: e.cacheHits}
 }
 
 // Slowest returns up to n executed cells ordered by descending duration

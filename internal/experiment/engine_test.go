@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"instrsample/internal/core"
+	"instrsample/internal/telemetry"
 	"instrsample/internal/vm"
 )
 
@@ -35,7 +38,7 @@ func renderAll(t *testing.T, cfg Config) string {
 // the same artifacts rendered through an 8-worker engine shared by
 // generators running in concurrent goroutines (the cmd/experiments
 // shape). Run under -race this also exercises the engine, cache-less
-// memo table, and cell runners for data races.
+// result store, and cell runners for data races.
 func TestParallelDeterminism(t *testing.T) {
 	serialCfg := smokeConfig()
 	serialCfg.Engine = NewEngine(1, nil)
@@ -71,11 +74,10 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Errorf("parallel rendering differs from serial (%d vs %d bytes)",
 			len(parallel), len(serial))
 	}
-	st := parCfg.Engine.Stats()
-	if st.MemoHits == 0 {
+	if parCfg.Engine.ResultStats().Hits == 0 {
 		t.Error("no memo hits: artifacts share cells, dedup should trigger")
 	}
-	if st.CacheHits != 0 {
+	if st := parCfg.Engine.Stats(); st.CacheHits != 0 {
 		t.Errorf("cache hits %d without a cache", st.CacheHits)
 	}
 }
@@ -108,9 +110,8 @@ func TestEngineMemoDedup(t *testing.T) {
 			t.Errorf("result %d is not the shared result", i)
 		}
 	}
-	st := eng.Stats()
-	if st.CellsRun != 1 || st.MemoHits != 9 {
-		t.Errorf("stats %+v, want CellsRun 1 MemoHits 9", st)
+	if st, memo := eng.Stats(), eng.ResultStats(); st.CellsRun != 1 || memo.Hits != 9 {
+		t.Errorf("stats %+v, result store %+v, want CellsRun 1 and 9 hits", st, memo)
 	}
 }
 
@@ -404,11 +405,11 @@ func TestEngineStageHooks(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	go func() {
-		// Give the waiter time to park, then let the owner finish.
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-	}()
+	// Let the owner finish once the waiter has joined its flight.
+	for eng.ResultStats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
 	wg.Wait()
 
 	mu.Lock()
@@ -465,5 +466,66 @@ func TestEngineTimingSplit(t *testing.T) {
 	}
 	if hit.Probe != hit.Duration {
 		t.Errorf("cache hit probe %v != total %v", hit.Probe, hit.Duration)
+	}
+}
+
+// TestEngineResultStoreBounded: unique cells whose estimates sum to at
+// least twice the result budget leave at most the budget retained, with
+// the entries and evictions an LRU of those sizes implies, and an
+// evicted key recomputes to an equal result.
+func TestEngineResultStoreBounded(t *testing.T) {
+	cfg := Config{Scale: 0.01}
+	o := OptsSpec{Instr: paperInstr(), Framework: &core.Options{Variation: core.FullDuplication}}
+	var cells []Cell
+	for i := range 12 {
+		cells = append(cells, cfg.Cell("db", o, CounterTrigger(int64(101+2*i))))
+	}
+	want, err := NewEngine(2, nil).Do(cfg, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, r := range want {
+		sum += resultBytes(r)
+	}
+	budget := sum / 2
+
+	// Cells resolve one at a time, so the store holds the newest cells
+	// whose estimates fit the budget and has evicted the rest.
+	eng := NewEngine(1, nil)
+	eng.results = newStore(budget, resultBytes)
+	reg := telemetry.NewRegistry()
+	eng.AttachMetrics(reg)
+	for _, c := range cells {
+		if _, err := eng.Do(cfg, []Cell{c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, held := 0, int64(0)
+	for i := len(want) - 1; i >= 0 && held+resultBytes(want[i]) <= budget; i-- {
+		kept++
+		held += resultBytes(want[i])
+	}
+	n := len(cells)
+	st := eng.ResultStats()
+	if st.Bytes > budget || st.Bytes != held || st.Entries != kept || st.Evictions != n-kept || st.Misses != n {
+		t.Fatalf("result store %+v, want %d misses, %d entries of %d bytes (budget %d), %d evictions", st, n, kept, held, budget, n-kept)
+	}
+	if got := reg.Counter(MetricCellMemoEvict).Value(); got != uint64(n-kept) {
+		t.Errorf("%s = %d, want %d", MetricCellMemoEvict, got, n-kept)
+	}
+	if got := reg.Gauge(MetricCellMemoRetained).Value(); got != held {
+		t.Errorf("%s = %d, want %d", MetricCellMemoRetained, got, held)
+	}
+
+	again, err := eng.Do(cfg, cells[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.ResultStats().Misses != n+1 {
+		t.Fatalf("the evicted cell was not recomputed: %+v", eng.ResultStats())
+	}
+	if err := sameRun(sharedRun{res: again[0]}, sharedRun{res: want[0]}); err != nil {
+		t.Fatalf("the evicted cell recomputed to a different result: %v", err)
 	}
 }

@@ -220,10 +220,21 @@ func smallProgram(t *testing.T, name string, o OptsSpec) func() (*compile.Result
 	return func() (*compile.Result, error) { return o.Compile(b.Build(0.01)) }
 }
 
+// lookup is Engine.Compiled's program-store lookup, with the key given.
+func lookup(tab *store[*compile.Result], key string, mk func() (*compile.Result, error)) (*compile.Result, error) {
+	c, hit := tab.join(key, "")
+	if !hit {
+		cr, err := mk()
+		return tab.finish(key, c, cr, err)
+	}
+	<-c.ready
+	return c.val, c.err
+}
+
 // TestProgramTableSingleFlight: concurrent lookups of one key compile
 // once and share the result.
 func TestProgramTableSingleFlight(t *testing.T) {
-	tab := newProgramTable(programBudget)
+	tab := newStore(programBudget, programBytes)
 	mk := smallProgram(t, "db", OptsSpec{Instr: []string{"call-edge"}})
 	var compiles atomic.Int32
 	release := make(chan struct{})
@@ -234,7 +245,7 @@ func TestProgramTableSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cr, err := tab.lookup("k", func() (*compile.Result, error) {
+			cr, err := lookup(tab, "k", func() (*compile.Result, error) {
 				compiles.Add(1)
 				<-release
 				return mk()
@@ -258,20 +269,20 @@ func TestProgramTableSingleFlight(t *testing.T) {
 			t.Fatal("lookups returned different programs")
 		}
 	}
-	if s := tab.Stats(); s.Misses != 1 || s.Hits != n-1 || s.Programs != 1 || s.Bytes != programBytes(got[0].Prog) {
-		t.Fatalf("stats %+v, want 1 miss, %d hits, one program of %d bytes", s, n-1, programBytes(got[0].Prog))
+	if s := tab.Stats(); s.Misses != 1 || s.Hits != n-1 || s.Entries != 1 || s.Bytes != programBytes(got[0]) {
+		t.Fatalf("stats %+v, want 1 miss, %d hits, one program of %d bytes", s, n-1, programBytes(got[0]))
 	}
 }
 
 // TestProgramTableFailureNotRetained: a failed compile reaches its
 // waiters but is not kept, so the next lookup compiles again.
 func TestProgramTableFailureNotRetained(t *testing.T) {
-	tab := newProgramTable(programBudget)
+	tab := newStore(programBudget, programBytes)
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	first := make(chan error, 1)
 	go func() {
-		_, err := tab.lookup("k", func() (*compile.Result, error) { <-release; return nil, boom })
+		_, err := lookup(tab, "k", func() (*compile.Result, error) { <-release; return nil, boom })
 		first <- err
 	}()
 	for tab.Stats().Misses == 0 {
@@ -279,7 +290,7 @@ func TestProgramTableFailureNotRetained(t *testing.T) {
 	}
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := tab.lookup("k", func() (*compile.Result, error) { return nil, errors.New("waiter compiled") })
+		_, err := lookup(tab, "k", func() (*compile.Result, error) { return nil, errors.New("waiter compiled") })
 		waiter <- err
 	}()
 	for tab.Stats().Hits == 0 {
@@ -292,12 +303,12 @@ func TestProgramTableFailureNotRetained(t *testing.T) {
 	if err := <-waiter; err != boom {
 		t.Fatalf("waiter: %v, want the owner's boom", err)
 	}
-	if s := tab.Stats(); s.Programs != 0 || s.Bytes != 0 {
+	if s := tab.Stats(); s.Entries != 0 || s.Bytes != 0 {
 		t.Fatalf("failed compile retained: %+v", s)
 	}
 	mk := smallProgram(t, "db", OptsSpec{})
 	compiled := false
-	cr, err := tab.lookup("k", func() (*compile.Result, error) { compiled = true; return mk() })
+	cr, err := lookup(tab, "k", func() (*compile.Result, error) { compiled = true; return mk() })
 	if err != nil || cr == nil || !compiled {
 		t.Fatalf("lookup after a failure: compiled=%v err=%v, want a fresh compile", compiled, err)
 	}
@@ -318,7 +329,7 @@ func TestProgramTableEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 		digests[name] = compile.Digest(cr)
-		sizes = append(sizes, programBytes(cr.Prog))
+		sizes = append(sizes, programBytes(cr))
 	}
 	// compress and db fit; compress, db and jess do not, whichever two
 	// remain afterwards.
@@ -329,10 +340,10 @@ func TestProgramTableEvictsLeastRecentlyUsed(t *testing.T) {
 	if budget >= sizes[0]+sizes[1]+sizes[2] {
 		t.Fatalf("sizes %v leave no budget that holds two programs but not three", sizes)
 	}
-	tab := newProgramTable(budget)
+	tab := newStore(budget, programBytes)
 	look := func(name string) *compile.Result {
 		t.Helper()
-		cr, err := tab.lookup(name, mks[name])
+		cr, err := lookup(tab, name, mks[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +354,7 @@ func TestProgramTableEvictsLeastRecentlyUsed(t *testing.T) {
 	look("compress") // db is now the least recently used
 	look("jess")
 	s := tab.Stats()
-	if s.Evictions != 1 || s.Programs != 2 || s.Bytes != sizes[0]+sizes[2] {
+	if s.Evictions != 1 || s.Entries != 2 || s.Bytes != sizes[0]+sizes[2] {
 		t.Fatalf("stats %+v, want db evicted and compress and jess (%d bytes) kept", s, sizes[0]+sizes[2])
 	}
 	look("compress")
@@ -361,7 +372,7 @@ func TestProgramTableEvictsLeastRecentlyUsed(t *testing.T) {
 // TestEngineSharesCompiledProgram: cells that differ only in trigger
 // and oracle, standard and convergence alike, compile once through the
 // engine, with the same results as cells run without an engine, and the
-// table's counters reach the attached registry.
+// store's counters reach the attached registry.
 func TestEngineSharesCompiledProgram(t *testing.T) {
 	o := OptsSpec{Instr: paperInstr(), Framework: &core.Options{Variation: core.FullDuplication}}
 	ov := o

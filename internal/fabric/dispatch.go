@@ -150,9 +150,11 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, owner *worker) {
 	case http.StatusAccepted:
 		// fall through
 	case http.StatusTooManyRequests:
-		// Worker pushback propagates: honor its Retry-After (bounded),
-		// then put the cell back at the head of the fleet queue; a 429 is
-		// congestion, not failure, so the worker stays eligible.
+		// Worker pushback propagates. The cell goes back to the head of
+		// the fleet queue at once, and the worker stays eligible for it (a
+		// 429 is congestion, not failure). The refusing slot stays busy
+		// until its Retry-After (bounded) ends, so the claim rule lets an
+		// idle peer take the cell instead of leaving it to the owner.
 		resp.Body.Close()
 		ra := 1
 		if v, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && v > 0 {
@@ -161,29 +163,32 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, owner *worker) {
 		if ra > 5 {
 			ra = 5
 		}
+		c.mu.Lock()
+		delete(fl.tried, w.name)
+		held := fl.running == w // else a resolve already freed the slot
+		if held {
+			c.setRunningLocked(fl, nil)
+		}
+		if !fl.done {
+			if fl.cancel {
+				c.resolveLocked(fl, service.StatusCancelled, "cancelled", nil)
+			} else {
+				c.beginStageLocked(fl, obs.StageQueueWait, "429:"+w.name)
+				c.enqueueLocked(fl, true)
+			}
+		}
+		c.mu.Unlock()
 		select {
 		case <-time.After(time.Duration(ra) * time.Second):
 		case <-w.ctx.Done():
 		}
-		c.mu.Lock()
-		delete(fl.tried, w.name)
-		if fl.running == w {
-			c.setRunningLocked(fl, nil)
+		if held {
+			c.mu.Lock()
 			w.inflight--
 			c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
 			c.retireIfDrainedLocked(w)
-		}
-		if fl.done {
 			c.mu.Unlock()
-			return
 		}
-		if fl.cancel {
-			c.resolveLocked(fl, service.StatusCancelled, "cancelled", nil)
-		} else {
-			c.beginStageLocked(fl, obs.StageQueueWait, "429:"+w.name)
-			c.enqueueLocked(fl, true)
-		}
-		c.mu.Unlock()
 		return
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))

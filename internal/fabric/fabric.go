@@ -96,7 +96,7 @@ type worker struct {
 	name string
 	url  string
 
-	inflight int  // cells dispatched and not yet resolved
+	inflight int  // busy slots: cells dispatched and not yet resolved, and 429 backoffs
 	up       bool // health probe OK and build-compatible
 	probed   bool // at least one health probe answered
 	buildID  string

@@ -945,6 +945,38 @@ func TestFleetDrainDuring429Backoff(t *testing.T) {
 	}
 }
 
+// TestFleetCongestedOwnerYieldsCell: an owner that answers 429 gives its
+// cell back at once and keeps its slot busy until its Retry-After ends,
+// so an idle peer runs the cell and the owner is asked only once.
+func TestFleetCongestedOwnerYieldsCell(t *testing.T) {
+	var posts atomic.Int32
+	congested := congestedWorker(make(chan struct{}, 1))
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			posts.Add(1)
+		}
+		congested.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	w1 := newTestWorker(t, "w1")
+	f := startCoordinator(t, []*testWorker{w1}, func(cfg *Config, _ *service.Config) {
+		cfg.Slots = 1
+		cfg.Fleet.Workers = append(cfg.Fleet.Workers, WorkerConf{Name: "w0", URL: hs.URL})
+	})
+	f.waitUp(nil)
+
+	id, _ := f.post(specOwnedBy(t, "w0", 2700, "w0", "w1"))
+	if v := f.waitTerminal(id); v.Status != service.StatusDone {
+		t.Fatalf("job %s: status %s (%s)", id, v.Status, v.Error)
+	}
+	if n := w1.srv.Registry().Counter(service.MetricJobsAccepted).Value(); n != 1 {
+		t.Errorf("peer w1 accepted %d jobs, want 1", n)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("congested owner w0 saw %d POSTs, want 1", n)
+	}
+}
+
 // fakeWorker is a scripted worker: it completes every job instantly with
 // a canned result and serves a fixed (corrupt) CAS payload.
 func fakeWorker(result, casBody []byte) http.Handler {

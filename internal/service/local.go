@@ -11,8 +11,9 @@ import (
 
 // localExecutor is the executor behind isampd (DESIGN.md §10): a bounded
 // FIFO queue drained by a fixed worker pool, each job running as
-// experiment-engine cells so identical jobs share the memo table and
-// the build-ID-keyed result cache.
+// experiment-engine cells so identical jobs share the engine's bounded
+// result store and the build-ID-keyed result cache, and jobs of one
+// compiled configuration share its program store.
 type localExecutor struct {
 	workers int
 	cache   *experiment.Cache

@@ -309,14 +309,21 @@ func TestObsMemoDedupCauseLink(t *testing.T) {
 	s, h := obsServer(t, obs.ModeSpans, Config{Workers: 2})
 	src := slowSrc(1<<61 + 35)
 	owner := mustAccept(t, h.URL, JobSpec{Source: src})
-	waitRunning(t, h.URL, owner, 10*time.Second)
-	// Give the owner's cell time to register its flight before the twin
-	// arrives; the twin must then park on it rather than run.
-	time.Sleep(50 * time.Millisecond)
+	// The twin must arrive after the owner's cell has registered its
+	// flight (the result store's one miss), so that it parks on it
+	// rather than runs.
+	eng := s.exec.(*localExecutor).eng
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.ResultStats().Misses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("owner %s never started its cell", owner)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	waiter := mustAccept(t, h.URL, JobSpec{Source: src})
 
 	// The live ledger reports the open memo-flight stage with its cause.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		v := getJob(t, h.URL, waiter)
 		if v.Ledger != nil {

@@ -116,7 +116,7 @@ func (p *meterPublisher) OnProbe(t *vm.Thread, f *vm.Frame, pr *ir.Probe) {
 func (p *meterPublisher) OnYield(t *vm.Thread, f *vm.Frame) { p.m.OnYield(t, f); p.publish() }
 
 // jobCell builds the engine cell for a spec, compiling through eng's
-// program table. events, when non-nil, is the job whose SSE stream
+// program store. events, when non-nil, is the job whose SSE stream
 // receives the run's metrics series; it is deliberately NOT part of the
 // cell key — events change what a client observes mid-run, never the
 // result, so memo/cache sharing stays legal.
@@ -152,7 +152,7 @@ func jobCell(eng *experiment.Engine, spec JobSpec, events *Job, full bool) exper
 // job and the equivalent command line run the same code. runSpec adds
 // what only a job has: program selection, the SSE meter publisher, the
 // ModeFull recorder and the ledger stages — compile spans the lookup in
-// eng's table of compiled programs (program selection and compilation
+// eng's program store (program selection and compilation
 // on a miss; nil eng always compiles), vm-run opens right before the VM
 // starts, and export covers the final metrics publication.
 func runSpec(ctx context.Context, eng *experiment.Engine, spec JobSpec, events *Job, full bool) (*experiment.CellResult, error) {

@@ -7,7 +7,7 @@
 // observable three ways: polled job JSON, a Server-Sent-Events stream
 // of the telemetry metrics series while the job runs, and a Prometheus
 // /metrics endpoint for the daemon itself. The local executor runs jobs
-// on a worker pool through the experiment engine's memo table and
+// on a worker pool through the experiment engine's result store and
 // build-ID-keyed result cache; the fleet executor (internal/fabric) runs
 // them on isampd workers. Cancellation (DELETE, client timeout, daemon
 // drain) ends the job's context; locally that reaches a vm.Cancel token
@@ -222,7 +222,7 @@ func (s JobSpec) cellKey() string {
 
 // programID identifies the job's program: a source hash, a scenario
 // family hash and index, or a benchmark and scale. It prefixes the cell
-// key and keys the engine's table of compiled programs.
+// key and keys the engine's program store.
 func (s JobSpec) programID() string {
 	switch {
 	case s.Source != "":
