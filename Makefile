@@ -5,12 +5,11 @@ GO ?= go
 
 .PHONY: ci fmt vet vet-isampbench build test race bench bench-short bench-ab \
 	experiments clean-cache fuzz fuzz-smoke mutation-check telemetry-smoke \
-	service-smoke soak soak-smoke soak-fleet doc-lint fusion-smoke \
-	scenario-smoke obs-smoke fleet-smoke
+	service-smoke doc-lint fusion-smoke scenario-smoke obs-smoke fleet-smoke
 
 ci: fmt vet vet-isampbench doc-lint build test race fuzz-smoke mutation-check \
-	telemetry-smoke service-smoke obs-smoke soak-smoke fusion-smoke \
-	scenario-smoke fleet-smoke bench-short
+	telemetry-smoke service-smoke obs-smoke fusion-smoke scenario-smoke \
+	fleet-smoke bench-short
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -41,7 +40,9 @@ test:
 # machinery against live HTTP clients, the scenario sweep records and
 # replays generated programs in parallel, and the fleet coordinator
 # dispatches, relays and cancels across workers; keep all seven
-# race-clean.
+# race-clean. TestMixedTraffic (internal/fabric) runs here too: one
+# seeded mixed-traffic sequence through a daemon and a two-worker fleet,
+# with exact invariants per op (DESIGN.md §11).
 race:
 	$(GO) test -race ./internal/experiment/ ./internal/vm/ \
 		./internal/oracle/ ./internal/trigger/ ./internal/service/ \
@@ -131,26 +132,6 @@ obs-smoke:
 	echo "$$out" | grep -q 'PASS: TestFleetTraceAndLedger' \
 		|| { echo "obs-smoke: TestFleetTraceAndLedger did not pass"; exit 1; }
 
-# Sustained soak: a 30-second seeded mixed-traffic run against a
-# self-hosted daemon, gates asserted in code, BENCH_PR6.json emitted by
-# the harness itself (see BENCHMARKING.md). Deterministic plan: the same
-# seed+mix replays the same job sequence, and the report records its
-# SHA-256.
-soak:
-	$(GO) run ./cmd/isampload -duration 30s -o BENCH_PR6.json
-
-# Soak smoke for ci: a few-second seeded soak on an ephemeral port under
-# -race with the regression gates enforced — exact gates (zero failed
-# jobs, zero leaked goroutines, zero transport errors) at full strength,
-# timing ceilings relaxed for shared hosts. A deliberately small queue
-# forces the 429-retry path to run. Fails unless go test succeeds and the
-# PASS line appears.
-soak-smoke:
-	@out=$$($(GO) test -race -run '^TestSoakSmoke$$' -v ./cmd/isampload/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestSoakSmoke' \
-		|| { echo "soak-smoke: TestSoakSmoke did not pass"; exit 1; }
-
 # Fleet smoke for ci: the real isampfleet entrypoint (config file, flags,
 # SIGHUP reload) coordinating three in-process isampd workers on
 # ephemeral ports, under -race: a mixed batch with duplicates, one worker
@@ -163,15 +144,6 @@ fleet-smoke:
 		|| { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q 'PASS: TestFleetSmoke' \
 		|| { echo "fleet-smoke: TestFleetSmoke did not pass"; exit 1; }
-
-# Fleet soak (not in ci — see BENCHMARKING.md on this host's core count):
-# the self-hosted scaling A/B behind BENCH_PR10.json — the same seeded
-# soak against 1-worker and 4-worker self-hosted fleets, plus a
-# worker-kill recovery leg.
-soak-fleet:
-	$(GO) run ./cmd/isampload -fleet-ab -workers 4 -duration 20s -pr 10 \
-		-title "Fleet scaling A/B: isampfleet coordinator over 1 vs 4 isampd workers" \
-		-o BENCH_PR10.json
 
 # Doc lint: every internal package must open with a package comment that
 # cross-links its DESIGN.md section, so the design doc and the code

@@ -35,7 +35,9 @@ type Engine struct {
 	programs *store[*compile.Result]
 
 	mu        sync.Mutex
-	timings   []CellTiming // the keptTimings slowest, in Slowest's order
+	counters  map[counterKey]*telemetry.Counter // resolved on first count
+	cellMs    *telemetry.Histogram              // MetricCellMillis, resolved on first record
+	timings   []CellTiming                      // the keptTimings slowest, in Slowest's order
 	scheduled int
 	completed int
 	runs      int
@@ -144,11 +146,16 @@ const (
 	MetricCellMemoRetained = "cells.memo_retained_bytes" // gauge: estimated bytes the memo holds
 )
 
+// counterKey names one per-artifact counter: a metric name and the
+// artifact its ".<artifact>" suffix carries.
+type counterKey struct{ name, artifact string }
+
 // AttachMetrics directs the engine's per-cell and store accounting into
 // reg. Attach once, before running any cells.
 func (e *Engine) AttachMetrics(reg *telemetry.Registry) {
 	e.mu.Lock()
 	e.metrics = reg
+	e.counters = make(map[counterKey]*telemetry.Counter)
 	e.mu.Unlock()
 	e.results.attach(reg, "", "", MetricCellMemoEvict, MetricCellMemoRetained)
 	e.programs.attach(reg, MetricProgramHit, MetricProgramMiss, MetricProgramEvict, MetricProgramRetained)
@@ -188,15 +195,24 @@ func (e *Engine) ResultStats() StoreStats { return e.results.Stats() }
 // ProgramStats returns the program store's counters.
 func (e *Engine) ProgramStats() StoreStats { return e.programs.Stats() }
 
-// count bumps a per-artifact engine counter.
+// count bumps one of cfg's artifact's counters. Each handle is taken
+// from the registry on its first count and kept, so a repeat count
+// builds no name and takes no registry lock, and a name still reaches
+// /metrics only once it has counted something.
 func (e *Engine) count(cfg Config, name string) {
 	e.mu.Lock()
-	reg := e.metrics
-	e.mu.Unlock()
-	if reg == nil {
+	if e.metrics == nil {
+		e.mu.Unlock()
 		return
 	}
-	reg.Counter(name + "." + cfg.artifact()).Inc()
+	k := counterKey{name, cfg.artifact()}
+	c := e.counters[k]
+	if c == nil {
+		c = e.metrics.Counter(name + "." + k.artifact)
+		e.counters[k] = c
+	}
+	e.mu.Unlock()
+	c.Inc()
 }
 
 // Do executes the cells and returns their results in input order, which
@@ -311,8 +327,10 @@ func (e *Engine) record(cfg Config, key string, probe, exec time.Duration, cache
 	}
 	e.mu.Lock()
 	if reg := e.metrics; reg != nil {
-		reg.Histogram(MetricCellMillis, telemetry.ExpBuckets(1, 20)).
-			Observe(uint64(d.Milliseconds()))
+		if e.cellMs == nil {
+			e.cellMs = reg.Histogram(MetricCellMillis, telemetry.ExpBuckets(1, 20))
+		}
+		e.cellMs.Observe(uint64(d.Milliseconds()))
 	}
 	e.runs++
 	if cached {

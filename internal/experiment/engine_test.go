@@ -529,3 +529,33 @@ func TestEngineResultStoreBounded(t *testing.T) {
 		t.Fatalf("the evicted cell recomputed to a different result: %v", err)
 	}
 }
+
+// TestEngineCountAllocatesNothing: after an artifact's first count, a
+// repeat count allocates nothing, and each counter carries the
+// "<name>.<artifact>" name /metrics has always shown.
+func TestEngineCountAllocatesNothing(t *testing.T) {
+	eng := NewEngine(1, nil)
+	reg := telemetry.NewRegistry()
+	eng.AttachMetrics(reg)
+	cfg := Config{Artifact: "service"}
+	eng.count(cfg, MetricCellMemoHit)
+	if n := testing.AllocsPerRun(100, func() { eng.count(cfg, MetricCellMemoHit) }); n != 0 {
+		t.Errorf("a repeat count allocates %v times, want 0", n)
+	}
+	if got := reg.Counter(MetricCellMemoHit + ".service").Value(); got != 102 {
+		t.Errorf("%s.service = %d, want 102", MetricCellMemoHit, got)
+	}
+	eng.count(Config{}, MetricCellsRun)
+	names := map[string]bool{}
+	for _, m := range reg.Snapshot() {
+		names[m.Name] = true
+	}
+	for _, want := range []string{MetricCellMemoHit + ".service", MetricCellsRun + ".unlabeled"} {
+		if !names[want] {
+			t.Errorf("registry lacks %s: %v", want, names)
+		}
+	}
+	if names[MetricCellsRun+".service"] || names[MetricCellMemoHit+".unlabeled"] {
+		t.Errorf("a counter that never counted is registered: %v", names)
+	}
+}

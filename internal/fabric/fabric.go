@@ -153,10 +153,10 @@ func New(cfg Config) (*Coordinator, error) {
 	client := cfg.Client
 	if client == nil {
 		// A dedicated transport, not http.DefaultTransport: worker
-		// connections must not pool with unrelated traffic, and a short
-		// idle timeout lets a drained coordinator quiesce to its
-		// pre-load goroutine count (the soak harness's leak gate
-		// measures exactly that).
+		// connections must not pool with unrelated traffic, and Stop
+		// closes them all, so a stopped coordinator leaves no connection
+		// goroutine behind on either end. The idle timeout bounds a
+		// connection to a worker that left the fleet.
 		client = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     5 * time.Second,
@@ -238,8 +238,8 @@ func (c *Coordinator) Health(doc map[string]any) {
 // Stop ends all worker traffic — event streams, result fetches and
 // remote cancels in flight abort, so a hung worker cannot wedge a drain
 // — and returns once the dispatchers, health probes and cancels have
-// exited (service.Executor). The Server calls it once every job is
-// terminal.
+// exited and the worker connections are closed (service.Executor). The
+// Server calls it once every job is terminal.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	c.closed = true
@@ -253,6 +253,7 @@ func (c *Coordinator) Stop() {
 	c.mu.Unlock()
 	c.wg.Wait()
 	c.cancels.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // setFleetID fixes the fleet's content-addressing ID and, when a cache

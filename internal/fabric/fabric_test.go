@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,9 +23,7 @@ import (
 // ---- harness -------------------------------------------------------------
 
 // testWorker is one in-process isampd behind an httptest listener, with a
-// kill switch that emulates a hard worker death: every subsequent request
-// answers 500 and existing connections (the coordinator's SSE streams) are
-// torn down.
+// kill switch that emulates a hard worker death (die).
 type testWorker struct {
 	name string
 	srv  *service.Server
@@ -40,9 +39,15 @@ func (tw *testWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tw.srv.Handler().ServeHTTP(w, r)
 }
 
+// die kills the worker: every later request answers 500, existing
+// connections (the coordinator's SSE streams) are torn down, and its jobs
+// stop, as they would with its process.
 func (tw *testWorker) die() {
 	tw.dead.Store(true)
 	tw.hs.CloseClientConnections()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tw.srv.Shutdown(ctx) //nolint:errcheck // a forced drain is the point
 }
 
 func newTestWorker(t *testing.T, name string) *testWorker {
@@ -163,41 +168,68 @@ type tv struct {
 	Ledger *obs.Ledger       `json:"ledger"`
 }
 
-func (f *fleet) post(spec service.JobSpec) (id string, status string) {
-	f.t.Helper()
+// accept is the body of a POST /v1/jobs answer: the job's ID and status
+// on a 202, the error on a refusal.
+type accept struct{ ID, Status, Error string }
+
+// postJob, getView and deleteJob are one call each against the job
+// surface at base, reporting failures as errors, so client goroutines
+// can use them; the fleet methods fail the test instead.
+func postJob(hc *http.Client, base string, spec service.JobSpec) (accept, int, error) {
+	var a accept
 	body, err := json.Marshal(spec)
 	if err != nil {
-		f.t.Fatalf("marshal spec: %v", err)
+		return a, 0, err
 	}
-	resp, err := http.Post(f.front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := hc.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		f.t.Fatalf("post: %v", err)
+		return a, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(resp.Body)
-		f.t.Fatalf("post: status %d: %s", resp.StatusCode, msg)
+	return a, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&a)
+}
+
+func getView(hc *http.Client, base, id string) (tv, error) {
+	var v tv
+	resp, err := hc.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		return v, err
 	}
-	var acc struct{ ID, Status string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		f.t.Fatalf("decode accept: %v", err)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return v, fmt.Errorf("GET %s: status %d", id, resp.StatusCode)
 	}
-	return acc.ID, acc.Status
+	return v, json.NewDecoder(resp.Body).Decode(&v)
+}
+
+func deleteJob(hc *http.Client, base, id string) (int, error) {
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained so the connection is reused
+	resp.Body.Close()
+	return resp.StatusCode, nil
+}
+
+func (f *fleet) post(spec service.JobSpec) (id string, status string) {
+	f.t.Helper()
+	a, code, err := postJob(http.DefaultClient, f.front.URL, spec)
+	if err != nil || code != http.StatusAccepted {
+		f.t.Fatalf("post: status %d (%s): %v", code, a.Error, err)
+	}
+	return a.ID, a.Status
 }
 
 func (f *fleet) view(id string) tv {
 	f.t.Helper()
-	resp, err := http.Get(f.front.URL + "/v1/jobs/" + id)
+	v, err := getView(http.DefaultClient, f.front.URL, id)
 	if err != nil {
 		f.t.Fatalf("get %s: %v", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		f.t.Fatalf("get %s: status %d", id, resp.StatusCode)
-	}
-	var v tv
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		f.t.Fatalf("decode %s: %v", id, err)
 	}
 	return v
 }
@@ -205,26 +237,18 @@ func (f *fleet) view(id string) tv {
 // workerView reads a job document straight from a worker.
 func (f *fleet) workerView(tw *testWorker, id string) tv {
 	f.t.Helper()
-	resp, err := http.Get(tw.hs.URL + "/v1/jobs/" + id)
+	v, err := getView(http.DefaultClient, tw.hs.URL, id)
 	if err != nil {
-		f.t.Fatalf("get %s from %s: %v", id, tw.name, err)
-	}
-	defer resp.Body.Close()
-	var v tv
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		f.t.Fatalf("decode %s from %s: %v", id, tw.name, err)
+		f.t.Fatalf("%s: %v", tw.name, err)
 	}
 	return v
 }
 
 func (f *fleet) cancel(id string) {
 	f.t.Helper()
-	req, _ := http.NewRequest(http.MethodDelete, f.front.URL+"/v1/jobs/"+id, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	if _, err := deleteJob(http.DefaultClient, f.front.URL, id); err != nil {
 		f.t.Fatalf("cancel %s: %v", id, err)
 	}
-	resp.Body.Close()
 }
 
 // waitCond polls the job document until cond holds.
@@ -324,6 +348,38 @@ func compact(t *testing.T, raw json.RawMessage) string {
 		t.Fatalf("compact: %v", err)
 	}
 	return buf.String()
+}
+
+// goroutinesBackTo polls runtime.NumGoroutine until it is at most base
+// or within has passed, and returns the last count with, when it is
+// above base, every goroutine's stack.
+func goroutinesBackTo(base int, within time.Duration) (int, string) {
+	deadline := time.Now().Add(within)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return n, ""
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			return n, string(buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// hasRow reports whether the ledger has a stage row with the cause. The
+// requeue reopens queue-wait, so a requeued job has several such rows.
+func hasRow(l *obs.Ledger, stage obs.Stage, cause string) bool {
+	if l == nil {
+		return false
+	}
+	for _, row := range l.Rows {
+		if row.Stage == stage && row.Cause == cause {
+			return true
+		}
+	}
+	return false
 }
 
 func ledgerCause(l *obs.Ledger, stage obs.Stage) (string, bool) {
@@ -548,20 +604,8 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 		}
 	}
 	v = f.waitRunningOn(id, survivor)
-	if cause, ok := ledgerCause(v.Ledger, obs.StageQueueWait); !ok || !strings.Contains(cause, "requeue:"+victim) {
-		// The requeue reopens queue-wait; any of the job's queue-wait rows
-		// may carry the cause, so scan them all.
-		found := false
-		if v.Ledger != nil {
-			for _, row := range v.Ledger.Rows {
-				if row.Stage == obs.StageQueueWait && row.Cause == "requeue:"+victim {
-					found = true
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("no queue-wait row with cause requeue:%s in ledger: %+v", victim, v.Ledger)
-		}
+	if !hasRow(v.Ledger, obs.StageQueueWait, "requeue:"+victim) {
+		t.Fatalf("no queue-wait row with cause requeue:%s in ledger: %+v", victim, v.Ledger)
 	}
 	if got := f.counter(MetricRequeues); got != 1 {
 		t.Fatalf("requeues = %d, want 1", got)
@@ -654,17 +698,17 @@ func TestFleetReloadDrainsBusyWorker(t *testing.T) {
 		t.Fatalf("worker %s not draining after reload", victim)
 	}
 
-	// Drain, don't drop: the running job survives the reload...
-	time.Sleep(100 * time.Millisecond)
-	if v := f.view(id); v.Status != service.StatusRunning {
-		t.Fatalf("job %s: status %s after reload, want running", id, v.Status)
-	}
-	// ...and new work lands only on the surviving worker.
+	// New work lands only on the surviving worker...
 	for n := int64(0); n < 4; n++ {
 		qid, _ := f.post(quickSpec(900 + n))
 		if qv := f.waitTerminal(qid); qv.Status != service.StatusDone {
 			t.Fatalf("job %s: status %s (%s)", qid, qv.Status, qv.Error)
 		}
+	}
+	// ...and, drained, not dropped, the job the reload found running
+	// still runs after them.
+	if v := f.view(id); v.Status != service.StatusRunning {
+		t.Fatalf("job %s: status %s after reload, want running", id, v.Status)
 	}
 	f.c.mu.Lock()
 	stillThere := f.c.workers[victim] != nil
@@ -1173,5 +1217,36 @@ func TestFleetBackpressure(t *testing.T) {
 	for _, id := range ids {
 		f.cancel(id)
 		f.waitTerminal(id)
+	}
+}
+
+// TestCoordinatorStopReleasesConnections: a coordinator stopped by its
+// server's shutdown closes its connections to the workers, which stay
+// up, so no connection goroutine outlives it on either end.
+func TestCoordinatorStopReleasesConnections(t *testing.T) {
+	workers := []*testWorker{newTestWorker(t, "w0"), newTestWorker(t, "w1")}
+	http.DefaultClient.CloseIdleConnections()
+	base := runtime.NumGoroutine()
+	f := startCoordinator(t, workers, nil)
+	f.waitUp(nil)
+	var ids []string
+	for n := int64(0); n < 8; n++ {
+		id, _ := f.post(quickSpec(3100 + n))
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if v := f.waitTerminal(id); v.Status != service.StatusDone {
+			t.Fatalf("job %s: status %s (%s)", id, v.Status, v.Error)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := f.srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	f.front.Close()
+	http.DefaultClient.CloseIdleConnections()
+	if n, stacks := goroutinesBackTo(base, time.Second); n > base {
+		t.Fatalf("%d goroutines 1s after the coordinator stopped, %d before it started:\n%s", n, base, stacks)
 	}
 }

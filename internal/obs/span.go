@@ -80,8 +80,8 @@ func (s Stage) String() string {
 // MarshalText renders the stage name in JSON.
 func (s Stage) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// UnmarshalText parses a stage name (ledger round-trips in the load
-// harness).
+// UnmarshalText parses a stage name, so a client can decode a job's
+// ledger JSON.
 func (s *Stage) UnmarshalText(b []byte) error {
 	for i, n := range stageNames {
 		if n == string(b) {

@@ -9,6 +9,7 @@ package profile
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -100,6 +101,11 @@ func (p *Profile) Entries() []Entry {
 // all events. Identical distributions yield 100; disjoint ones yield 0.
 // Two empty profiles are trivially identical (100); an empty profile
 // against a non-empty one overlaps 0.
+//
+// The sum is exact: for totals A and B, an event counted ca and cb times
+// adds the 128-bit integer min(ca·B, cb·A), and the sum is divided by
+// A·B once, so equal profiles give the same bits whatever order their
+// maps iterate in.
 func Overlap(a, b *Profile) float64 {
 	if a.total == 0 && b.total == 0 {
 		return 100
@@ -107,22 +113,26 @@ func Overlap(a, b *Profile) float64 {
 	if a.total == 0 || b.total == 0 {
 		return 0
 	}
-	sum := 0.0
+	var hi, lo uint64 // the sum, at most A·B < 2^128
 	for k, ca := range a.counts {
 		cb, ok := b.counts[k]
 		if !ok {
 			continue
 		}
-		pa := float64(ca) / float64(a.total)
-		pb := float64(cb) / float64(b.total)
-		if pa < pb {
-			sum += pa
-		} else {
-			sum += pb
+		h, l := bits.Mul64(ca, b.total)
+		if h2, l2 := bits.Mul64(cb, a.total); h2 < h || h2 == h && l2 < l {
+			h, l = h2, l2
 		}
+		var carry uint64
+		lo, carry = bits.Add64(lo, l, 0)
+		hi += h + carry
 	}
-	return 100 * sum
+	th, tl := bits.Mul64(a.total, b.total)
+	return 100 * uint128(hi, lo) / uint128(th, tl)
 }
+
+// uint128 converts the 128-bit integer hi·2^64 + lo to a float64.
+func uint128(hi, lo uint64) float64 { return float64(hi)*0x1p64 + float64(lo) }
 
 // label renders a key using the profile's labeler.
 func (p *Profile) label(key uint64) string {

@@ -243,3 +243,21 @@ func TestOverlapHandComputed(t *testing.T) {
 		})
 	}
 }
+
+// TestOverlapBitIdentical: equal profiles give the same overlap, bit for
+// bit, however the profiles' maps iterate. A job result carries the
+// value, and a cached or reused result must be byte-identical to a
+// fresh one.
+func TestOverlapBitIdentical(t *testing.T) {
+	a, b := New("a"), New("b")
+	for k := uint64(0); k < 64; k++ {
+		a.Add(k, 1+k*k%7)
+		b.Add(k, 1+k*k%5)
+	}
+	want := math.Float64bits(Overlap(a, b))
+	for range 200 {
+		if got := math.Float64bits(Overlap(a.Clone(), b.Clone())); got != want {
+			t.Fatalf("Overlap = %v, then %v", math.Float64frombits(want), math.Float64frombits(got))
+		}
+	}
+}

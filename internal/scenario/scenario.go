@@ -6,8 +6,8 @@
 // benchmarks, and every generated program doubles as a correctness
 // probe under the runtime oracle. The family hash (SHA-256 over the
 // spec and every program's canonical disassembly) is the replay
-// receipt, mirroring load.PlanHash: two machines that print the same
-// hash expanded byte-identical program sets.
+// receipt: two machines that print the same hash expanded
+// byte-identical program sets.
 //
 // The package also implements whole-run record-and-replay (record.go):
 // a Recording captures every trigger-fire decision, every green-thread
@@ -33,8 +33,8 @@ import (
 // Family is a seeded workload-family spec. It is pure data: the same
 // spec and seed expand to the byte-identical program set on any
 // machine at any degree of parallelism. The JSON form rejects unknown
-// fields (like load.Mix), so a typo in a spec file is an error, not a
-// silently ignored knob.
+// fields, so a typo in a spec file is an error, not a silently ignored
+// knob.
 type Family struct {
 	// Name labels the family in reports and cell keys.
 	Name string `json:"name"`
@@ -187,7 +187,7 @@ func (f *Family) SpecHash() string {
 // Hash is the family's replay receipt: the SHA-256 of the canonical
 // spec JSON followed by every program's canonical disassembly, in
 // index order. Two machines that print the same Hash expanded
-// byte-identical program sets (mirroring load.PlanHash).
+// byte-identical program sets.
 func (f *Family) Hash() (string, error) {
 	h := sha256.New()
 	h.Write(f.canonical())

@@ -588,7 +588,7 @@ func TestObsStageHistograms(t *testing.T) {
 
 	for _, st := range []obs.Stage{obs.StageAccept, obs.StageQueueWait, obs.StageVMRun} {
 		hist := reg.Histogram(MetricStageUs(st), telemetry.ExpBuckets(1, 24))
-		if got := hist.Summarize().Count; got == 0 {
+		if got := hist.Count(); got == 0 {
 			t.Errorf("histogram %s empty after a traced job", MetricStageUs(st))
 		}
 	}

@@ -80,10 +80,9 @@ type Config struct {
 	// flag of isampd.
 	TraceDir string
 	// Now, when non-nil, replaces time.Now for every job timestamp and
-	// the job-duration histogram — the deterministic-clock test hook the
-	// load harness and the service tests use (DESIGN.md §11). It does NOT
-	// affect job timeouts (timeout_ms still arms a real wall-clock
-	// context deadline).
+	// the job-duration histogram — the deterministic-clock test hook
+	// (DESIGN.md §10). It does NOT affect job timeouts (timeout_ms still
+	// arms a real wall-clock context deadline).
 	Now func() time.Time
 }
 
@@ -487,11 +486,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // Introspection is a point-in-time snapshot of the daemon's internal
-// state: the job population by phase, the drain flag, and the process's
-// goroutine/heap footprint. It is the drain-introspection test hook the
-// load harness's leak gates consume (DESIGN.md §11): after a soak's jobs
-// all reach a terminal state and its SSE clients disconnect, Queued and
-// Running must be 0 and Goroutines must return to the pre-load baseline.
+// state: the job population by phase, the drain flag, open event
+// streams and the process's goroutine count — the drain-introspection
+// test hook (DESIGN.md §10), also served at /healthz. Once every job is
+// terminal and every SSE client has gone, Queued, Running and
+// Subscribers are 0.
 type Introspection struct {
 	// Draining reports whether Shutdown has begun.
 	Draining bool `json:"draining"`
@@ -503,13 +502,10 @@ type Introspection struct {
 	Subscribers int `json:"subscribers"`
 	// Goroutines is runtime.NumGoroutine() at snapshot time.
 	Goroutines int `json:"goroutines"`
-	// HeapBytes is runtime.MemStats.HeapAlloc at snapshot time.
-	HeapBytes uint64 `json:"heap_bytes"`
 }
 
 // Introspect snapshots the daemon's internal state. Also served (merged
-// into the health document) at GET /healthz, so out-of-process harnesses
-// can run the same leak checks as in-process tests.
+// into the health document) at GET /healthz.
 func (s *Server) Introspect() Introspection {
 	s.mu.Lock()
 	in := Introspection{Draining: s.draining}
@@ -530,9 +526,6 @@ func (s *Server) Introspect() Introspection {
 		}
 	}
 	in.Goroutines = runtime.NumGoroutine()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	in.HeapBytes = ms.HeapAlloc
 	return in
 }
 
@@ -550,7 +543,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"terminal":    in.Terminal,
 		"subscribers": in.Subscribers,
 		"goroutines":  in.Goroutines,
-		"heap_bytes":  in.HeapBytes,
 		"build_id":    experiment.BuildID(),
 		"obs":         s.cfg.Obs.Mode().String(),
 	}

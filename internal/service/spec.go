@@ -128,9 +128,8 @@ func (s JobSpec) withDefaults() JobSpec {
 }
 
 // Valid reports whether the daemon would accept this spec: it applies
-// the same defaulting and validation as POST /v1/jobs. The load harness
-// uses it to guarantee generated traffic never manufactures 400s
-// (DESIGN.md §11).
+// the same defaulting and validation as POST /v1/jobs, so a test can
+// check a spec without a server.
 func (s JobSpec) Valid() error { return s.withDefaults().validate() }
 
 // CellKey returns the spec's canonical measurement-cell key after

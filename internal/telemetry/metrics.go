@@ -34,13 +34,14 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution of uint64 observations.
 // Bounds are inclusive upper bounds; one implicit overflow bucket
-// catches everything above the last bound.
+// catches everything above the last bound. Its readers are the
+// Prometheus exposition (cumulative buckets, _sum and _count) and
+// Count and Sum.
 type Histogram struct {
 	bounds []uint64
 	counts []atomic.Uint64 // len(bounds)+1; last is overflow
 	count  atomic.Uint64
 	sum    atomic.Uint64
-	max    atomic.Uint64
 }
 
 // Observe records one observation.
@@ -49,12 +50,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -62,87 +57,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Max returns the largest observation so far (0 when empty).
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the bucket
-// counts: it walks the cumulative distribution to the bucket holding the
-// q-th observation and interpolates linearly between that bucket's lower
-// and upper bound. Observations landing in the overflow bucket are
-// bounded above only by Max, so the estimate there is Max itself. An
-// empty histogram returns 0. The estimate is exact when every
-// observation in the target bucket equals a bound, and within one bucket
-// width otherwise — good enough for regression gates on exponentially
-// bucketed latencies.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum, lower uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if cum+n > rank {
-			if i == len(h.bounds) { // overflow bucket: only Max bounds it
-				return h.Max()
-			}
-			upper := h.bounds[i]
-			if mx := h.Max(); mx < upper {
-				upper = mx // no observation can exceed the recorded max
-			}
-			if n == 0 || upper <= lower {
-				return upper
-			}
-			frac := float64(rank-cum) / float64(n)
-			return lower + uint64(frac*float64(upper-lower))
-		}
-		cum += n
-		if i < len(h.bounds) {
-			lower = h.bounds[i]
-		}
-	}
-	return h.Max()
-}
-
-// Summary is a point-in-time digest of a histogram, the shape the load
-// harness's regression gates consume (see internal/load and
-// BENCHMARKING.md).
-type Summary struct {
-	Count uint64  `json:"count"`
-	Sum   uint64  `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   uint64  `json:"p50"`
-	P90   uint64  `json:"p90"`
-	P99   uint64  `json:"p99"`
-	Max   uint64  `json:"max"`
-}
-
-// Summarize digests the histogram's current state.
-func (h *Histogram) Summarize() Summary {
-	s := Summary{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
-	}
-	if s.Count > 0 {
-		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
-	return s
-}
 
 // Bucket is one histogram bucket in a snapshot.
 type Bucket struct {

@@ -154,69 +154,3 @@ func TestSeriesCSVAndJSON(t *testing.T) {
 		t.Errorf("JSON = %+v", doc)
 	}
 }
-
-func TestHistogramMaxAndQuantile(t *testing.T) {
-	r := telemetry.NewRegistry()
-	h := r.Histogram("q", telemetry.ExpBuckets(1, 10)) // bounds 1..512
-
-	// Empty histogram: every statistic is zero.
-	if h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Errorf("empty histogram: p50=%d max=%d, want 0/0", h.Quantile(0.5), h.Max())
-	}
-	s := h.Summarize()
-	if s.Count != 0 || s.Mean != 0 || s.P99 != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-
-	// 100 observations of 1..100. Exact quantiles are known; the bucket
-	// estimate must land within the containing bucket's width.
-	for v := uint64(1); v <= 100; v++ {
-		h.Observe(v)
-	}
-	if h.Max() != 100 {
-		t.Errorf("max = %d, want 100", h.Max())
-	}
-	for _, tc := range []struct {
-		q      float64
-		lo, hi uint64 // inclusive acceptance band (containing bucket)
-	}{
-		{0.0, 0, 1},
-		{0.5, 32, 64},   // the 50th obs is 51, bucket (32,64]
-		{0.9, 64, 100},  // the 90th obs is 91, bucket (64,128] capped at max
-		{0.99, 64, 100}, // the 99th obs is 100
-		{1.0, 64, 100},
-	} {
-		got := h.Quantile(tc.q)
-		if got < tc.lo || got > tc.hi {
-			t.Errorf("Quantile(%g) = %d, want in [%d, %d]", tc.q, got, tc.lo, tc.hi)
-		}
-	}
-
-	// Quantiles are monotone in q.
-	prev := uint64(0)
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		got := h.Quantile(q)
-		if got < prev {
-			t.Fatalf("Quantile(%g) = %d < previous %d (not monotone)", q, got, prev)
-		}
-		prev = got
-	}
-
-	// Overflow-bucket observations are reported as Max.
-	h2 := r.Histogram("q2", []uint64{1})
-	h2.Observe(1 << 40)
-	if got := h2.Quantile(0.99); got != 1<<40 {
-		t.Errorf("overflow quantile = %d, want %d", got, uint64(1)<<40)
-	}
-
-	sum := h.Summarize()
-	if sum.Count != 100 || sum.Sum != 5050 || sum.Max != 100 {
-		t.Errorf("summary = %+v, want count=100 sum=5050 max=100", sum)
-	}
-	if sum.Mean != 50.5 {
-		t.Errorf("mean = %g, want 50.5", sum.Mean)
-	}
-	if sum.P50 != h.Quantile(0.50) || sum.P99 != h.Quantile(0.99) {
-		t.Errorf("summary quantiles disagree with Quantile: %+v", sum)
-	}
-}
