@@ -4,12 +4,10 @@
 GO ?= go
 
 .PHONY: ci fmt vet vet-isampbench build test race bench bench-short bench-ab \
-	experiments clean-cache fuzz fuzz-smoke mutation-check telemetry-smoke \
-	service-smoke doc-lint fusion-smoke scenario-smoke obs-smoke fleet-smoke
+	experiments clean-cache fuzz fuzz-smoke doc-lint fusion-smoke scenario-smoke
 
-ci: fmt vet vet-isampbench doc-lint build test race fuzz-smoke mutation-check \
-	telemetry-smoke service-smoke obs-smoke fusion-smoke scenario-smoke \
-	fleet-smoke bench-short
+ci: fmt vet vet-isampbench doc-lint build test race fuzz-smoke fusion-smoke \
+	scenario-smoke bench-short
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -38,15 +36,78 @@ test:
 # parallel seeds, the trigger tests drive fault-injected timers under
 # threaded programs, the service daemon runs its queue/worker/SSE
 # machinery against live HTTP clients, the scenario sweep records and
-# replays generated programs in parallel, and the fleet coordinator
-# dispatches, relays and cancels across workers; keep all seven
-# race-clean. TestMixedTraffic (internal/fabric) runs here too: one
-# seeded mixed-traffic sequence through a daemon and a two-worker fleet,
-# with exact invariants per op (DESIGN.md §11).
+# replays generated programs in parallel, the fleet coordinator
+# dispatches, relays and cancels across workers, and the three daemons'
+# and CLI's own tests drive all of it end to end; keep all ten packages
+# race-clean. Each test runs under the race detector once, here, and
+# the tests below are pinned by name: race fails unless each shows its
+# PASS line (a name matches as a prefix), so a renamed or skipped gate
+# still fails ci.
+#
+#   TestMutationKill (internal/oracle): the oracle's mutation test.
+#     Partial-Duplication compiled with a deliberately forgotten
+#     backedge mask (core.FaultSkipBackedgeMask) must be flagged as a
+#     Property-1 violation; an oracle that stops observing fails it.
+#   TestTelemetrySmoke (cmd/isamp): a small instrumented benchmark
+#     through the real isamp CLI path with -verify, -trace and -metrics,
+#     validating the Chrome trace-event JSON and the metrics CSV header.
+#   TestCLIMatchesJob (cmd/isamp): every variation x every job trigger
+#     (plus yieldopt, icache and verify legs) through isamp's run path
+#     and as a job on a live service.Server must report the same
+#     return, output, Stats, code sizes and profile entries.
+#   TestServiceSmoke (cmd/isampd): boot isampd on an ephemeral port,
+#     submit and stream a job, resubmit at another interval (one
+#     program-store miss, then a hit) and verbatim (a byte-identical
+#     result-store hit), cancel a long-running job, validate /metrics,
+#     drain via the SIGTERM path.
+#   TestDaemonObservability (cmd/isampd): isampd at -obs full with a
+#     trace directory, debug listener and structured logs: ledger rows
+#     sum to total_ns, /trace parses as Chrome JSON, pprof answers.
+#   TestObsFullMergedTrace, TestObsLedgerSumEqualsJobLatency,
+#   TestObsChainCompleted (internal/service): the full-mode merged trace
+#     carries cycle-aligned VM events inside vm-run, the ledger equals
+#     the job's end-to-end extent, the completed chain is gap-free.
+#   TestFleetTraceAndLedger (internal/fabric): a coordinator job's
+#     /trace parses with a dispatch span, its ledger sums to total_ns,
+#     and PUT /v1/obs turns ledgers off.
+#   TestFleetSmoke (cmd/isampfleet): the real isampfleet entrypoint
+#     (config file, flags, SIGHUP reload) over three in-process isampd
+#     workers: a batch with duplicates, one worker killed mid-job, every
+#     job terminal, zero lost cells, a byte-identical CAS hit.
+#   TestMixedTraffic (internal/fabric): one seeded mixed-traffic
+#     sequence through a daemon and a two-worker fleet, with exact
+#     invariants per op (DESIGN.md §11).
+#   TestFusionDifferentialSweep, TestCallBoundarySweep, TestFused...,
+#   TestFuseBlockOperandOverflow, TestAllEventsObserverDisablesFusion,
+#   TestSparseObserverKeepsFusion (internal/vm): the fused tier against
+#     the reference — the seeded sweep, generated programs aimed at fused
+#     calls and returns, and every fused-block edge case (traps, cancel
+#     and quantum mid-pair, checks and probes in streams, the operand
+#     overflow fallback, observer degradation, sparse observers kept
+#     fused, coverage floors).
+#   TestSweepProperty, TestRecordReplayDifferential,
+#   TestReplayDetectsTampering (internal/scenario): the workload-family
+#     sweep recorded on the fast dispatcher and replayed bit-identically
+#     on both, under the oracle, and the tampering detector.
+RACE_PINNED = TestMutationKill TestTelemetrySmoke TestCLIMatchesJob \
+	TestServiceSmoke TestDaemonObservability TestObsFullMergedTrace \
+	TestObsLedgerSumEqualsJobLatency TestObsChainCompleted \
+	TestFleetTraceAndLedger TestFleetSmoke TestMixedTraffic \
+	TestFusionDifferentialSweep TestCallBoundarySweep TestFused \
+	TestFuseBlockOperandOverflow TestAllEventsObserverDisablesFusion \
+	TestSparseObserverKeepsFusion TestSweepProperty \
+	TestRecordReplayDifferential TestReplayDetectsTampering
+
 race:
-	$(GO) test -race ./internal/experiment/ ./internal/vm/ \
+	@out=$$($(GO) test -race -v ./internal/experiment/ ./internal/vm/ \
 		./internal/oracle/ ./internal/trigger/ ./internal/service/ \
-		./internal/scenario/ ./internal/fabric/
+		./internal/scenario/ ./internal/fabric/ ./cmd/isamp/ \
+		./cmd/isampd/ ./cmd/isampfleet/) \
+		|| { echo "$$out" | grep -v -e '^=== ' -e '^    --- PASS' -e '^--- PASS'; exit 1; }; \
+	for t in $(RACE_PINNED); do \
+		echo "$$out" | grep -q -e "--- PASS: $$t" || { echo "race: $$t did not pass"; exit 1; }; \
+	done; \
+	echo "$$out" | grep -e '^ok' -e '^PASS$$' -e '^FAIL'
 
 # Native fuzzing (go test -fuzz), 30s per target. Each target keeps its
 # regression corpus in testdata/fuzz/; crashers found here land there
@@ -65,86 +126,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVariations$$' -fuzztime 5s ./internal/oracle/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayRoundTrip$$' -fuzztime 5s ./internal/scenario/
 
-# Mutation test for the oracle itself: compile Partial-Duplication with a
-# deliberately forgotten backedge mask (core.FaultSkipBackedgeMask) and
-# require the oracle to flag the resulting Property-1 violation. Guards
-# the guard: an oracle that stops observing fails this target. Fails
-# unless go test succeeds and the PASS line appears.
-mutation-check:
-	@out=$$($(GO) test -run '^TestMutationKill$$' -v ./internal/oracle/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestMutationKill' \
-		|| { echo "mutation-check: TestMutationKill did not pass"; exit 1; }
-
-# Telemetry smoke, two tests under -race. (1) Drive a small instrumented
-# benchmark through the real isamp CLI path with -verify, -trace and
-# -metrics attached, validating the Chrome trace-event JSON schema and
-# the metrics CSV header; -race exercises the trace ring's atomic head
-# publication. (2) The CLI-job parity gate: every variation x every job
-# trigger (plus yieldopt, icache and verify legs) runs through isamp's
-# run path and as a job on a live in-process service.Server, and both
-# must report the same return, output, Stats, code sizes and profile
-# entries; -race covers the daemon's queue, workers and SSE stream.
-telemetry-smoke:
-	@out=$$($(GO) test -race -run '^(TestTelemetrySmoke|TestCLIMatchesJob)$$' -v ./cmd/isamp/) \
-		|| { echo "$$out"; exit 1; }; \
-	for t in TestTelemetrySmoke TestCLIMatchesJob; do \
-		echo "$$out" | grep -q "PASS: $$t" || { echo "telemetry-smoke: $$t did not pass"; exit 1; }; \
-	done
-
-# Daemon smoke: boot isampd on an ephemeral port under -race, submit a
-# job over HTTP, stream its SSE events to completion, submit its
-# configuration again at another interval (one program-store miss, then
-# one hit), resubmit its exact spec (a result-store hit with a
-# byte-identical result, no eviction, retained bytes above 0), cancel a
-# long-running job (must stop at the next observation point and leave
-# nothing in the result store), validate the /metrics exposition format,
-# and drain via the SIGTERM path. Fails unless go test succeeds and the
-# PASS line appears.
-service-smoke:
-	@out=$$($(GO) test -race -run '^TestServiceSmoke$$' -v ./cmd/isampd/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestServiceSmoke' \
-		|| { echo "service-smoke: TestServiceSmoke did not pass"; exit 1; }
-
-# Observability smoke for ci, two halves, both under -race. (1) The real
-# daemon: boot isampd at -obs full with a trace directory, debug
-# listener and structured logs, submit jobs over HTTP, and require the
-# terminal ledger's stage rows to sum to total_ns exactly, the merged
-# /trace document to parse as Chrome trace-event JSON, and pprof to
-# answer. (2) In-process: the full-mode merged trace must carry
-# cycle-aligned VM events inside the vm-run span, the ledger must equal
-# the job's end-to-end extent, and the completed chain must be gap-free
-# with zero ring drops. (3) The fleet: a coordinator job's /trace must
-# parse as Chrome trace-event JSON with a dispatch span, its ledger must
-# sum exactly to total_ns, and PUT /v1/obs must turn ledgers off. Each
-# leg fails unless go test succeeds (and, for the daemon and fleet legs,
-# the named test's PASS line appears).
-obs-smoke:
-	@out=$$($(GO) test -race -run '^TestDaemonObservability$$' -v ./cmd/isampd/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestDaemonObservability' \
-		|| { echo "obs-smoke: TestDaemonObservability did not pass"; exit 1; }
-	$(GO) test -race -run '^(TestObsFullMergedTrace|TestObsLedgerSumEqualsJobLatency|TestObsChainCompleted)$$' \
-		./internal/service/
-	@out=$$($(GO) test -race -run '^TestFleetTraceAndLedger$$' -v ./internal/fabric/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestFleetTraceAndLedger' \
-		|| { echo "obs-smoke: TestFleetTraceAndLedger did not pass"; exit 1; }
-
-# Fleet smoke for ci: the real isampfleet entrypoint (config file, flags,
-# SIGHUP reload) coordinating three in-process isampd workers on
-# ephemeral ports, under -race: a mixed batch with duplicates, one worker
-# killed mid-job (its cell requeues on a survivor, then the topology
-# drops it via SIGHUP), every job terminal, zero lost cells, and a
-# byte-identical CAS hit on resubmission. Fails unless go test succeeds
-# and the PASS line appears.
-fleet-smoke:
-	@out=$$($(GO) test -race -run '^TestFleetSmoke$$' -v ./cmd/isampfleet/) \
-		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q 'PASS: TestFleetSmoke' \
-		|| { echo "fleet-smoke: TestFleetSmoke did not pass"; exit 1; }
-
 # Doc lint: every internal package must open with a package comment that
 # cross-links its DESIGN.md section, so the design doc and the code
 # cannot drift apart silently.
@@ -157,38 +138,18 @@ doc-lint:
 	done; if [ -n "$$bad" ]; then \
 		echo "doc-lint: missing package docs:$$bad"; exit 1; fi
 
-# Fusion smoke for ci, two halves. (1) Correctness: the seeded
-# differential sweep (one variant per fused framework token), the
-# call-boundary sweep (generated programs aimed at fused calls and
-# returns: calls mid-block, every virtual override, null receivers and
-# missing methods, traps right after a call or a return, yields inside
-# callees at quantum 1, overflow from a fused call, a scaled callee, an
-# unfused block between fused callers; six variations x two triggers x
-# three observers, fused against the reference) plus every fused-block
-# edge-case test (trap inside a superinstruction or right after a
-# probe, cancellation/quantum mid-pair, fused checks firing on every
-# poll or on a timer with exact poll and probe contexts, the
-# operand-overflow fallback to per-instruction dispatch, observer
-# degradation, sparse observers kept fused with exact yield wakes and
-# episode boundaries, coverage floors for plain, instrumented and
-# call-heavy code) under -race. (2) Performance floor:
-# BenchmarkFusedVsReference over three interleaved rounds fails if the
-# median same-window fused/reference ratio drops below 1.0 — the fast
-# path must never be slower than the reference dispatcher.
+# Fusion floor for ci: BenchmarkFusedVsReference over three interleaved
+# rounds fails if the median same-window fused/reference ratio drops
+# below 1.0 — the fast path must never be slower than the reference
+# dispatcher. (The fused tier's differential and edge-case tests run in
+# race.)
 fusion-smoke:
-	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestCallBoundarySweep|TestFused|TestFuseBlockOperandOverflow|TestAllEventsObserverDisablesFusion|TestSparseObserverKeepsFusion)' \
-		./internal/vm/
 	$(GO) test -run '^$$' -bench '^BenchmarkFusedVsReference$$' -benchtime 3x .
 
-# Scenario smoke for ci, two halves. (1) The seeded workload-family
-# sweep — generated programs recorded on the fast dispatcher, replayed
-# bit-identically on both, every run under the oracle — plus the
-# tampering detector, under -race. (2) A coverage floor on the new
-# package: record/replay is trusted exactly as far as its tests reach,
-# so the scenario package must keep >= 80% statement coverage.
+# Scenario coverage floor for ci: record/replay is trusted exactly as
+# far as its tests reach, so internal/scenario must keep >= 80%
+# statement coverage. (Its sweep and tampering tests run in race.)
 scenario-smoke:
-	$(GO) test -race -run '^(TestSweepProperty|TestRecordReplayDifferential|TestReplayDetectsTampering)$$' \
-		./internal/scenario/
 	@cov=$$($(GO) test -cover ./internal/scenario/ | awk '{for(i=1;i<=NF;i++) if ($$i=="coverage:") print $$(i+1)}' | tr -d '%'); \
 	if [ -z "$$cov" ]; then echo "scenario-smoke: no coverage reported"; exit 1; fi; \
 	ok=$$(awk -v c="$$cov" 'BEGIN{print (c>=80.0)?1:0}'); \

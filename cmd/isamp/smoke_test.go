@@ -30,11 +30,11 @@ type chromeSmoke struct {
 	} `json:"otherData"`
 }
 
-// TestTelemetrySmoke is the `make telemetry-smoke` target: run a small
+// TestTelemetrySmoke, a test `make race` pins by name: run a small
 // instrumented benchmark through the real CLI path with -verify, -trace
 // and -metrics attached, then validate the trace JSON against the
 // trace-event schema and the metrics CSV against its declared header.
-// Running under -race (the Makefile does) also exercises the ring
+// Running under -race (make race does) also exercises the ring
 // buffer's atomic head publication.
 func TestTelemetrySmoke(t *testing.T) {
 	dir := t.TempDir()

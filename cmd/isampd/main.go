@@ -20,7 +20,7 @@
 //	GET    /v1/jobs/{id}/events live metrics stream (Server-Sent Events)
 //	GET    /v1/jobs/{id}/trace  merged Chrome trace (service spans + VM events)
 //	DELETE /v1/jobs/{id}        cancel (stops within one observation interval)
-//	GET    /v1/obs              observability mode and span-ring accounting
+//	GET    /v1/obs              observability mode
 //	PUT    /v1/obs              flip the mode at runtime: {"mode":"off|spans|full"}
 //	GET    /healthz             liveness and drain state
 //	GET    /metrics             Prometheus text exposition
@@ -74,10 +74,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		cacheDir = fs.String("cache-dir", "", "on-disk result cache directory (empty disables)")
 		cacheMax = fs.Int64("cache-max-bytes", 0, "result cache byte budget with LRU eviction (0 = unbounded)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
-		quiet    = fs.Bool("q", false, "suppress per-job log lines")
+		quiet    = fs.Bool("q", false, "suppress the per-job log records")
 		obsMode  = fs.String("obs", "off", "observability mode: off, spans (job span chains + ledgers), full (+ per-run VM traces)")
 		traceDir = fs.String("trace-dir", "", "dump each finished traced job's merged Chrome trace here (empty disables)")
-		logLevel = fs.String("log-level", "", "structured log level: debug, info, warn or error (empty disables slog output)")
+		logLevel = fs.String("log-level", "info", "level of the per-job log records: debug, info, warn or error")
 		debug    = fs.String("debug-addr", "", "listen address for net/http/pprof self-profiling (empty disables)")
 		version  = fs.Bool("version", false, "print the cache-keying build ID and exit")
 	)
@@ -112,14 +112,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		Obs:        obs.NewState(obs.Options{Mode: mode}),
 		TraceDir:   *traceDir,
 	}
-	if !*quiet {
-		scfg.Logf = logf
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	if *logLevel != "" {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-			return fmt.Errorf("-log-level: %w", err)
-		}
+	if !*quiet {
 		scfg.Logger = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: lvl}))
 	}
 	s := service.New(scfg)

@@ -14,8 +14,8 @@ import (
 	"time"
 )
 
-// TestServiceSmoke is the `make service-smoke` CI gate: the whole daemon
-// loop on an ephemeral port (under -race via the Makefile) — submit a
+// TestServiceSmoke is a CI gate `make race` pins by name: the whole
+// daemon loop on an ephemeral port, under -race — submit a
 // job, stream its events to completion, repeat its configuration at
 // another interval and see the program store hit, resubmit its exact
 // spec and get a byte-identical result from the result store, cancel a

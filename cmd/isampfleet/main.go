@@ -19,7 +19,7 @@
 //	GET    /v1/jobs/{id}/events relayed live metrics stream (SSE)
 //	GET    /v1/jobs/{id}/trace  the job's Chrome trace (coordinator spans)
 //	DELETE /v1/jobs/{id}        cancel (duplicates detach; last rider aborts)
-//	GET    /v1/obs              observability mode and span-ring accounting
+//	GET    /v1/obs              observability mode
 //	PUT    /v1/obs              flip the mode at runtime: {"mode":"off|spans|full"}
 //	GET    /v1/cas/{addr}       read the coordinator's CAS replica
 //	PUT    /v1/cas/{addr}       replicate a result (integrity-checked)
@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -109,7 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		health   = fs.Duration("health-interval", 500*time.Millisecond, "per-worker health probe cadence")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
 		obsMode  = fs.String("obs", "spans", "observability mode: off, spans, full")
-		quiet    = fs.Bool("q", false, "suppress fleet state log lines")
+		quiet    = fs.Bool("q", false, "suppress the per-job and per-worker log records")
 		version  = fs.Bool("version", false, "print the coordinator's build ID and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -147,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		Obs:        obs.NewState(obs.Options{Mode: mode}),
 	}
 	if !*quiet {
-		scfg.Logf = logf
+		scfg.Logger = slog.New(slog.NewTextHandler(stderr, nil))
 	}
 	s := service.New(scfg)
 

@@ -42,12 +42,6 @@ func Transform(m *ir.Method, opts Options) (*MethodStats, error) {
 	return stats, nil
 }
 
-// TransformProgram applies the framework to every method of the program
-// and returns the accumulated statistics.
-func TransformProgram(p *ir.Program, opts Options) (*MethodStats, error) {
-	return TransformSelected(p, opts, nil)
-}
-
 // TransformSelected applies the framework to the methods selected by keep
 // (nil keeps all). Unselected methods are left untouched — no duplication
 // and no checks, so they run at exactly baseline cost. This is the

@@ -97,7 +97,7 @@ func Convergence(cfg Config) (*Table, error) {
 	t.AddRow(final...)
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("snapshot cadence %d cycles = baseline cycles / %d; rows are nominal boundaries (snapshots land at the first observer hook past each boundary)", interval, convergenceCurvePoints),
+		fmt.Sprintf("snapshot cadence %d cycles = baseline cycles / %d; rows are nominal boundaries (snapshots land at the first non-transfer observer hook at or past each boundary)", interval, convergenceCurvePoints),
 		"\"-\" marks boundaries past a variation's end of run; sampled runs outlive the baseline by their overhead",
 		"overlap is computed against the exhaustive call-edge profile (§4.4's accuracy metric, extended along the time axis)")
 	return t, nil

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"instrsample/internal/core"
+	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/vm"
 )
@@ -319,9 +320,9 @@ func TestEngineMemoWaiterCancel(t *testing.T) {
 }
 
 // TestCellRunHonoursContext: a standard cell refuses to start under an
-// already-cancelled context, and a cancellable context armed mid-run
-// stops the VM with an error that is both a context cancellation and a
-// vm cancellation (so callers can classify it either way).
+// already-cancelled context, and a context cancelled mid-run stops the
+// VM with an error that is both a context cancellation and a vm
+// cancellation (so callers can classify it either way).
 func TestCellRunHonoursContext(t *testing.T) {
 	cfg := Config{Scale: 0.05}
 	c := cfg.Cell("compress", OptsSpec{}, NeverTrigger())
@@ -331,26 +332,46 @@ func TestCellRunHonoursContext(t *testing.T) {
 		t.Fatalf("pre-cancelled run: got %v, want context.Canceled", err)
 	}
 
-	// Mid-run: cancel shortly after the VM starts. If the benchmark
-	// finishes first the run legitimately succeeds; both outcomes are
-	// checked, neither may hang.
+	// Mid-run: the run itself signals once it passes cycle at, through
+	// an observer that declares no event and one wake there (a
+	// convergence recorder keeping one snapshot), and only then is the
+	// context cancelled, from another goroutine as a daemon DELETE is.
+	// The cell API has no observer hook, so the run is the cell's own
+	// Prepare and Execute.
+	const at = 1 << 16
+	prog, err := BenchBuilder("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := OptsSpec{}.Compile(prog(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := make(chan struct{})
+	signal := telemetry.NewConvergence(at, 1, func() []*profile.Profile { close(reached); return nil })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
+		select {
+		case <-reached:
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
-	big := Config{Scale: 1}.Cell("compress", OptsSpec{}, NeverTrigger())
-	res, err := big.Run(ctx)
+	run := Prepare(ctx, cr, OptsSpec{}, VMSpec{Trigger: NeverTrigger(), Observers: []vm.Observer{signal}})
+	res, err := run.Execute()
 	if err == nil {
-		t.Logf("benchmark finished before cancellation (result %v)", res.Stats.Cycles)
-		return
+		t.Fatalf("run finished (%d cycles) despite a cancel at cycle %d", res.Stats.Cycles, at)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: got %v, want wrapped context.Canceled", err)
 	}
-	if !vm.IsCancelled(err) {
+	var ce *vm.CancelError
+	if !errors.As(err, &ce) {
 		t.Fatalf("mid-run cancel: %v does not wrap vm.CancelError", err)
+	}
+	if ce.Cycles < at {
+		t.Errorf("cancelled at cycle %d, before the signal at %d", ce.Cycles, at)
 	}
 }
 

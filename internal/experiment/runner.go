@@ -11,8 +11,8 @@ import (
 type Config struct {
 	// Scale multiplies workload sizes; 1.0 is full experiment scale.
 	Scale float64
-	// ICache enables the instruction-cache model (on by default via
-	// DefaultConfig), capturing the indirect cost of code growth.
+	// ICache enables the instruction-cache model, capturing the
+	// indirect cost of code growth.
 	ICache bool
 	// Benchmarks restricts the suite (nil = all).
 	Benchmarks []string
@@ -35,9 +35,6 @@ type Config struct {
 	// sets it to the job ID; cmd/experiments leaves it empty.
 	Owner string
 }
-
-// DefaultConfig is full experiment scale with the i-cache model on.
-func DefaultConfig() Config { return Config{Scale: 1.0, ICache: true} }
 
 // engine returns the configured engine, or a throwaway serial one.
 func (c Config) engine() *Engine {

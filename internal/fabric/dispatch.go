@@ -43,8 +43,8 @@ func (c *Coordinator) claimLocked(w *worker) (*flight, *worker) {
 		c.setRunningLocked(fl, w)
 		fl.tried[w.name] = true
 		w.inflight++
-		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(1)
-		c.reg.Counter(workerMetric(w.name, "dispatched")).Inc()
+		w.mInflight.Add(1)
+		w.mDispatched.Inc()
 		if len(c.queue) > 0 {
 			// Filling this slot may release a cell a peer skipped.
 			c.cond.Broadcast()
@@ -185,7 +185,7 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, owner *worker) {
 		if held {
 			c.mu.Lock()
 			w.inflight--
-			c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
+			w.mInflight.Add(-1)
 			c.retireIfDrainedLocked(w)
 			c.mu.Unlock()
 		}
@@ -316,7 +316,9 @@ func (c *Coordinator) replicate(w *worker, fl *flight) {
 		}
 		if err := cas.PutAddr(addr, data); err != nil {
 			c.reg.Counter(MetricCASRejected).Inc()
-			c.logf("fleet: cas %s from %s rejected (attempt %d): %v", addr, w.name, attempt+1, err)
+			if c.log != nil {
+				c.log.Warn("cas payload rejected", "addr", addr, "worker", w.name, "attempt", attempt+1, "err", err)
+			}
 			continue // refetch once
 		}
 		return
@@ -357,7 +359,9 @@ func (c *Coordinator) remoteProbe(fl *flight, peer *worker, addr string) []byte 
 		}
 		if err := experiment.VerifyCAS(id, addr, data); err != nil {
 			c.reg.Counter(MetricCASRejected).Inc()
-			c.logf("fleet: cas probe %s from %s rejected (attempt %d): %v", addr, peer.name, attempt+1, err)
+			if c.log != nil {
+				c.log.Warn("cas probe rejected", "addr", addr, "worker", peer.name, "attempt", attempt+1, "err", err)
+			}
 			continue
 		}
 		if c.cas != nil {
@@ -403,7 +407,7 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 	if fl.running == w {
 		c.setRunningLocked(fl, nil)
 		w.inflight--
-		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
+		w.mInflight.Add(-1)
 	}
 	fl.remoteID = ""
 	if c.closed {
@@ -412,8 +416,10 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 		c.resolveLocked(fl, service.StatusCancelled, "cancelled", nil)
 		return
 	}
-	c.logf("fleet: %s", msg)
-	c.reg.Counter(workerMetric(w.name, "failures")).Inc()
+	if c.log != nil {
+		c.log.Warn("worker failed", "worker", w.name, "err", msg)
+	}
+	w.mFailures.Inc()
 	if fl.done {
 		// A racing resolution (forced shutdown, cancel) already settled
 		// the flight; nothing to requeue.
@@ -422,7 +428,7 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 	}
 	if w.up {
 		w.up = false
-		c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
+		w.mUp.Set(0)
 		c.reg.Counter(MetricWorkerLost).Inc()
 	}
 	c.retireIfDrainedLocked(w)

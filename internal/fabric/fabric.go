@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"net/http"
 	"slices"
 	"sort"
@@ -103,6 +104,10 @@ type worker struct {
 	depth    int  // worker-reported queue depth, for /healthz and metrics
 	draining bool // removed by reload: finish inflight, take no new work
 	gone     bool // fully removed
+	// The worker's metrics ("fleet.worker.<name>.<field>"), resolved
+	// when it is added.
+	mUp, mDepth, mInflight *telemetry.Gauge
+	mDispatched, mFailures *telemetry.Counter
 	// ctx scopes every request to the worker; stop ends it when the
 	// worker leaves the fleet or the coordinator stops.
 	ctx  context.Context
@@ -121,7 +126,7 @@ type Coordinator struct {
 	srv        *service.Server
 	reg        *telemetry.Registry
 	now        func() time.Time
-	logf       func(string, ...any)
+	log        *slog.Logger // nil: no worker records
 	queueDepth int
 	maxBody    int64
 
@@ -165,7 +170,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		client:  client,
-		logf:    func(string, ...any) {},
 		workers: make(map[string]*worker),
 		flights: make(map[flightKey]*flight),
 	}
@@ -184,11 +188,8 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Start(s *service.Server) {
 	cfg := s.Config()
 	c.srv = s
-	c.reg, c.now = cfg.Registry, cfg.Now
+	c.reg, c.now, c.log = cfg.Registry, cfg.Now, cfg.Logger
 	c.queueDepth, c.maxBody = cfg.QueueDepth, cfg.MaxBodyBytes
-	if cfg.Logf != nil {
-		c.logf = cfg.Logf
-	}
 	c.mu.Lock()
 	for _, wc := range c.cfg.Fleet.Workers {
 		c.addWorkerLocked(wc)
@@ -294,31 +295,36 @@ func metricSafe(name string) string {
 	}, name)
 }
 
-// workerMetric names a per-worker gauge/counter.
-func workerMetric(name, field string) string {
-	return "fleet.worker." + metricSafe(name) + "." + field
-}
-
-// addWorkerLocked registers a worker and starts its health probe and
-// dispatcher slots. Caller holds c.mu.
+// addWorkerLocked registers a worker, resolves its metrics and starts
+// its health probe and dispatcher slots. Caller holds c.mu.
 func (c *Coordinator) addWorkerLocked(wc WorkerConf) {
 	if _, dup := c.workers[wc.Name]; dup || wc.Name == "" || wc.URL == "" {
-		c.logf("fleet: ignoring invalid or duplicate worker %q", wc.Name)
+		if c.log != nil {
+			c.log.Warn("ignoring invalid or duplicate worker", "worker", wc.Name)
+		}
 		return
 	}
+	metric := "fleet.worker." + metricSafe(wc.Name) + "."
 	w := &worker{
-		name: wc.Name,
-		url:  strings.TrimRight(wc.URL, "/"),
+		name:        wc.Name,
+		url:         strings.TrimRight(wc.URL, "/"),
+		mUp:         c.reg.Gauge(metric + "up"),
+		mDepth:      c.reg.Gauge(metric + "reported_depth"),
+		mInflight:   c.reg.Gauge(metric + "inflight"),
+		mDispatched: c.reg.Counter(metric + "dispatched"),
+		mFailures:   c.reg.Counter(metric + "failures"),
 	}
 	w.ctx, w.stop = context.WithCancel(context.Background())
 	c.workers[wc.Name] = w
-	c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
+	w.mUp.Set(0)
 	c.wg.Add(1 + c.cfg.Slots)
 	go c.healthLoop(w)
 	for i := 0; i < c.cfg.Slots; i++ {
 		go c.dispatchLoop(w)
 	}
-	c.logf("fleet: worker %s added (%s)", w.name, w.url)
+	if c.log != nil {
+		c.log.Info("worker added", "worker", w.name, "url", w.url)
+	}
 }
 
 // removeWorkerLocked finalizes a drained worker: its dispatchers and
@@ -328,9 +334,11 @@ func (c *Coordinator) removeWorkerLocked(w *worker) {
 	w.gone = true
 	w.stop()
 	delete(c.workers, w.name)
-	c.reg.Gauge(workerMetric(w.name, "up")).Set(0)
+	w.mUp.Set(0)
 	c.cond.Broadcast()
-	c.logf("fleet: worker %s removed", w.name)
+	if c.log != nil {
+		c.log.Info("worker removed", "worker", w.name)
+	}
 }
 
 // Reload applies a new fleet topology: added workers start immediately;
@@ -355,7 +363,9 @@ func (c *Coordinator) Reload(fc FleetConf) {
 			continue
 		}
 		w.draining = true
-		c.logf("fleet: worker %s draining (removed from config)", name)
+		if c.log != nil {
+			c.log.Info("worker draining", "worker", name, "reason", "removed from config")
+		}
 		c.retireIfDrainedLocked(w)
 	}
 	for _, fl := range slices.Clone(c.queue) {
@@ -423,14 +433,16 @@ func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string)
 	if buildID != "" {
 		w.buildID = buildID
 		if c.fleetID == "" {
-			if err := c.setFleetIDLocked(buildID); err != nil {
-				c.logf("fleet: %v", err)
+			if err := c.setFleetIDLocked(buildID); err != nil && c.log != nil {
+				c.log.Warn("fleet ID not set", "worker", w.name, "err", err)
 			}
 		}
 		if up && buildID != c.fleetID {
 			// A mismatched build addresses a different result space; its
 			// answers would poison the CAS. Keep it out of rotation.
-			c.logf("fleet: worker %s build mismatch (%.12s != %.12s)", w.name, buildID, c.fleetID)
+			if c.log != nil {
+				c.log.Warn("worker build mismatch", "worker", w.name, "build", buildID, "fleet", c.fleetID)
+			}
 			up = false
 		}
 	}
@@ -440,14 +452,16 @@ func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string)
 	if up {
 		g = 1
 	}
-	c.reg.Gauge(workerMetric(w.name, "up")).Set(g)
-	c.reg.Gauge(workerMetric(w.name, "reported_depth")).Set(int64(depth))
+	w.mUp.Set(g)
+	w.mDepth.Set(int64(depth))
 	if was && !up {
 		c.reg.Counter(MetricWorkerLost).Inc()
-		c.logf("fleet: worker %s down", w.name)
+		if c.log != nil {
+			c.log.Warn("worker down", "worker", w.name)
+		}
 	}
-	if !was && up {
-		c.logf("fleet: worker %s up", w.name)
+	if !was && up && c.log != nil {
+		c.log.Info("worker up", "worker", w.name)
 	}
 	c.cond.Broadcast()
 }

@@ -97,7 +97,6 @@ func startCoordinator(t *testing.T, workers []*testWorker, mod func(*Config, *se
 	}
 	scfg := service.Config{
 		QueueDepth: 64,
-		Logf:       t.Logf,
 		Obs:        obs.NewState(obs.Options{Mode: obs.ModeSpans}),
 	}
 	if mod != nil {

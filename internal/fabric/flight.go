@@ -212,7 +212,7 @@ func (c *Coordinator) resolveLocked(fl *flight, st service.JobStatus, errMsg str
 	fl.done = true
 	if w := fl.running; w != nil {
 		w.inflight--
-		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
+		w.mInflight.Add(-1)
 		c.setRunningLocked(fl, nil)
 		c.retireIfDrainedLocked(w)
 	}

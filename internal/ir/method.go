@@ -141,7 +141,6 @@ type Program struct {
 	methods []*Method
 	// fieldIDs maps (class ID, slot) to a dense program-wide field ID.
 	fieldBase []int
-	numFields int
 	numBlocks int
 }
 
@@ -158,10 +157,6 @@ func (p *Program) Lists(m *Method) bool {
 
 // NumMethods returns the number of methods. Valid after Seal.
 func (p *Program) NumMethods() int { return len(p.methods) }
-
-// NumFieldIDs returns the size of the dense program-wide field ID space.
-// Valid after Seal.
-func (p *Program) NumFieldIDs() int { return p.numFields }
 
 // NumBlocks returns the size of the dense program-wide block GID space.
 // Valid after Seal.
@@ -264,11 +259,11 @@ func (p *Program) Seal() {
 	// subclass), which is fine for profiles: the IR resolves every access
 	// against the statically named class.
 	p.fieldBase = make([]int, len(p.Classes))
-	p.numFields = 0
+	fields := 0
 	for i, c := range p.Classes {
 		c.ID = i
-		p.fieldBase[i] = p.numFields
-		p.numFields += c.NumFields()
+		p.fieldBase[i] = fields
+		fields += c.NumFields()
 	}
 	p.sealed = true
 }

@@ -25,14 +25,6 @@ const (
 	chromePidVM      = 2
 )
 
-// chromeDoc is the JSON-object flavour of the trace-event container
-// (same shape telemetry.WriteChromeTrace emits).
-type chromeDoc struct {
-	TraceEvents     []telemetry.ChromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string                  `json:"displayTimeUnit"`
-	OtherData       map[string]any          `json:"otherData"`
-}
-
 // spanEvent converts one service span to a complete ("X") trace event.
 // Timestamps shift to µs relative to baseNs so the document starts near
 // zero (chrome://tracing renders absolute UnixNano poorly).
@@ -86,26 +78,26 @@ func WriteJobChromeTrace(w io.Writer, t *JobTrace) error {
 		"clockDomain": "wall-ns (service) + vm-cycles aligned per run",
 		"spanCount":   len(spans),
 	}
-	if vmEvents, threads, vmTotal, vmDrops, startNs, endNs, cycles, attached := t.VM(); attached {
+	if r := t.VM(); r != nil {
 		events = append(events, telemetry.ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: chromePidVM,
 			Args: map[string]any{"name": "instrsample vm"},
 		})
-		for tid := 0; tid < threads; tid++ {
+		for tid := 0; tid < r.Threads; tid++ {
 			events = append(events, telemetry.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: chromePidVM, Tid: tid,
 				Args: map[string]any{"name": "vm thread " + strconv.Itoa(tid)},
 			})
 		}
-		for _, e := range vmEvents {
+		for _, e := range r.Events {
 			events = append(events, e.Chrome(chromePidVM))
 		}
-		other["vmEventsTotal"] = vmTotal
-		other["vmEventsDropped"] = vmDrops
-		other["vmCycles"] = cycles
-		other["vmWallNs"] = endNs - startNs
+		other["vmEventsTotal"] = r.Total
+		other["vmEventsDropped"] = r.Drops
+		other["vmCycles"] = r.Cycles
+		other["vmWallNs"] = r.EndNs - r.StartNs
 	}
-	doc := chromeDoc{
+	doc := telemetry.ChromeDoc{
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
 		OtherData:       other,

@@ -5,12 +5,7 @@
 // togglable and near-free when off, exactly like the sampling framework
 // it serves.
 //
-// Three pieces:
-//
-//   - Tracer (tracer.go): a lock-free, power-of-two, overwrite-oldest
-//     span ring with exact drop accounting — the same flight-recorder
-//     discipline as telemetry.Trace, but multi-producer (HTTP handlers
-//     and worker goroutines all record) and wall-clocked.
+// Two pieces:
 //
 //   - JobTrace (span.go): one job's contiguous span chain through the
 //     lifecycle stages (accept → validate → queue-wait → memo-flight /
@@ -19,7 +14,9 @@
 //     construction and the attribution ledger's stage durations sum to
 //     the end-to-end latency *exactly* — an invariant the service tests
 //     enforce. Memo-flight spans carry a cause link to the job that owns
-//     the deduplicated flight.
+//     the deduplicated flight. A job's spans live in its chain and
+//     nowhere else: the job's trace endpoint and the daemon's trace
+//     directory export them from there.
 //
 //   - Chrome export (chrome.go): a merged trace-event document placing
 //     wall-clock service spans and the VM's cycle-domain events on one
@@ -81,20 +78,16 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // State is the daemon-wide observability state: the runtime-togglable
-// mode and the shared span tracer.
+// mode and the span clock.
 type State struct {
-	mode   atomic.Int32
-	tracer *Tracer
-	now    func() time.Time
+	mode atomic.Int32
+	now  func() time.Time
 }
 
 // Options configures NewState. Zero values get defaults.
 type Options struct {
 	// Mode is the initial mode (default ModeOff).
 	Mode Mode
-	// TracerCap is the span ring capacity, rounded up to a power of two
-	// (default 1<<14 spans).
-	TracerCap int
 	// Now replaces time.Now for every span timestamp — the deterministic
 	// clock hook tests use. It must be monotonic non-decreasing.
 	Now func() time.Time
@@ -102,13 +95,10 @@ type Options struct {
 
 // NewState builds the daemon-wide observability state.
 func NewState(o Options) *State {
-	if o.TracerCap <= 0 {
-		o.TracerCap = 1 << 14
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	s := &State{tracer: NewTracer(o.TracerCap), now: o.Now}
+	s := &State{now: o.Now}
 	s.mode.Store(int32(o.Mode))
 	return s
 }
@@ -120,9 +110,6 @@ func (s *State) Mode() Mode { return Mode(s.mode.Load()) }
 // chain finish it; jobs accepted after the switch follow the new mode.
 func (s *State) SetMode(m Mode) { s.mode.Store(int32(m)) }
 
-// Tracer returns the shared span ring.
-func (s *State) Tracer() *Tracer { return s.tracer }
-
 // StartJob opens a span chain for one request, beginning in StageAccept.
 // It returns nil — record nothing, allocate nothing — when the mode is
 // off, and callers must tolerate that: every JobTrace method is
@@ -131,7 +118,7 @@ func (s *State) StartJob() *JobTrace {
 	if s.Mode() == ModeOff {
 		return nil
 	}
-	t := &JobTrace{tracer: s.tracer, now: s.now}
+	t := &JobTrace{now: s.now}
 	t.start = s.now()
 	t.cur = StageAccept
 	t.curStart = t.start

@@ -49,14 +49,11 @@ func TestParseMode(t *testing.T) {
 }
 
 // TestDefaultStateIsOff pins the state service.New substitutes for a
-// nil Config.Obs: mode off, a default-sized ring, no chains.
+// nil Config.Obs: mode off, no chains.
 func TestDefaultStateIsOff(t *testing.T) {
 	s := NewState(Options{})
 	if s.Mode() != ModeOff {
 		t.Fatalf("default State mode = %v, want off", s.Mode())
-	}
-	if c := s.Tracer().Cap(); c != 1<<14 {
-		t.Fatalf("default State ring capacity = %d, want %d", c, 1<<14)
 	}
 	if tr := s.StartJob(); tr != nil {
 		t.Fatal("default State started a job trace")
@@ -230,7 +227,7 @@ func TestLiveLedgerReconciles(t *testing.T) {
 }
 
 func TestStageTextRoundTrip(t *testing.T) {
-	for st := StageAccept; st < numStages; st++ {
+	for st := StageAccept; st < NumStages; st++ {
 		b, err := st.MarshalText()
 		if err != nil {
 			t.Fatal(err)
@@ -243,85 +240,6 @@ func TestStageTextRoundTrip(t *testing.T) {
 	var s Stage
 	if err := s.UnmarshalText([]byte("bogus")); err == nil {
 		t.Fatal("UnmarshalText accepted bogus stage")
-	}
-}
-
-func TestTracerCapacityAndDrops(t *testing.T) {
-	tr := NewTracer(10)
-	if tr.Cap() != 16 {
-		t.Fatalf("cap = %d, want 16 (rounded up)", tr.Cap())
-	}
-	for i := 0; i < 40; i++ {
-		tr.Record(Span{Job: "j", Stage: StageAccept, StartNs: int64(i)})
-	}
-	if tr.Total() != 40 {
-		t.Fatalf("total = %d, want 40", tr.Total())
-	}
-	if tr.Drops() != 24 {
-		t.Fatalf("drops = %d, want exactly 40-16=24", tr.Drops())
-	}
-	snap := tr.Snapshot()
-	if len(snap) != 16 {
-		t.Fatalf("snapshot = %d spans, want 16", len(snap))
-	}
-	// Overwrite-oldest: the retained spans are the newest 16.
-	for i, s := range snap {
-		if want := int64(24 + i); s.StartNs != want {
-			t.Fatalf("snapshot[%d].StartNs = %d, want %d", i, s.StartNs, want)
-		}
-	}
-}
-
-func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Record(Span{})
-	if tr.Total() != 0 || tr.Drops() != 0 || tr.Snapshot() != nil {
-		t.Fatal("nil tracer not inert")
-	}
-}
-
-// TestTracerConcurrentRecord exercises the multi-producer path under the
-// race detector: concurrent records plus snapshot reads must be clean,
-// and drop accounting must stay exact.
-func TestTracerConcurrentRecord(t *testing.T) {
-	tr := NewTracer(1 << 8)
-	const producers, per = 8, 500
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // concurrent reader
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Snapshot()
-			}
-		}
-	}()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tr.Record(Span{Job: "j", Stage: Stage(p % int(numStages)), StartNs: int64(i)})
-			}
-		}(p)
-	}
-	for len(stop) == 0 && tr.Total() < producers*per {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if tr.Total() != producers*per {
-		t.Fatalf("total = %d, want %d", tr.Total(), producers*per)
-	}
-	if want := uint64(producers*per - tr.Cap()); tr.Drops() != want {
-		t.Fatalf("drops = %d, want exactly %d", tr.Drops(), want)
-	}
-	if got := len(tr.Snapshot()); got != tr.Cap() {
-		t.Fatalf("snapshot = %d spans, want %d", got, tr.Cap())
 	}
 }
 
@@ -402,8 +320,8 @@ func TestAlignCyclesEndpoints(t *testing.T) {
 }
 
 // TestUnnamedChainRecordsNothing: a chain abandoned before SetJob (a
-// rejected request) leaves no spans in the shared ring; naming the
-// chain flushes everything buffered so far, stamped with the job ID.
+// rejected request) is never named; naming a chain stamps every span
+// recorded so far, the accept span included, with the job ID.
 func TestUnnamedChainRecordsNothing(t *testing.T) {
 	clock := newFakeClock()
 	s := NewState(Options{Mode: ModeSpans, Now: clock.Now})
@@ -413,8 +331,8 @@ func TestUnnamedChainRecordsNothing(t *testing.T) {
 	rejected.Begin(StageValidate, "")
 	clock.Advance(time.Microsecond)
 	// Abandoned: no SetJob, no Finish.
-	if n := s.Tracer().Total(); n != 0 {
-		t.Fatalf("rejected request recorded %d ring spans, want 0", n)
+	if id := rejected.Job(); id != "" {
+		t.Fatalf("rejected request's chain is named %q", id)
 	}
 
 	accepted := s.StartJob()
@@ -422,18 +340,16 @@ func TestUnnamedChainRecordsNothing(t *testing.T) {
 	accepted.Begin(StageValidate, "")
 	clock.Advance(time.Microsecond)
 	accepted.SetJob("job-000009")
-	if n := s.Tracer().Total(); n != 1 {
-		t.Fatalf("ring spans after SetJob = %d, want 1 (the accept span)", n)
-	}
 	accepted.Begin(StageQueueWait, "")
 	clock.Advance(time.Microsecond)
 	accepted.Finish("done")
-	for _, sp := range s.Tracer().Snapshot() {
+	spans := accepted.Spans()
+	for _, sp := range spans {
 		if sp.Job != "job-000009" {
-			t.Fatalf("ring span %+v missing job id", sp)
+			t.Fatalf("span %+v missing job id", sp)
 		}
 	}
-	if n := s.Tracer().Total(); n != 4 {
-		t.Fatalf("ring spans = %d, want 4 (accept, validate, queue-wait, terminal)", n)
+	if n := len(spans); n != 4 {
+		t.Fatalf("spans = %d, want 4 (accept, validate, queue-wait, terminal)", n)
 	}
 }

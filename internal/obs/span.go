@@ -8,6 +8,25 @@ import (
 	"instrsample/internal/telemetry"
 )
 
+// Span is one completed lifecycle stage of one job. Times are absolute
+// wall-clock nanoseconds (UnixNano), so spans from different jobs — and
+// the VM events aligned per run — share one timeline.
+type Span struct {
+	// Job is the job ID the span belongs to ("" for a request that was
+	// never accepted).
+	Job string `json:"job"`
+	// Stage is the lifecycle stage.
+	Stage Stage `json:"stage"`
+	// StartNs and EndNs bound the span (UnixNano; EndNs == StartNs for
+	// instant spans like StageTerminal).
+	StartNs int64 `json:"start_ns"`
+	EndNs   int64 `json:"end_ns"`
+	// Cause carries the stage's cause link: for StageMemoFlight the ID
+	// of the job owning the deduplicated flight, for StageTerminal the
+	// terminal status.
+	Cause string `json:"cause,omitempty"`
+}
+
 // Stage enumerates the job lifecycle stages in their canonical order.
 // Not every job passes through every stage — a cache hit skips compile
 // and vm-run, a memo dedup replaces them all with memo-flight, a job
@@ -50,10 +69,11 @@ const (
 	// Cause is the terminal status. Zero duration by definition.
 	StageTerminal
 
-	numStages
+	// NumStages is the number of stages: one past the last.
+	NumStages
 )
 
-var stageNames = [numStages]string{
+var stageNames = [NumStages]string{
 	StageAccept:      "accept",
 	StageValidate:    "validate",
 	StageQueueWait:   "queue-wait",
@@ -145,8 +165,7 @@ func (l *Ledger) Row(s Stage) (LedgerRow, bool) {
 // racing a finish) memory-safe. All methods are nil-receiver-safe so
 // the off mode costs callers one branch.
 type JobTrace struct {
-	tracer *Tracer
-	now    func() time.Time
+	now func() time.Time
 
 	mu       sync.Mutex
 	job      string
@@ -163,53 +182,47 @@ type JobTrace struct {
 	done       bool
 	rows       []LedgerRow
 	spans      []Span
-	flushed    int
 	status     string
 
-	// ModeFull VM attachment: the run's cycle-domain events as a compact
-	// value snapshot, timestamps already aligned to the chain's time
-	// base. AttachVM snapshots eagerly and drops the recorder so nothing
-	// here pins the run's compiled program: ring events hold *ir.Method
-	// pointers, and retaining them for the job's lifetime would keep
-	// every traced job's whole IR live — pure GC ballast at service
-	// rates. The Chrome form (per-event args maps) is built only when a
-	// trace export actually asks for it.
-	vmEvents  []telemetry.NamedEvent
-	vmThreads int
-	vmTotal   uint64
-	vmDrops   uint64
-	vmStartNs int64
-	vmEndNs   int64
-	vmCycles  uint64
+	// vm is the ModeFull attachment (nil without one): the run's
+	// cycle-domain events as a compact value snapshot, timestamps
+	// already aligned to the chain's time base. AttachVM snapshots
+	// eagerly and drops the recorder so nothing here pins the run's
+	// compiled program: ring events hold *ir.Method pointers, and
+	// retaining them for the job's lifetime would keep every traced
+	// job's whole IR live — pure GC ballast at service rates. The Chrome
+	// form (per-event args maps) is built only when a trace export
+	// actually asks for it.
+	vm *VMRun
 }
 
-// SetJob names the chain once the job ID is allocated. Spans buffer in
-// the chain and reach the shared tracer only after a name exists — a
-// rejected request's chain is simply abandoned and records nothing in
-// the ring, and every ring span carries its job ID (including the
-// accept span, which closes before the ID is allocated).
+// VMRun is a traced VM run attached to a job's chain (AttachVM).
+type VMRun struct {
+	// Events are the run's retained events, timestamps aligned to the
+	// chain's time base.
+	Events []telemetry.NamedEvent
+	// Threads is the number of VM threads that recorded events.
+	Threads int
+	// Total and Drops count every event recorded and those the
+	// recorder's rings overwrote.
+	Total, Drops uint64
+	// StartNs and EndNs bound the run's wall-clock window (UnixNano);
+	// Cycles is its cycle count. Together they align cycles to wall time.
+	StartNs, EndNs int64
+	Cycles         uint64
+}
+
+// SetJob names the chain once the job ID is allocated. Spans recorded
+// before (the accept span closes before the ID exists) carry the name
+// from then on; a rejected request's chain is never named and is simply
+// abandoned.
 func (t *JobTrace) SetJob(id string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.job = id
-	t.flushLocked()
 	t.mu.Unlock()
-}
-
-// flushLocked pushes buffered spans to the shared tracer, stamping each
-// with the (now known) job ID.
-func (t *JobTrace) flushLocked() {
-	if t.job == "" {
-		return
-	}
-	for ; t.flushed < len(t.spans); t.flushed++ {
-		sp := t.spans[t.flushed]
-		sp.Job = t.job
-		t.spans[t.flushed] = sp
-		t.tracer.Record(sp)
-	}
 }
 
 // Begin closes the open stage and opens the next one at the same
@@ -234,7 +247,7 @@ func (t *JobTrace) Begin(s Stage, cause string) {
 }
 
 // closeCurLocked closes the open stage at now, appending its ledger row
-// and buffering its span (flushed to the tracer once the job is named).
+// and its span.
 func (t *JobTrace) closeCurLocked(now time.Time) {
 	ns := now.Sub(t.curStart).Nanoseconds()
 	if ns < 0 {
@@ -242,14 +255,12 @@ func (t *JobTrace) closeCurLocked(now time.Time) {
 	}
 	t.rows = append(t.rows, LedgerRow{Stage: t.cur, Ns: ns, Cause: t.curCause})
 	t.spans = append(t.spans, Span{
-		Job:     t.job,
 		Stage:   t.cur,
 		StartNs: t.curStartNs,
 		EndNs:   t.curStartNs + ns,
 		Cause:   t.curCause,
 	})
 	t.curStartNs += ns
-	t.flushLocked()
 }
 
 // Finish closes the chain: the open stage ends now, a zero-duration
@@ -270,13 +281,11 @@ func (t *JobTrace) Finish(status string) {
 	t.done = true
 	t.status = status
 	t.spans = append(t.spans, Span{
-		Job:     t.job,
 		Stage:   StageTerminal,
 		StartNs: t.curStartNs,
 		EndNs:   t.curStartNs,
 		Cause:   status,
 	})
-	t.flushLocked()
 }
 
 // Done reports whether Finish has run.
@@ -369,18 +378,20 @@ func (t *JobTrace) AttachVM(tr *telemetry.Trace, start, end time.Time, cycles ui
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	startNs, endNs := start.UnixNano(), end.UnixNano()
-	// Event timestamps are relative to the chain's first instant, like
-	// the service spans in the merged document.
-	t.vmEvents = tr.NamedEvents(alignCycles(startNs, endNs, cycles, t.curAnchorLocked()))
-	t.vmThreads = tr.Threads()
-	t.vmTotal = 0
-	for tid := 0; tid < tr.Threads(); tid++ {
-		t.vmTotal += tr.Total(tid)
+	r := &VMRun{
+		// Event timestamps are relative to the chain's first instant,
+		// like the service spans in the merged document.
+		Events:  tr.NamedEvents(alignCycles(startNs, endNs, cycles, t.curAnchorLocked())),
+		Threads: tr.Threads(),
+		Drops:   tr.TotalDrops(),
+		StartNs: startNs,
+		EndNs:   endNs,
+		Cycles:  cycles,
 	}
-	t.vmDrops = tr.TotalDrops()
-	t.vmStartNs = startNs
-	t.vmEndNs = endNs
-	t.vmCycles = cycles
+	for tid := 0; tid < tr.Threads(); tid++ {
+		r.Total += tr.Total(tid)
+	}
+	t.vm = r
 }
 
 // curAnchorLocked returns the chain's first wall-clock instant — the
@@ -392,15 +403,13 @@ func (t *JobTrace) curAnchorLocked() int64 {
 	return t.start.UnixNano()
 }
 
-// VM returns the attached VM snapshot: value events aligned to the
-// chain's time base, the recording thread count, and the drop/alignment
-// accounting. attached is false when the run was not traced (the mode
-// was not full, or the result came from the memo or cache).
-func (t *JobTrace) VM() (events []telemetry.NamedEvent, threads int, total, drops uint64, startNs, endNs int64, cycles uint64, attached bool) {
+// VM returns the attached run, or nil when the run was not traced (the
+// mode was not full, or the result came from the memo or cache).
+func (t *JobTrace) VM() *VMRun {
 	if t == nil {
-		return nil, 0, 0, 0, 0, 0, 0, false
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.vmEvents, t.vmThreads, t.vmTotal, t.vmDrops, t.vmStartNs, t.vmEndNs, t.vmCycles, t.vmEndNs != 0
+	return t.vm
 }

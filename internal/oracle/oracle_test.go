@@ -253,8 +253,8 @@ func TestOracleExpectedViolation(t *testing.T) {
 	}
 }
 
-// TestMutationKill proves the oracle has teeth (and is what
-// `make mutation-check` runs): a deliberately broken Partial-Duplication
+// TestMutationKill proves the oracle has teeth (and `make race` pins it
+// by name): a deliberately broken Partial-Duplication
 // — the inserted backedge checks forget they sit on backedges — passes
 // the static verifier but must be flagged at runtime as a Property-1
 // violation on any looping program.

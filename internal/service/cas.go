@@ -76,12 +76,3 @@ func (s *Server) handleCASPut(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter(MetricCASStored).Inc()
 	writeJSON(w, http.StatusOK, map[string]string{"stored": addr})
 }
-
-// BuildResult assembles a job's terminal payload from its engine cell
-// result(s) — ref is the overlap reference cell, nil otherwise. It is
-// exported for the fleet coordinator, which resolves CAS fast-path hits
-// into the same result shape a local run produces, so remote hits stay
-// byte-identical with local ones.
-func BuildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
-	return buildResult(spec, main, ref)
-}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"log/slog"
 	"sync"
 
 	"instrsample/internal/experiment"
@@ -102,8 +101,9 @@ func (p *localExecutor) run(j *Job) {
 		return // terminal, or cancelled while queued: OnCancel resolves it
 	}
 	s := p.s
-	s.logf("job %s running (%s)", j.id, j.spec.describe())
-	s.slogAt(slog.LevelInfo, "job running", "job", j.id, "spec", j.spec.describe())
+	if l := s.cfg.Logger; l != nil {
+		l.Info("job running", "job", j.id, "spec", j.spec.describe())
+	}
 	// The VM-trace decision is read at pickup: toggling to full applies to
 	// jobs whose run starts after the toggle, and only jobs that carry a
 	// span chain (mode was not off at accept) can attach one.
@@ -122,12 +122,14 @@ func (p *localExecutor) run(j *Job) {
 	if len(res) > 1 {
 		ref = res[1]
 	}
-	j.Finish(StatusDone, "", buildResult(j.spec, res[0], ref))
+	j.Finish(StatusDone, "", BuildResult(j.spec, res[0], ref))
 }
 
-// buildResult assembles the job's terminal payload from the engine
-// cell(s).
-func buildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
+// BuildResult assembles a job's terminal payload from its engine cell
+// result(s) — ref is the overlap reference cell, nil otherwise. The
+// fleet coordinator resolves its CAS hits through it too, so a remote
+// hit is byte-identical with a local run.
+func BuildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
 	res := &JobResult{
 		Return:             main.Return,
 		Output:             main.Output,

@@ -64,16 +64,15 @@ type Config struct {
 	Registry *telemetry.Registry
 	// MaxBodyBytes bounds a POST or CAS PUT body (default 2 MiB).
 	MaxBodyBytes int64
-	// Logf, when non-nil, receives one line per job state change.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured leveled log records for
 	// every job state change, each correlated with its job ID ("job"
-	// attribute). Independent of Logf; set both to get both.
+	// attribute), and the fleet coordinator's worker records. Nil logs
+	// nothing and builds no record.
 	Logger *slog.Logger
 	// Obs is the daemon's observability state (internal/obs): the
-	// runtime-togglable span/ledger mode and the shared span ring
-	// (DESIGN.md §14). Nil gets a fresh state in mode off, so every
-	// server serves /v1/obs and can be switched on at runtime.
+	// runtime-togglable span/ledger mode (DESIGN.md §14). Nil gets a
+	// fresh state in mode off, so every server serves /v1/obs and can be
+	// switched on at runtime.
 	Obs *obs.State
 	// TraceDir, when non-empty, receives one merged Chrome trace JSON
 	// file per finished traced job (<id>.trace.json) — the -trace-dir
@@ -134,6 +133,13 @@ type Server struct {
 	drain       DrainEstimator
 	subscribers atomic.Int64 // open SSE event streams
 
+	// The job metrics, resolved once in New. A stage histogram is
+	// resolved on its stage's first observation, so /metrics lists a
+	// stage only once one has occurred.
+	jobsAccepted, jobsRejected, jobsCompleted, jobsFailed, jobsCancelled *telemetry.Counter
+	jobMs                                                                *telemetry.Histogram
+	stageUs                                                              [obs.NumStages]atomic.Pointer[telemetry.Histogram]
+
 	mu       sync.Mutex
 	draining bool
 	seq      uint64
@@ -175,6 +181,13 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
+
+		jobsAccepted:  cfg.Registry.Counter(MetricJobsAccepted),
+		jobsRejected:  cfg.Registry.Counter(MetricJobsRejected),
+		jobsCompleted: cfg.Registry.Counter(MetricJobsCompleted),
+		jobsFailed:    cfg.Registry.Counter(MetricJobsFailed),
+		jobsCancelled: cfg.Registry.Counter(MetricJobsCancelled),
+		jobMs:         cfg.Registry.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)),
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -206,47 +219,46 @@ func (s *Server) Config() Config { return s.cfg }
 // 429 Retry-After estimate divides the queue depth by the rate of these.
 func (s *Server) RecordDrain() { s.drain.Record(s.now()) }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// slogAt emits one structured record through the configured Logger;
-// callers pass the job ID as a "job" attribute so every line correlates.
-func (s *Server) slogAt(level slog.Level, msg string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Log(context.Background(), level, msg, args...)
-	}
-}
-
-// jobFinished runs once per terminal job (Job.onFinish): it bumps the
-// terminal-state counters and the duration histogram and feeds the
-// attribution ledger into the per-stage duration histograms.
+// jobFinished runs once per terminal job (Job.onFinish): it counts the
+// job and logs its outcome.
 func (s *Server) jobFinished(j *Job, st JobStatus) {
+	s.countJob(st, s.now().Sub(j.created), j.trace.Ledger())
+	if l := s.cfg.Logger; l != nil {
+		level := slog.LevelInfo
+		if st != StatusDone {
+			level = slog.LevelWarn
+		}
+		l.Log(context.Background(), level, "job finished", "job", j.id, "status", string(st))
+	}
+	s.inflight.Done()
+}
+
+// countJob is a finished job's metric accounting: its terminal-state
+// counter, the duration histogram and, from its attribution ledger (nil
+// without one), the per-stage duration histograms. Every handle is
+// already resolved once its stage has occurred, so a warm countJob
+// builds no name and allocates nothing.
+func (s *Server) countJob(st JobStatus, d time.Duration, l *obs.Ledger) {
 	switch st {
 	case StatusDone:
-		s.reg.Counter(MetricJobsCompleted).Inc()
+		s.jobsCompleted.Inc()
 	case StatusCancelled:
-		s.reg.Counter(MetricJobsCancelled).Inc()
+		s.jobsCancelled.Inc()
 	default:
-		s.reg.Counter(MetricJobsFailed).Inc()
+		s.jobsFailed.Inc()
 	}
-	s.reg.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)).
-		Observe(uint64(s.now().Sub(j.created).Milliseconds()))
-	if l := j.trace.Ledger(); l != nil {
-		for _, row := range l.Rows {
-			s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
-				Observe(uint64(row.Ns / 1e3))
+	s.jobMs.Observe(uint64(d.Milliseconds()))
+	if l == nil {
+		return
+	}
+	for _, row := range l.Rows {
+		h := s.stageUs[row.Stage].Load()
+		if h == nil {
+			h = s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24))
+			s.stageUs[row.Stage].Store(h)
 		}
+		h.Observe(uint64(row.Ns / 1e3))
 	}
-	s.logf("job %s %s", j.id, st)
-	level := slog.LevelInfo
-	if st != StatusDone {
-		level = slog.LevelWarn
-	}
-	s.slogAt(level, "job finished", "job", j.id, "status", string(st))
-	s.inflight.Done()
 }
 
 // dumpTrace writes the job's merged Chrome trace into TraceDir
@@ -260,9 +272,8 @@ func (s *Server) dumpTrace(j *Job) {
 			err = cerr
 		}
 	}
-	if err != nil {
-		s.logf("job %s trace dump failed: %v", j.id, err)
-		s.slogAt(slog.LevelWarn, "trace dump failed", "job", j.id, "path", path, "err", err)
+	if err != nil && s.cfg.Logger != nil {
+		s.cfg.Logger.Warn("trace dump failed", "job", j.id, "path", path, "err", err)
 	}
 }
 
@@ -366,8 +377,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Done()
 		j.cancel()
 		s.mu.Unlock()
-		s.reg.Counter(MetricJobsRejected).Inc()
-		s.slogAt(slog.LevelWarn, "job rejected", "reason", "queue full", "depth", s.cfg.QueueDepth)
+		s.jobsRejected.Inc()
+		if l := s.cfg.Logger; l != nil {
+			l.Warn("job rejected", "reason", "queue full", "depth", s.cfg.QueueDepth)
+		}
 		// Retry-After is proportional: the observed drain rate's estimate
 		// of how long clearing the full queue will take, not a constant.
 		w.Header().Set("Retry-After", s.drain.Header(s.cfg.QueueDepth, s.now()))
@@ -379,9 +392,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.evictLocked()
 	s.mu.Unlock()
-	s.reg.Counter(MetricJobsAccepted).Inc()
-	s.logf("job %s accepted (%s)", id, spec.describe())
-	s.slogAt(slog.LevelInfo, "job accepted", "job", id, "spec", spec.describe())
+	s.jobsAccepted.Inc()
+	if l := s.cfg.Logger; l != nil {
+		l.Info("job accepted", "job", id, "spec", spec.describe())
+	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(j.Status())})
 }
 
@@ -436,13 +450,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // obsView renders the observability state for GET/PUT /v1/obs.
 func (s *Server) obsView() map[string]any {
-	t := s.cfg.Obs.Tracer()
-	return map[string]any{
-		"mode":          s.cfg.Obs.Mode().String(),
-		"ring_capacity": t.Cap(),
-		"spans_total":   t.Total(),
-		"spans_dropped": t.Drops(),
-	}
+	return map[string]any{"mode": s.cfg.Obs.Mode().String()}
 }
 
 func (s *Server) handleObsGet(w http.ResponseWriter, r *http.Request) {
@@ -466,8 +474,9 @@ func (s *Server) handleObsSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Obs.SetMode(m)
-	s.logf("obs mode set to %s", m)
-	s.slogAt(slog.LevelInfo, "obs mode changed", "mode", m.String())
+	if l := s.cfg.Logger; l != nil {
+		l.Info("obs mode changed", "mode", m.String())
+	}
 	writeJSON(w, http.StatusOK, s.obsView())
 }
 

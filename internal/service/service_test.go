@@ -229,7 +229,7 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	want, err := json.Marshal(buildResult(spec.withDefaults(), cr, nil))
+	want, err := json.Marshal(BuildResult(spec.withDefaults(), cr, nil))
 	if err != nil {
 		t.Fatalf("marshal direct result: %v", err)
 	}

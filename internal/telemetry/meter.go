@@ -20,15 +20,6 @@ const (
 	MetricDupResidency = "vm.dup.residency_ppm"   // gauge: dup cycles per million cycles
 	MetricOverhead     = "vm.overhead.cycles"     // counter: modelled instrumentation cycles
 	MetricCheckRate    = "vm.checks_per_interval" // histogram: checks between captures
-
-	// Fusion coverage, recorded post-run via RecordFusion: the fused
-	// tier retires instructions a block at a time with no per-instruction
-	// event, so coverage is read from vm.VM.FusionStats after the run.
-	MetricFusionInstrs     = "vm.fusion.instrs"       // counter: instructions retired on the fused tier
-	MetricFusionFused      = "vm.fusion.fused"        // counter: instructions retired inside superinstructions
-	MetricFusionDispatches = "vm.fusion.dispatches"   // counter: fused-stream tokens dispatched
-	MetricFusionFraction   = "vm.fusion.fraction_ppm" // gauge: fused instrs per million executed instrs
-	MetricFusionByKind     = "vm.fusion.kind"         // counter, suffixed ".<kind>": superinstruction executions
 )
 
 // Meter feeds a metrics Registry from the vm.Observer event stream and
@@ -68,8 +59,7 @@ type Meter struct {
 	machine *vm.VM
 	series  *Series
 
-	interval uint64
-	next     uint64
+	at cadence
 
 	cost *vm.CostModel
 
@@ -109,18 +99,14 @@ type meterThread struct {
 // capture cadence in cycles (0 means 1<<16). cost may be nil for the
 // default model.
 func NewMeter(reg *Registry, triggerName string, interval uint64, cost *vm.CostModel) *Meter {
-	if interval == 0 {
-		interval = 1 << 16
-	}
 	if cost == nil {
 		cost = vm.DefaultCostModel()
 	}
 	m := &Meter{
-		reg:      reg,
-		series:   NewSeries(reg),
-		interval: interval,
-		next:     interval,
-		cost:     cost,
+		reg:    reg,
+		series: NewSeries(reg),
+		at:     newCadence(interval),
+		cost:   cost,
 
 		entries:    reg.Counter(MetricEntries),
 		exits:      reg.Counter(MetricExits),
@@ -151,7 +137,7 @@ func (m *Meter) SetClock(c Clock) {
 func (m *Meter) Events() vm.EventMask { return vm.EvProbe }
 
 // NextWake implements vm.EventFilter: the next capture boundary.
-func (m *Meter) NextWake() uint64 { return m.next }
+func (m *Meter) NextWake() uint64 { return m.at.next }
 
 // Series returns the captured time series.
 func (m *Meter) Series() *Series { return m.series }
@@ -175,11 +161,11 @@ func (m *Meter) threadState(tid int) *meterThread {
 
 // tick captures a series row when the capture boundary has passed.
 func (m *Meter) tick(now uint64, p pending) {
-	if now < m.next {
+	if now < m.at.next {
 		return
 	}
 	m.capture(now, p)
-	m.next = (now/m.interval + 1) * m.interval
+	m.at.advance(now)
 }
 
 // capture brings the event counters up to the VM's, refreshes the
@@ -220,29 +206,6 @@ func advance(c *Counter, total uint64) { c.Add(total - c.Value()) }
 // Finish folds open state and captures a final row at the current
 // cycle. Call it once after the run completes.
 func (m *Meter) Finish() { m.capture(m.now(), pending{}) }
-
-// RecordFusion publishes a run's superinstruction coverage
-// (vm.VM.FusionStats) into the registry. The fused tier emits no
-// per-instruction events, so coverage arrives here after the fact: call
-// it once per run, with the run's Stats().Instrs as totalInstrs. A run
-// the meter alone observes stays fused; one that also carries an
-// observer without an event mask (the trace recorder, the oracle) does
-// not, and calling it with all-zero stats (fusion off or degraded)
-// records nothing.
-func (m *Meter) RecordFusion(fs vm.FusionStats, totalInstrs uint64) {
-	if fs.Instrs == 0 {
-		return
-	}
-	m.reg.Counter(MetricFusionInstrs).Add(fs.Instrs)
-	m.reg.Counter(MetricFusionFused).Add(fs.Fused)
-	m.reg.Counter(MetricFusionDispatches).Add(fs.Dispatches)
-	if totalInstrs > 0 {
-		m.reg.Gauge(MetricFusionFraction).Set(int64(fs.Fused * 1_000_000 / totalInstrs))
-	}
-	for kind, n := range fs.ByKind {
-		m.reg.Counter(MetricFusionByKind + "." + kind).Add(n)
-	}
-}
 
 func (m *Meter) dupEnter(tid int, now uint64) {
 	t := m.threadState(tid)

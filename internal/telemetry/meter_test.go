@@ -353,65 +353,3 @@ func TestConvergenceMaxSnapshots(t *testing.T) {
 		t.Errorf("recorded %d points with max 5", got)
 	}
 }
-
-// TestRecordFusion checks the post-run fusion-coverage path: a fused
-// run's FusionStats lands in the registry with the fraction gauge in
-// ppm and one counter per superinstruction kind, and an all-zero record
-// (fusion off or observer-degraded) writes nothing.
-func TestRecordFusion(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := telemetry.NewMeter(reg, "counter/50", 0, nil)
-
-	m.RecordFusion(vm.FusionStats{}, 1000)
-	if got := reg.Counter(telemetry.MetricFusionInstrs).Value(); got != 0 {
-		t.Fatalf("zero stats recorded %d fused-tier instrs", got)
-	}
-
-	fs := vm.FusionStats{
-		Instrs:     800,
-		Fused:      500,
-		Dispatches: 550,
-		ByKind:     map[string]uint64{"const+add": 200, "cmplt+br": 50},
-	}
-	m.RecordFusion(fs, 1000)
-	if got := reg.Counter(telemetry.MetricFusionInstrs).Value(); got != 800 {
-		t.Errorf("%s = %d, want 800", telemetry.MetricFusionInstrs, got)
-	}
-	if got := reg.Counter(telemetry.MetricFusionFused).Value(); got != 500 {
-		t.Errorf("%s = %d, want 500", telemetry.MetricFusionFused, got)
-	}
-	if got := reg.Counter(telemetry.MetricFusionDispatches).Value(); got != 550 {
-		t.Errorf("%s = %d, want 550", telemetry.MetricFusionDispatches, got)
-	}
-	if got := reg.Gauge(telemetry.MetricFusionFraction).Value(); got != 500_000 {
-		t.Errorf("%s = %d, want 500000", telemetry.MetricFusionFraction, got)
-	}
-	if got := reg.Counter(telemetry.MetricFusionByKind + ".const+add").Value(); got != 200 {
-		t.Errorf("kind counter const+add = %d, want 200", got)
-	}
-	if got := reg.Counter(telemetry.MetricFusionByKind + ".cmplt+br").Value(); got != 50 {
-		t.Errorf("kind counter cmplt+br = %d, want 50", got)
-	}
-}
-
-// TestRecordFusionFromRun wires a real fused run end to end: run
-// observer-free, then publish FusionStats; the fraction gauge must be
-// positive for the compress-style workload the fused tier targets.
-func TestRecordFusionFromRun(t *testing.T) {
-	prog := ir.RandomProgram(3, ir.RandomProgramConfig{})
-	res, err := compile.Compile(prog, compile.Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	machine := vm.New(res.Prog, vm.Config{Handlers: res.Handlers, MaxCycles: 1 << 33})
-	if _, err := machine.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	reg := telemetry.NewRegistry()
-	m := telemetry.NewMeter(reg, "none", 0, nil)
-	m.RecordFusion(machine.FusionStats(), machine.Stats().Instrs)
-	if machine.FusionStats().Instrs > 0 &&
-		reg.Counter(telemetry.MetricFusionInstrs).Value() == 0 {
-		t.Fatal("fused run recorded no fusion coverage")
-	}
-}

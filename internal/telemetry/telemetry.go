@@ -18,6 +18,13 @@
 //     profile as a function of executed cycles (the accuracy-convergence
 //     curves).
 //
+// Each consumer declares the events it reads (vm.EventFilter), so none
+// of them takes the VM off its fused streams: Trace reads every hook
+// class but transfers, the Meter reads probes, and Convergence reads
+// nothing of its own. The Meter and Convergence wake on one cycle
+// cadence: a capture or snapshot lands on the first enter, exit, check,
+// probe or yield at or past each boundary, on either dispatcher.
+//
 // All timestamps are in the VM's simulated-cycle domain, read through
 // the Clock interface (vm.VM implements it via VM.Now). Cycle timestamps
 // are deterministic: the same program and trigger produce the same
@@ -33,3 +40,21 @@ package telemetry
 type Clock interface {
 	Now() uint64
 }
+
+// cadence is the cycle-boundary schedule the Meter's captures and
+// Convergence's snapshots share: next is the first multiple of interval
+// not yet acted on, and the consumer's vm.EventFilter wake.
+type cadence struct{ interval, next uint64 }
+
+// newCadence starts a schedule at its first boundary; interval 0 means
+// 1<<16 cycles.
+func newCadence(interval uint64) cadence {
+	if interval == 0 {
+		interval = 1 << 16
+	}
+	return cadence{interval: interval, next: interval}
+}
+
+// advance moves next to the first boundary after now, skipping any the
+// run passed without an event.
+func (c *cadence) advance(now uint64) { c.next = (now/c.interval + 1) * c.interval }

@@ -20,7 +20,9 @@ import (
 // crossings (EvDupEnter, EvDupExit); intra-kind transfers are framework
 // noise and would dominate the ring. A return executed inside duplicated
 // code also emits EvDupExit, so duplicated-code spans are properly
-// closed per frame.
+// closed per frame. The recorder declares exactly that (vm.EventFilter):
+// every hook class but transfers, whose boundary crossings the VM always
+// delivers, so a traced run keeps the fast path's fused streams.
 //
 // Export with WriteChromeTrace after the run completes (or from the VM
 // goroutine): the rings are written without locks, so a snapshot raced
@@ -67,6 +69,15 @@ func (tr *Trace) record(t *vm.Thread, kind EventKind, m *ir.Method, arg int64) {
 		Arg:    arg,
 	})
 }
+
+// Events implements vm.EventFilter: every hook class but transfers.
+// The VM delivers the checking/duplicated crossings, the only
+// transfers the recorder keeps, whatever the mask.
+func (tr *Trace) Events() vm.EventMask { return vm.EvAll &^ vm.EvTransfer }
+
+// NextWake implements vm.EventFilter: the mask already names every
+// event the recorder keeps.
+func (tr *Trace) NextWake() uint64 { return vm.NoWake }
 
 // OnEnter implements vm.Observer.
 func (tr *Trace) OnEnter(t *vm.Thread, f *vm.Frame) {
@@ -119,9 +130,9 @@ func (tr *Trace) OnYield(t *vm.Thread, f *vm.Frame) {
 // event (the length of the per-thread ring table).
 func (tr *Trace) Threads() int { return len(tr.rings) }
 
-// Events returns thread tid's retained events, oldest first. It returns
-// nil for a thread with no ring.
-func (tr *Trace) Events(tid int) []Event {
+// ThreadEvents returns thread tid's retained events, oldest first. It
+// returns nil for a thread with no ring.
+func (tr *Trace) ThreadEvents(tid int) []Event {
 	if tid < 0 || tid >= len(tr.rings) {
 		return nil
 	}
@@ -170,8 +181,10 @@ type ChromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the JSON-object flavour of the trace-event container.
-type chromeTrace struct {
+// ChromeDoc is the JSON-object flavour of the trace-event container,
+// the one document type of both Chrome exports (WriteChromeTrace and the
+// service's merged job trace).
+type ChromeDoc struct {
 	TraceEvents     []ChromeEvent  `json:"traceEvents"`
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData"`
@@ -210,7 +223,11 @@ func (tr *Trace) NamedEvents(ts func(cycle uint64) uint64) []NamedEvent {
 		}
 		return n
 	}
-	var events []NamedEvent
+	n := 0
+	for _, r := range tr.rings {
+		n += int(r.total() - r.drops())
+	}
+	events := make([]NamedEvent, 0, n)
 	for _, r := range tr.rings {
 		for _, e := range r.events() {
 			events = append(events, NamedEvent{
@@ -271,10 +288,10 @@ func (e NamedEvent) Chrome(pid int) ChromeEvent {
 // viewers tolerate that, and per-thread drop counts are reported in
 // otherData.
 func (tr *Trace) WriteChromeTrace(w io.Writer) error {
-	events := []ChromeEvent{
-		{Name: "process_name", Ph: "M", Pid: 1,
-			Args: map[string]any{"name": "instrsample vm"}},
-	}
+	named := tr.NamedEvents(nil)
+	events := make([]ChromeEvent, 0, 1+len(tr.rings)+len(named))
+	events = append(events, ChromeEvent{Name: "process_name", Ph: "M", Pid: 1,
+		Args: map[string]any{"name": "instrsample vm"}})
 	drops := map[string]any{}
 	for tid := range tr.rings {
 		events = append(events, ChromeEvent{
@@ -282,18 +299,18 @@ func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": threadName(tid)},
 		})
 	}
+	for _, e := range named {
+		events = append(events, e.Chrome(1))
+	}
 	var total, dropped uint64
 	for tid, r := range tr.rings {
-		for _, e := range r.events() {
-			events = append(events, chromeFor(e))
-		}
 		total += r.total()
 		if d := r.drops(); d > 0 {
 			drops[threadName(tid)] = d
 			dropped += d
 		}
 	}
-	out := chromeTrace{
+	out := ChromeDoc{
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
@@ -305,45 +322,6 @@ func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// ChromeEvents converts every thread's retained events to Chrome trace
-// events under the given pid, including thread_name metadata rows. Each
-// event's cycle timestamp is mapped through ts into the document's
-// microsecond domain; a nil ts is identity (one cycle renders as 1µs,
-// the WriteChromeTrace convention). This is the building block for
-// merged documents that put VM events and wall-clock service spans on
-// one timeline: the caller supplies a ts that aligns the cycle clock to
-// wall time for the run the trace recorded.
-func (tr *Trace) ChromeEvents(pid int, ts func(cycle uint64) uint64) []ChromeEvent {
-	if ts == nil {
-		ts = func(c uint64) uint64 { return c }
-	}
-	events := make([]ChromeEvent, 0, 64)
-	for tid := range tr.rings {
-		events = append(events, ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": threadName(tid)},
-		})
-	}
-	for _, r := range tr.rings {
-		for _, e := range r.events() {
-			ce := chromeFor(e)
-			ce.Pid = pid
-			ce.Ts = ts(ce.Ts)
-			events = append(events, ce)
-		}
-	}
-	return events
-}
-
-// chromeFor converts one recorded event (pid 1, cycle-as-µs timestamps).
-func chromeFor(e Event) ChromeEvent {
-	method := ""
-	if e.Method != nil {
-		method = e.Method.FullName()
-	}
-	return NamedEvent{Ts: e.Cycle, Kind: e.Kind, Thread: e.Thread, Method: method, Arg: e.Arg}.Chrome(1)
 }
 
 func threadName(tid int) string {

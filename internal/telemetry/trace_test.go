@@ -6,8 +6,15 @@ import (
 	"reflect"
 	"testing"
 
+	"instrsample/internal/bench"
+	"instrsample/internal/compile"
+	"instrsample/internal/core"
+	"instrsample/internal/instr"
+	"instrsample/internal/ir"
 	"instrsample/internal/oracle"
+	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
+	"instrsample/internal/trigger"
 	"instrsample/internal/vm"
 )
 
@@ -70,7 +77,7 @@ func TestTraceRecordsAndExports(t *testing.T) {
 	// The event stream must cover the full vocabulary and agree with the
 	// run's own counters where they correspond one-to-one.
 	var byKind [8]uint64
-	events := tr.Events(0)
+	events := tr.ThreadEvents(0)
 	for _, e := range events {
 		byKind[e.Kind]++
 	}
@@ -138,7 +145,7 @@ func TestTraceWraparound(t *testing.T) {
 	if big.TotalDrops() != 0 {
 		t.Fatalf("big ring dropped %d events; test needs the full stream", big.TotalDrops())
 	}
-	full := big.Events(0)
+	full := big.ThreadEvents(0)
 	if uint64(len(full)) != big.Total(0) {
 		t.Fatalf("big ring retained %d of %d events", len(full), big.Total(0))
 	}
@@ -156,7 +163,7 @@ func TestTraceWraparound(t *testing.T) {
 	if got := small.TotalDrops(); got != wantDrops {
 		t.Fatalf("TotalDrops() = %d, want %d", got, wantDrops)
 	}
-	retained := small.Events(0)
+	retained := small.ThreadEvents(0)
 	if len(retained) != smallCap {
 		t.Fatalf("retained %d events, want %d", len(retained), smallCap)
 	}
@@ -206,5 +213,119 @@ func TestOracleComposesWithTrace(t *testing.T) {
 	}
 	if tr.Total(0) == 0 {
 		t.Error("composed trace recorded nothing")
+	}
+}
+
+// observedRun is one run's trace and convergence output.
+type observedRun struct {
+	chrome []byte
+	points []telemetry.ConvergencePoint
+	res    *vm.Result
+	fused  uint64
+}
+
+// runObserved compiles prog under fw and runs it with a trace recorder
+// and a convergence recorder installed together, on the fast path or
+// the reference dispatcher.
+func runObserved(t *testing.T, prog *ir.Program, fw *core.Options, trig trigger.Trigger, reference bool) observedRun {
+	t.Helper()
+	cr, err := compile.Compile(prog, compile.Options{
+		Instrumenters: []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}},
+		Framework:     fw,
+	})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	tr := telemetry.NewTrace(0)
+	conv := telemetry.NewConvergence(1<<14, 0, func() []*profile.Profile {
+		out := make([]*profile.Profile, len(cr.Runtimes))
+		for i, rt := range cr.Runtimes {
+			out[i] = rt.Profile()
+		}
+		return out
+	})
+	v := vm.New(cr.Prog, vm.Config{
+		Trigger:   trig,
+		Handlers:  cr.Handlers,
+		Observer:  vm.CombineObservers(tr, conv),
+		Reference: reference,
+		MaxCycles: 1 << 36,
+	})
+	tr.SetClock(v)
+	conv.SetClock(v)
+	out, err := v.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return observedRun{buf.Bytes(), conv.Points(), out, v.FusionStats().Instrs}
+}
+
+// TestTraceConvergenceDifferential pins the two declared telemetry
+// consumers to the reference dispatcher, which ignores event masks and
+// delivers every event. Across the suite × framework variations × two
+// triggers, a trace recorder and a convergence recorder installed
+// together must write the same Chrome JSON and take every snapshot at
+// the same cycle with the same profile entries on both dispatchers,
+// while the fast run retires at least 99% of its instructions on fused
+// streams.
+func TestTraceConvergenceDifferential(t *testing.T) {
+	variations := []struct {
+		name string
+		fw   *core.Options
+	}{
+		{"none", nil},
+		{"full", &core.Options{Variation: core.FullDuplication}},
+		{"partial", &core.Options{Variation: core.PartialDuplication}},
+		{"nodup", &core.Options{Variation: core.NoDuplication}},
+		{"hybrid", &core.Options{Variation: core.Hybrid}},
+	}
+	triggers := []struct {
+		name string
+		new  func() trigger.Trigger
+	}{
+		{"counter", func() trigger.Trigger { return trigger.NewCounter(997) }},
+		{"timer", func() trigger.Trigger { return trigger.NewTimer(20011) }},
+	}
+	for _, b := range bench.Suite() {
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, va := range variations {
+				for _, tg := range triggers {
+					name := b.Name + "/" + va.name + "/" + tg.name
+					fast := runObserved(t, b.Build(0.005), va.fw, tg.new(), false)
+					ref := runObserved(t, b.Build(0.005), va.fw, tg.new(), true)
+					if share := float64(fast.fused) / float64(fast.res.Stats.Instrs); share < 0.99 {
+						t.Errorf("%s: fast run retired %.2f%% of its instructions fused, want >= 99%%", name, 100*share)
+					}
+					if fast.res.Return != ref.res.Return || fast.res.Stats != ref.res.Stats {
+						t.Errorf("%s: result differs from the reference:\n  fast: %+v\n  ref:  %+v",
+							name, fast.res.Stats, ref.res.Stats)
+					}
+					if !bytes.Equal(fast.chrome, ref.chrome) {
+						t.Errorf("%s: Chrome trace differs from the reference's", name)
+					}
+					if len(fast.points) != len(ref.points) {
+						t.Errorf("%s: %d snapshots, reference took %d", name, len(fast.points), len(ref.points))
+						continue
+					}
+					for i, p := range fast.points {
+						q := ref.points[i]
+						if p.Cycle != q.Cycle {
+							t.Errorf("%s: snapshot %d at cycle %d, reference at %d", name, i, p.Cycle, q.Cycle)
+							continue
+						}
+						for k := range p.Profiles {
+							if !reflect.DeepEqual(p.Profiles[k].Entries(), q.Profiles[k].Entries()) {
+								t.Errorf("%s: snapshot %d profile %d differs from the reference's", name, i, k)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

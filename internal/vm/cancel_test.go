@@ -198,9 +198,10 @@ func TestCancelMidRunDeterministic(t *testing.T) {
 
 // TestCancelAsyncStopsHotLoop arms a token on an effectively unbounded
 // compiled loop (yieldpoints on the backedge) and fires it from another
-// goroutine: Run must return promptly with a CancelError instead of
-// spinning to MaxCycles. This is the liveness half of the contract the
-// daemon's DELETE /v1/jobs/{id} depends on.
+// goroutine once the run itself signals that it passed cycle at: Run
+// must return promptly with a CancelError instead of spinning to
+// MaxCycles. This is the liveness half of the contract the daemon's
+// DELETE /v1/jobs/{id} depends on.
 func TestCancelAsyncStopsHotLoop(t *testing.T) {
 	b := ir.NewFunc("main", 0)
 	c := b.At(b.EntryBlock())
@@ -215,11 +216,27 @@ func TestCancelAsyncStopsHotLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	// The signal is an observer with no event of its own and a wake at
+	// cycle at; its first wake closes reached from inside the run.
+	const at = 1 << 16
+	reached := make(chan struct{})
+	o := newWakeObserver(at)
+	o.onWake = func(n int) {
+		if n == 1 {
+			close(reached)
+		}
+	}
 	tok := vm.NewCancel()
-	m := vm.New(res.Prog, vm.Config{MaxCycles: 1 << 62, Cancel: tok})
+	m := vm.New(res.Prog, vm.Config{MaxCycles: 1 << 62, Cancel: tok, Observer: o})
+	o.v = m
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
-		time.Sleep(5 * time.Millisecond)
-		tok.Fire()
+		select {
+		case <-reached:
+			tok.Fire()
+		case <-stop:
+		}
 	}()
 	done := make(chan error, 1)
 	go func() {
@@ -228,8 +245,12 @@ func TestCancelAsyncStopsHotLoop(t *testing.T) {
 	}()
 	select {
 	case rerr := <-done:
-		if !vm.IsCancelled(rerr) {
+		var ce *vm.CancelError
+		if !errors.As(rerr, &ce) {
 			t.Fatalf("got %v, want CancelError", rerr)
+		}
+		if ce.Cycles < at {
+			t.Errorf("cancelled at cycle %d, before the signal at %d", ce.Cycles, at)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled run did not stop within 30s")

@@ -674,12 +674,12 @@ func TestFusedFractionCalls(t *testing.T) {
 	}
 }
 
-// TestFusionDifferentialSweep is the seeded sweep behind `make
-// fusion-smoke`: random programs (threaded and not) across a variant
+// TestFusionDifferentialSweep is the seeded sweep `make race` pins by
+// name: random programs (threaded and not) across a variant
 // subset, healthy and cancelled, fused always compared bit-for-bit
 // against the reference dispatcher. It subsumes nothing — the broad
 // differential tests already compare the fast path with the reference —
-// but gives CI a single -run target that forces fusion through every
+// but gives CI a single named test that forces fusion through every
 // variation under -race.
 func TestFusionDifferentialSweep(t *testing.T) {
 	seeds := 6

@@ -96,6 +96,3 @@ func (t *Thread) Top() *Frame {
 
 // Depth returns the call-stack depth.
 func (t *Thread) Depth() int { return len(t.Frames) }
-
-// Handle returns the heap object representing the thread.
-func (t *Thread) Handle() *Object { return t.handle }

@@ -40,14 +40,8 @@ type Value struct {
 	R *Object
 }
 
-// IntVal wraps an integer.
-func IntVal(i int64) Value { return Value{I: i} }
-
 // RefVal wraps a reference.
 func RefVal(o *Object) Value { return Value{R: o} }
-
-// IsRef reports whether the value holds a (non-null) reference.
-func (v Value) IsRef() bool { return v.R != nil }
 
 func (v Value) String() string {
 	if v.R != nil {
