@@ -78,13 +78,15 @@ test:
 #     sequence through a daemon and a two-worker fleet, with exact
 #     invariants per op (DESIGN.md §11).
 #   TestFusionDifferentialSweep, TestCallBoundarySweep, TestFused...,
-#   TestFuseBlockOperandOverflow, TestAllEventsObserverDisablesFusion,
-#   TestSparseObserverKeepsFusion (internal/vm): the fused tier against
-#     the reference — the seeded sweep, generated programs aimed at fused
-#     calls and returns, and every fused-block edge case (traps, cancel
-#     and quantum mid-pair, checks and probes in streams, the operand
-#     overflow fallback, observer degradation, sparse observers kept
-#     fused, coverage floors).
+#   TestFuseBlockOperandOverflow, TestAllEventsObserverKeepsFusion,
+#   TestSparseObserverKeepsFusion (internal/vm): fused streams, the fast
+#     path's only executor, against the reference — the seeded sweep,
+#     generated programs aimed at fused calls and returns, and every
+#     fused-block edge case (traps, cancel and quantum mid-pair, checks
+#     and probes in streams, a program past the operand encoding run on
+#     the reference as a whole, all-events and sparse observers kept
+#     fused, every instruction fused across the suite, at every cost
+#     scale).
 #   TestSweepProperty, TestRecordReplayDifferential,
 #   TestReplayDetectsTampering (internal/scenario): the workload-family
 #     sweep recorded on the fast dispatcher and replayed bit-identically
@@ -94,7 +96,7 @@ RACE_PINNED = TestMutationKill TestTelemetrySmoke TestCLIMatchesJob \
 	TestObsLedgerSumEqualsJobLatency TestObsChainCompleted \
 	TestFleetTraceAndLedger TestFleetSmoke TestMixedTraffic \
 	TestFusionDifferentialSweep TestCallBoundarySweep TestFused \
-	TestFuseBlockOperandOverflow TestAllEventsObserverDisablesFusion \
+	TestFuseBlockOperandOverflow TestAllEventsObserverKeepsFusion \
 	TestSparseObserverKeepsFusion TestSweepProperty \
 	TestRecordReplayDifferential TestReplayDetectsTampering
 

@@ -352,8 +352,8 @@ func BenchmarkSampledRunMeter(b *testing.B) {
 // BenchmarkSampledRunTelemetry measures the same sampled run with the
 // full telemetry chain attached (trace recorder + metrics meter). The
 // gap to BenchmarkSampledRunMeter is the price of tracing: the trace
-// recorder declares no event mask, so it turns fused streams off and
-// every hook records an event.
+// recorder takes every event class but transfers, so the run stays on
+// fused streams and every hook it takes records an event.
 func BenchmarkSampledRunTelemetry(b *testing.B) {
 	res := sampledCompress(b)
 	b.ResetTimer()

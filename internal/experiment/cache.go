@@ -244,15 +244,51 @@ func decodeProfile(cp cachedProfile) *profile.Profile {
 			labels[e.Key] = e.Label
 		}
 	}
-	if len(labels) > 0 {
-		p.Labeler = func(k uint64) string {
-			if l, ok := labels[k]; ok {
-				return l
+	setLabels(p, labels)
+	return p
+}
+
+// setLabels makes labels p's labeler: a key renders as its label, or in
+// hex when it has none; no labels leave p unlabeled. A cached or
+// memoized profile keeps its labels this way, not through the labeler
+// its run attached, which closes over the run's runtime and compiled
+// program.
+func setLabels(p *profile.Profile, labels map[uint64]string) {
+	p.Labeler = nil
+	if len(labels) == 0 {
+		return
+	}
+	p.Labeler = func(k uint64) string {
+		if l, ok := labels[k]; ok {
+			return l
+		}
+		return fmt.Sprintf("%#x", k)
+	}
+}
+
+// detachLabels renders the label of every entry of every labeled
+// profile of res, its snapshots' included, and keeps them as the disk
+// cache does (setLabels): a result entering the result store must not
+// pin the compiled program its labelers close over.
+func detachLabels(res *CellResult) {
+	detach := func(ps []*profile.Profile) {
+		for _, p := range ps {
+			if p.Labeler == nil {
+				continue
 			}
-			return fmt.Sprintf("%#x", k)
+			labels := make(map[uint64]string, p.NumEvents())
+			for _, e := range p.Entries() {
+				if l := p.Labeler(e.Key); l != "" {
+					labels[e.Key] = l
+				}
+			}
+			setLabels(p, labels)
 		}
 	}
-	return p
+	detach(res.Profiles)
+	for _, s := range res.Snapshots {
+		detach(s.Profiles)
+	}
 }
 
 // decodeCell rebuilds a CellResult from its on-disk form.

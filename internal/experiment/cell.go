@@ -109,10 +109,11 @@ type OptsSpec struct {
 	IterBudget int64
 	// Verify attaches the runtime invariant oracle (internal/oracle) to
 	// the run: any invariant violation fails the cell, and the cell's
-	// Aux carries the oracle's counters. The oracle keeps the VM's fast
-	// path off fused streams (every block runs per instruction), so
-	// verified cells cost more host time but report bit-identical
-	// cycle counts; Verify is part of the cell key because Aux differs.
+	// Aux carries the oracle's counters. The oracle takes every event,
+	// so the VM's fused streams cut every chain edge to deliver each
+	// block transfer: verified cells cost more host time, for the hooks,
+	// but report bit-identical cycle counts; Verify is part of the cell
+	// key because Aux differs.
 	Verify bool
 }
 

@@ -102,23 +102,34 @@ const resultBudget = 32 << 20
 // frees, measured on go1.24/amd64 over the 689 cells of a
 // cmd/experiments -scale 0.1 run and 150 service-plan job cells (about
 // 840 bytes each).
+//
+// A rendered profile label (setLabels) costs resultLabelBytes plus its
+// length: the map slot and string header, measured on go1.24/amd64 at
+// 69–82 bytes for 12-byte labels and 117–130 for 60-byte ones, in maps
+// of 4 to 256 labels.
 const (
 	resultBaseBytes    = 472
 	resultProfileBytes = 166
 	resultEntryBytes   = 29
 	resultOutputBytes  = 13
 	resultAuxBytes     = 127
+	resultLabelBytes   = 60
 )
 
 // resultBytes is the deterministic size estimate the result budget
-// applies to. A profile's labeler is not counted: on an experiment cell
-// it pins the compiled program, which the program store accounts for,
-// and job results drop theirs.
+// applies to. It counts the label of every entry of a labeled profile,
+// as the store keeps them (detachLabels); job results drop their
+// labels instead.
 func resultBytes(r *CellResult) int64 {
 	n := resultBaseBytes + resultOutputBytes*int64(len(r.Output)) + resultAuxBytes*int64(len(r.Aux))
 	profiles := func(ps []*profile.Profile) {
 		for _, p := range ps {
 			n += resultProfileBytes + resultEntryBytes*int64(p.NumEvents())
+			if p.Labeler != nil {
+				for _, e := range p.Entries() {
+					n += resultLabelBytes + int64(len(p.Labeler(e.Key)))
+				}
+			}
 		}
 	}
 	profiles(r.Profiles)
@@ -309,8 +320,11 @@ func (e *Engine) execute(ctx context.Context, cfg Config, c Cell) (*CellResult, 
 	if err != nil {
 		return nil, err
 	}
-	if c.Key != "" && e.cache != nil {
-		e.cache.Store(c.Key, res)
+	if c.Key != "" {
+		detachLabels(res) // the result store keeps res
+		if e.cache != nil {
+			e.cache.Store(c.Key, res)
+		}
 	}
 	e.record(cfg, c.Key, probe, time.Since(execStart), false)
 	return res, nil

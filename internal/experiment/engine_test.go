@@ -14,25 +14,30 @@ import (
 	"time"
 
 	"instrsample/internal/core"
+	"instrsample/internal/ir"
 	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/vm"
 )
 
-// renderAll generates every artifact under cfg and concatenates the
-// ASCII renderings in registry order.
-func renderAll(t *testing.T, cfg Config) string {
-	t.Helper()
-	var sb strings.Builder
+// serialSweep generates every artifact once, in registry order,
+// through a 1-worker engine. TestParallelDeterminism compares the
+// parallel rendering with these tables and TestAllArtifactsGenerate
+// checks each one's shape, so one test binary runs the serial sweep
+// once.
+var serialSweep = sync.OnceValues(func() ([]*Table, error) {
+	cfg := smokeConfig()
+	cfg.Engine = NewEngine(1, nil)
+	var tabs []*Table
 	for _, e := range All() {
 		tab, err := e.Gen(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
-		sb.WriteString(tab.String())
+		tabs = append(tabs, tab)
 	}
-	return sb.String()
-}
+	return tabs, nil
+})
 
 // TestParallelDeterminism is the tentpole acceptance check: every
 // artifact rendered through a 1-worker engine must be byte-identical to
@@ -41,9 +46,14 @@ func renderAll(t *testing.T, cfg Config) string {
 // shape). Run under -race this also exercises the engine, cache-less
 // result store, and cell runners for data races.
 func TestParallelDeterminism(t *testing.T) {
-	serialCfg := smokeConfig()
-	serialCfg.Engine = NewEngine(1, nil)
-	serial := renderAll(t, serialCfg)
+	tabs, err := serialSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serial strings.Builder
+	for _, tab := range tabs {
+		serial.WriteString(tab.String())
+	}
 
 	parCfg := smokeConfig()
 	parCfg.Engine = NewEngine(8, nil)
@@ -71,9 +81,9 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		sb.WriteString(outs[i])
 	}
-	if parallel := sb.String(); parallel != serial {
+	if parallel := sb.String(); parallel != serial.String() {
 		t.Errorf("parallel rendering differs from serial (%d vs %d bytes)",
-			len(parallel), len(serial))
+			len(parallel), serial.Len())
 	}
 	if parCfg.Engine.ResultStats().Hits == 0 {
 		t.Error("no memo hits: artifacts share cells, dedup should trigger")
@@ -578,5 +588,76 @@ func TestEngineCountAllocatesNothing(t *testing.T) {
 	}
 	if names[MetricCellsRun+".service"] || names[MetricCellMemoHit+".unlabeled"] {
 		t.Errorf("a counter that never counted is registered: %v", names)
+	}
+}
+
+// TestMemoizedResultReleasesProgram: a result entering the result store
+// keeps its profiles' labels rendered into a map, as the disk cache
+// does, not the labeler its run attached, which closes over the run's
+// compiled program. A program the cell compiled privately is therefore
+// collectable once the engine returns (a finalizer stands in for
+// weak.Make, which needs a newer go line than go.mod's); the labels
+// still render, and the store counts their bytes.
+func TestMemoizedResultReleasesProgram(t *testing.T) {
+	o := OptsSpec{Instr: []string{"call-edge"}}
+	collected := make(chan struct{})
+	var want []string
+	c := Cell{Key: "private-program", Run: func(ctx context.Context) (*CellResult, error) {
+		build, err := BenchBuilder("jess")
+		if err != nil {
+			return nil, err
+		}
+		cr, err := o.Compile(build(0.01))
+		if err != nil {
+			return nil, err
+		}
+		runtime.SetFinalizer(cr.Prog, func(*ir.Program) { close(collected) })
+		res, err := Prepare(ctx, cr, o, VMSpec{Trigger: AlwaysTrigger()}).Execute()
+		if err != nil {
+			return nil, err
+		}
+		p := res.Profiles[0]
+		for _, e := range p.Entries() {
+			want = append(want, p.Labeler(e.Key))
+		}
+		return res, nil
+	}}
+	eng := NewEngine(1, nil)
+	res, err := eng.Do(Config{}, []Cell{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The finalizer runs on its own goroutine after a collection finds
+	// the program unreachable.
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(50 * time.Millisecond):
+			if i < 20 {
+				continue
+			}
+			t.Fatal("the memoized result keeps its cell's compiled program alive")
+		}
+		break
+	}
+	p := res[0].Profiles[0]
+	var got []string
+	for _, e := range p.Entries() {
+		got = append(got, p.Labeler(e.Key))
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("labels after memoization differ:\n  got:  %v\n  want: %v", got, want)
+	}
+	var labels int64
+	for _, l := range want {
+		labels += resultLabelBytes + int64(len(l))
+	}
+	bare := *res[0]
+	bare.Profiles = []*profile.Profile{p.Clone()}
+	bare.Profiles[0].Labeler = nil
+	if st, n := eng.ResultStats(), resultBytes(res[0]); n-resultBytes(&bare) != labels || st.Bytes != n {
+		t.Fatalf("a %d-byte result counts %d label bytes (want %d); the store holds %d bytes",
+			n, n-resultBytes(&bare), labels, st.Bytes)
 	}
 }

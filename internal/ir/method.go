@@ -155,6 +155,12 @@ func (p *Program) Lists(m *Method) bool {
 	return m != nil && m.ID >= 0 && m.ID < len(p.methods) && p.methods[m.ID] == m
 }
 
+// ListsClass reports whether c is the class p lists at c.ID, the
+// class-table analogue of Lists. Valid after Seal.
+func (p *Program) ListsClass(c *Class) bool {
+	return c != nil && c.ID >= 0 && c.ID < len(p.Classes) && p.Classes[c.ID] == c
+}
+
 // NumMethods returns the number of methods. Valid after Seal.
 func (p *Program) NumMethods() int { return len(p.methods) }
 

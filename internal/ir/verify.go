@@ -36,7 +36,7 @@ func (p *Program) Verify(mode VerifyMode) error {
 	for _, m := range p.methods {
 		err := VerifyMethod(m, mode)
 		if err == nil {
-			err = p.verifyCallees(m)
+			err = p.verifyListed(m)
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", m.FullName(), err))
@@ -48,15 +48,21 @@ func (p *Program) Verify(mode VerifyMode) error {
 	return errors.Join(errs...)
 }
 
-// verifyCallees checks that every direct call and spawn in m targets a
-// method p lists (Lists).
-func (p *Program) verifyCallees(m *Method) error {
+// verifyListed checks that every direct call and spawn in m targets a
+// method p lists (Lists), and every new names a class p lists
+// (ListsClass): a virtual call runs a method of the receiver's class,
+// so an unlisted class would bring unlisted methods into the run.
+func (p *Program) verifyListed(m *Method) error {
 	for _, b := range m.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if (in.Op == OpCall || in.Op == OpSpawn) && !p.Lists(in.Method) {
+			switch {
+			case (in.Op == OpCall || in.Op == OpSpawn) && !p.Lists(in.Method):
 				return fmt.Errorf("%s: instr %d (%s): callee %s is not a method of the program",
 					b.Name(), i, in.Op, in.Method.FullName())
+			case in.Op == OpNew && !p.ListsClass(in.Class):
+				return fmt.Errorf("%s: instr %d (%s): class %s is not a class of the program",
+					b.Name(), i, in.Op, in.Class.Name)
 			}
 		}
 	}

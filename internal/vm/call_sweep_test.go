@@ -8,8 +8,8 @@ package vm_test
 // in the callee's first instruction or in the caller's instruction
 // after the call, a yield inside a callee with two threads at quantum
 // 1, an overflow trap from a fused call, a callee at another cost scale,
-// a block too wide for the fused encoding beside fused callers — and
-// every program runs under each variation × trigger × observer on the
+// a register too wide for the fused encoding, which sends the whole
+// program to the reference dispatcher — and every program runs under each variation × trigger × observer on the
 // fast path and on the reference dispatcher, which must agree on the
 // Result or trap, Stats, profiles, every probe event (cycle and pc),
 // every observed event and every scheduling turn.
@@ -41,7 +41,7 @@ const (
 	shapeYieldThreads                     // two threads at quantum 1 yield inside callees
 	shapeRecursion                        // recursion to MaxStack: the overflow traps at a fused call
 	shapeScaled                           // a callee at cost scale 3 between fused frames
-	shapeWide                             // an operand-overflow block beside fused callers
+	shapeWide                             // an operand-overflow block: the run takes the reference
 	shapeRandom                           // ir.RandomProgram with call, virtual and thread bias
 	numCallShapes
 )
@@ -290,8 +290,9 @@ func callProgram(shape callShape, seed uint64) (*ir.Program, vm.Config) {
 }
 
 // wide builds a method whose middle block uses a register past the
-// fused encoding's int16 range, so it runs per instruction, between
-// two fused blocks that call fused code.
+// fused encoding's int16 range, between two blocks that call: streams
+// cannot represent the program, so the fast path runs it on the
+// reference dispatcher.
 func (g *callGen) wide(leaf, mid *ir.Method) *ir.Method {
 	const big = 0x8000
 	b := ir.NewFunc("wide", 1)
@@ -479,10 +480,13 @@ func requireSameRun(t *testing.T, label string, fast, ref sweepRun) {
 // TestCallBoundarySweep runs every callProgram family, two seeds each
 // (one with -short), under {base, exhaustive, full, partial, nodup,
 // full-yp} × {counter, timer} × observer {none, sparse, all events} on
-// both dispatchers and requires identical runs. Each family must also
-// show the behaviour it was built for on the unobserved fast path: the
-// trap it aims at, rotations wherever yieldpoints remain (full-yp turns
-// them into checks), and code that runs on the fused tier.
+// both dispatchers and requires identical runs. Every fast-path run
+// retires every instruction on a fused stream, observed or not, except
+// the wide family's, which streams cannot represent and which runs on
+// the reference dispatcher as a whole. Each family must also show the
+// behaviour it was built for on the unobserved fast path: the trap it
+// aims at, and rotations wherever yieldpoints remain (full-yp turns
+// them into checks).
 func TestCallBoundarySweep(t *testing.T) {
 	variations := []struct {
 		name string
@@ -523,6 +527,13 @@ func TestCallBoundarySweep(t *testing.T) {
 							fast := callSweepRun(t, prog, cfg, v.inst, v.fw, timer, observer, false)
 							ref := callSweepRun(t, prog, cfg, v.inst, v.fw, timer, observer, true)
 							requireSameRun(t, label, fast, ref)
+							if shape == shapeWide {
+								if fast.fusion.Instrs != 0 || fast.fusion.FusedBlocks != 0 {
+									t.Fatalf("%s: a program past the fused encoding ran fused: %+v", label, fast.fusion)
+								}
+							} else if fast.fusion.Instrs != fast.stats.Instrs {
+								t.Fatalf("%s: fused streams retired %d of %d instructions, want all", label, fast.fusion.Instrs, fast.stats.Instrs)
+							}
 							if observer != "none" {
 								continue
 							}
@@ -533,9 +544,6 @@ func TestCallBoundarySweep(t *testing.T) {
 							}
 							if shape == shapeYieldThreads && v.fw == nil && len(fast.turns) < 20 {
 								t.Fatalf("%s: %d scheduling turns; the threads never rotated inside callees", label, len(fast.turns))
-							}
-							if fast.fusion.Instrs == 0 {
-								t.Fatalf("%s: nothing ran fused: %+v", label, fast.fusion)
 							}
 						}
 					}

@@ -417,3 +417,123 @@ func TestUnlistedCallee(t *testing.T) {
 		}
 	}
 }
+
+// TestUnlistedClass: main allocates an object of a class the program
+// does not list and calls a method on it virtually. The class was
+// sealed in another program, where its method's entry block got GID 1,
+// the GID of main's second block here, a block that calls. The verifier
+// rejects the program; unverified, the fast path must not run main's
+// block in the method's frame (it would push a frame for the method's
+// constant as if it were a call) but run the whole program on the
+// reference dispatcher, returning 1000 + 7.
+func TestUnlistedClass(t *testing.T) {
+	cl := &ir.Class{Name: "C"}
+	cm := ir.NewMethod(cl, "m", 1)
+	{
+		c := cm.At(cm.EntryBlock())
+		c.Return(c.Const(1000))
+	}
+	other := ir.NewFunc("other", 0)
+	other.At(other.EntryBlock()).Return(ir.NoReg)
+	(&ir.Program{Name: "other", Classes: []*ir.Class{cl}, Funcs: []*ir.Method{other.M}, Main: other.M}).Seal()
+	if cm.M.Entry().GID != 1 {
+		t.Fatalf("C.m's entry GID %d, want 1", cm.M.Entry().GID)
+	}
+
+	seven := ir.NewFunc("seven", 0)
+	{
+		c := seven.At(seven.EntryBlock())
+		c.Return(c.Const(7))
+	}
+	mb := ir.NewFunc("main", 0)
+	{
+		c := mb.At(mb.EntryBlock())
+		r := c.CallVirt("m", c.New(cl))
+		next := mb.Block("next")
+		c.Jump(next)
+		nc := mb.At(next)
+		nc.Return(nc.Bin(ir.OpAdd, r, nc.Call(seven.M)))
+	}
+	p := &ir.Program{Name: "unlisted-class", Funcs: []*ir.Method{mb.M, seven.M}, Main: mb.M}
+	p.Seal()
+	var want *Result
+	for _, ref := range []bool{true, false} {
+		v := New(p, Config{Reference: ref})
+		got, err := v.Run()
+		if err != nil {
+			t.Fatalf("reference=%v: %v", ref, err)
+		}
+		if got.Return != 1007 {
+			t.Fatalf("reference=%v: returned %d, want 1007", ref, got.Return)
+		}
+		if ref {
+			want = got
+			continue
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("fast path stats %+v, reference %+v", got.Stats, want.Stats)
+		}
+		if fs := v.FusionStats(); fs.FusedBlocks != 0 || fs.Instrs != 0 {
+			t.Fatalf("the program ran fused: %+v", fs)
+		}
+	}
+	if err := p.Verify(ir.VerifyBase); err == nil || !strings.Contains(err.Error(), "class C is not a class of the program") {
+		t.Fatalf("Verify = %v, want the unlisted class rejected", err)
+	}
+}
+
+// TestUnlistedBranchTarget: main's entry jumps to a block its method
+// does not list. The verifier rejects the program; unverified, both
+// dispatchers must run the target's own instructions in main's frame.
+// A stray block, never sealed, has main's entry's GID: the fast path
+// must not chain into main's entry stream again (a loop until the cycle
+// budget) but run the whole program on the reference dispatcher. A
+// block of another method is listed, so the streams run it, and the
+// frame-clear table must give main no row instead of panicking in
+// liveness over a CFG that leaves the method.
+func TestUnlistedBranchTarget(t *testing.T) {
+	for _, stray := range []bool{true, false} {
+		mb := ir.NewFunc("main", 0)
+		mb.M.NumRegs = 2
+		ob := ir.NewFunc("other", 0)
+		var target *ir.Block
+		if stray {
+			target = mb.Block("stray")
+		} else {
+			target = ob.EntryBlock()
+		}
+		c := mb.At(target)
+		c.Return(c.Const(5))
+		mb.At(mb.EntryBlock()).Jump(target)
+		mb.M.Blocks = mb.M.Blocks[:1]
+		if !stray {
+			mb.M.Blocks[0].Instrs = slices.Insert(mb.M.Blocks[0].Instrs, 0, ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 3})
+		}
+		p := &ir.Program{Name: "unlisted-target", Funcs: []*ir.Method{mb.M, ob.M}, Main: mb.M}
+		p.Seal()
+		if stray && target.GID != mb.M.Entry().GID {
+			t.Fatalf("stray GID %d, want main's entry's %d", target.GID, mb.M.Entry().GID)
+		}
+		if err := p.Verify(ir.VerifyBase); err == nil || !strings.Contains(err.Error(), "outside method") {
+			t.Fatalf("stray=%v: Verify = %v, want the target rejected", stray, err)
+		}
+		var want Stats
+		for _, ref := range []bool{true, false} {
+			v := New(p, Config{Reference: ref, MaxCycles: 1 << 16})
+			got, err := v.Run()
+			if err != nil || got.Return != 5 {
+				t.Fatalf("stray=%v reference=%v: returned %v, %v; want 5", stray, ref, got, err)
+			}
+			if ref {
+				want = got.Stats
+				continue
+			}
+			if got.Stats != want {
+				t.Fatalf("stray=%v: fast path stats %+v, reference %+v", stray, got.Stats, want)
+			}
+			if fs := v.FusionStats(); (fs.Instrs == 0) != stray {
+				t.Fatalf("stray=%v: fused instructions %d", stray, fs.Instrs)
+			}
+		}
+	}
+}

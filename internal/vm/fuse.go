@@ -6,37 +6,44 @@ import (
 	"instrsample/internal/ir"
 )
 
-// Fused streams: the fast path's block-granular tier.
+// Fused streams: the fast path's only executor.
 //
-// The fast dispatcher runs every block one of two ways. Blocks that
-// spawn or join run per instruction in runThread. Every other block
-// (fusible: computation, calls, yieldpoints, probes and sample checks,
-// ending in a jump, branch, check, loop check or return) is translated
-// once per VM into a fused stream and run by runFusedBlocks, which
-// removes two per-instruction costs:
+// The fast dispatcher translates every block of the program once per VM
+// into a fused stream and runs it in runFusedBlocks, which removes two
+// per-instruction costs:
 //
 //   - cost accounting: the whole block's cycle cost and instruction
 //     count are charged at the terminator from precomputed prefix sums,
 //     which also reconstruct the exact per-instruction counters wherever
 //     something can read them (trap, yieldpoint, probe, check, call,
-//     cancellation);
+//     spawn, join, cancellation);
 //   - dispatch: a peephole pass matches the hot opcode pairs/triples
 //     observed in the benchmark suite (const+ALU, ALU+ALU,
 //     compare+branch, field/array pairs, and the add+yield+jmp loop
 //     latch) and rewrites the block into a stream of fixed-width fused
 //     instructions (fInstr), one dispatch per superinstruction.
 //
-// Calls and returns (runFused): a call or return token ends the fused
+// A program the streams cannot represent runs on the reference
+// dispatcher as a whole (see buildFusion); ref.go is the only
+// per-instruction interpreter.
+//
+// Calls and returns (runThread): a call or return token ends the fused
 // segment. The token charges the block prefix up to and including
 // itself and leaves runFusedBlocks, whose loop therefore never switches
-// frames; the trampoline runFused pushes or pops the frame through the
-// same call and ret paths per-instruction dispatch uses, then re-enters
-// the callee's entry stream or the caller's stream at the token after
-// the call. A stream entered at original pc p starts with its counters
-// lowered by prefix[p] and p, so every prefix-sum reconstruction below
-// stays exact mid-block; resume maps each pc to the token starting
-// there (a call is always a single base token, so pc+1 always starts
-// one).
+// frames; the trampoline runThread pushes or pops the frame through the
+// call and ret paths, then re-enters the callee's entry stream or the
+// caller's stream at the token after the call. A stream entered at
+// original pc p starts with its counters lowered by prefix[p] and p, so
+// every prefix-sum reconstruction below stays exact mid-block. resume
+// maps each pc where a frame can stop to the token starting there: a
+// call or join is always a single base token, so the pc of a join and
+// the pc after a call always start one, and a latch superinstruction
+// whose yieldpoint reschedules the thread resumes at its jump through a
+// tail jump token appended to the stream.
+//
+// Cost scale (Config.CostScale): a frame whose method runs at scale s
+// runs the stream table whose prefix sums are built at s (streamsAt),
+// one table per distinct scale, sharing the scale-1 table's tokens.
 //
 // Dispatch is token-threaded: fInstr.tok is a dense token index and the
 // executor switches over it, which the Go compiler lowers to a jump
@@ -64,31 +71,28 @@ import (
 //     restarts at the exact instruction the generic loop would have;
 //   - a probe or sample check at original pc P hands the trigger's
 //     Poll, the observer and the probe handler cycles + prefix[P+1],
-//     the count per-instruction dispatch has there, with f.PC = P at a
+//     the count the reference dispatcher has there, with f.PC = P at a
 //     probe. Its own costs (the check, the probe's payload cost) are
 //     charged immediately, like OpIO's, so they commute with the
 //     deferred block charge;
 //   - a call at original pc P leaves with f.PC = P and the counters at
-//     cycles + prefix[P+1], as per-instruction dispatch has them when
-//     it pushes the frame.
+//     cycles + prefix[P+1], as the reference dispatcher has them when
+//     it pushes the frame; a join whose target still runs leaves the
+//     same way, with f.PC = P, and is charged again when it re-runs.
 //
-// A fusible block whose operands do not fit the compact encoding gets
-// no stream (fuse[gid] == nil) and runs per instruction, like every
-// block that spawns or joins, and so does a frame whose method runs at
-// a cost scale other than 1.
-//
-// Observers (DESIGN.md §7.6): one whose event mask has EvTransfer —
-// every observer that declares no mask — disables fusion entirely, since
-// a fused chain hides its intra-chain transfers. Any other observer
-// keeps fused streams, with two changes that a nil observer never pays
-// for: the yieldpoint tokens are swapped for wake variants (fYieldWake
-// and friends) that deliver OnYield when the observer's deadline is due,
-// at the exact cycle per-instruction dispatch would report, and a chain
-// ends at every checking↔duplicated edge, so leaveFused delivers that
-// sampling-episode boundary. The probe and check tokens need no
-// variants: like per-instruction dispatch they test the observer once
-// per probe or check, and the call and ret paths deliver OnEnter and
-// OnExit for both tiers. Results are bit-identical either way.
+// Observers (DESIGN.md §7.6): every observer keeps the fused streams,
+// with two changes that a nil observer never pays for. The yieldpoint
+// tokens are swapped for wake variants (fYieldWake and friends) that
+// deliver OnYield when the observer's mask or deadline asks for it, at
+// the exact cycle the reference dispatcher would report. And the chain
+// edges the observer must see are cut (next[i] == nil): every edge for
+// a mask with EvTransfer — every observer that declares no mask — and
+// the checking↔duplicated edges, the sampling-episode boundaries, for
+// any other; cutEdge delivers the transfer and the chain runs on in the
+// target's stream. The probe and check tokens need no variants: like
+// the reference dispatcher they test the observer once per probe or
+// check, and the call and ret paths deliver OnEnter and OnExit. Results
+// are bit-identical either way.
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -97,7 +101,7 @@ type fuseTok uint8
 const (
 	fuseInvalid fuseTok = iota
 
-	// Base tokens, one per fusible opcode.
+	// Base tokens, one per opcode.
 	fNop
 	fConst
 	fMove
@@ -136,7 +140,11 @@ const (
 	fBranch
 	fCheck
 	fLoopCheck
-	// fCall serves OpCall and OpCallVirt: runFused reads the callee,
+	// fSpawn reads the spawned method and arguments from the original
+	// instruction.
+	fSpawn
+	fJoin
+	// fCall serves OpCall and OpCallVirt: runThread reads the callee,
 	// receiver and arguments from the original instruction.
 	fCall
 	fReturn
@@ -266,8 +274,9 @@ var superNames = map[fuseTok]string{
 // int16 slots per sub-instruction: sub-op 1 uses dst/a/b and imm,
 // sub-op 2 uses c/d/e and imm2. Per-op slot packing (opSlots):
 //
-//	const            dst=Dst                  imm=Imm
+//	const/spawn      dst=Dst                  imm=Imm
 //	move/neg/not/…   dst=Dst a=A
+//	join             dst=Dst a=A
 //	binop/cmp/aload  dst=Dst a=A   b=B
 //	astore           dst=array(Dst) a=val(A) b=idx(B)
 //	getfield         dst=Dst a=obj(A) b=field slot
@@ -303,30 +312,31 @@ type kindCount struct {
 	n   uint32
 }
 
-// fusedBlock is the fused stream for one fusible block.
+// fusedBlock is the fused stream for one block at one cost scale.
 type fusedBlock struct {
 	code []fInstr
-	// total is the summed cycle cost of the whole block at cost scale
-	// 1; count is len(Instrs); prefix[i] is the summed cycle cost of
-	// Instrs[:i], so prefix[count] == total. targets/mask cache the
-	// terminator's Targets slice and BackedgeMask (a fusible block has
-	// exactly one terminator, so they are exit-invariant): steady-state
+	// total is the summed cycle cost of the whole block at the table's
+	// cost scale; count is len(Instrs); prefix[i] is the summed cycle
+	// cost of Instrs[:i], so prefix[count] == total. targets/mask cache
+	// the terminator's Targets slice and BackedgeMask (a streamed block
+	// has exactly one terminator, so they are exit-invariant): steady-state
 	// fused execution touches only this struct, never the 112-byte
-	// original instructions, except for OpNew's class and a probe.
+	// original instructions, except for OpNew's class, a spawn's callee
+	// and arguments, and a probe.
 	total   uint64
 	count   uint64
 	prefix  []uint64
 	targets []*ir.Block
-	// next[i] is targets[i]'s fused stream (nil when that block runs
-	// per instruction), precomputed so a fused->fused transfer is one
-	// pointer load instead of a side-table lookup.
+	// next[i] is targets[i]'s fused stream in the same table, or nil
+	// where the observer must see the edge (cutEdge), precomputed so a
+	// chained transfer is one pointer load instead of a table lookup.
 	next []*fusedBlock
 	mask uint8
 	// resume[p] is the index of the token that starts at original pc
-	// p, or noResume when p lies inside a superinstruction: where a
-	// return or a rescheduled thread may re-enter the stream.
+	// p, where a return, a join or a rescheduled thread re-enters the
+	// stream, or noResume when no frame can stop at p.
 	resume []uint16
-	// execs counts fused-tier entries into this block at its first
+	// execs counts fused-loop entries into this block at its first
 	// instruction, entry-granular (see FusionStats). It lives in the
 	// stream itself — already hot at transfer time — rather than in a
 	// GID-indexed side slice.
@@ -340,16 +350,16 @@ type fusedBlock struct {
 
 // FusionStats reports fusion coverage for a VM. Static fields describe
 // the fused streams built for the program; dynamic fields aggregate
-// execution counts. Instrs is exact: every instruction retired on a
-// fused stream counts once, whether its block was entered at the top
-// or resumed mid-way after a call or a reschedule. BlockRuns,
-// Dispatches, Fused and ByKind stay entry-granular: a fused block
-// counts in full when the fused loop enters it at its first
-// instruction, including the rare runs that then stop early through a
-// trap or cancellation, and a mid-block resume (after a call returns
-// or a reschedule) counts nothing. Fusion statistics
-// are deliberately kept out of Stats, which is compared bit-for-bit
-// between dispatchers (and the reference never fuses).
+// execution counts over every cost scale's table. Instrs is exact:
+// every instruction retired on a fused stream counts once, whether its
+// block was entered at the top or resumed mid-way after a call, a join
+// or a reschedule, so it equals Stats.Instrs on the fast path and is 0
+// on a run the reference dispatcher executed. BlockRuns, Dispatches,
+// Fused and ByKind stay entry-granular: a fused block counts in full
+// when the fused loop enters it at its first instruction, including the
+// rare runs that then stop early through a trap or cancellation, and a
+// mid-block resume counts nothing. Fusion statistics are deliberately
+// kept out of Stats, which is compared bit-for-bit between dispatchers.
 type FusionStats struct {
 	// FusedBlocks is the number of blocks with a fused stream; Supers
 	// and Covered are the static superinstruction count and the original
@@ -361,8 +371,7 @@ type FusionStats struct {
 	// fused-stream tokens of those blocks; Instrs the original
 	// instructions retired on fused streams; Fused the instructions of
 	// the entered blocks that sit inside superinstructions. Fused/Instrs
-	// is the fused-dispatch fraction of the fused tier; Instrs/
-	// Stats.Instrs is the fused tier's share of the whole run.
+	// is the fused-dispatch fraction of the fast path.
 	BlockRuns  uint64
 	Dispatches uint64
 	Instrs     uint64
@@ -373,67 +382,68 @@ type FusionStats struct {
 }
 
 // FusionStats returns the fusion coverage accumulated so far. The
-// result is never nil-mapped; with fusion disabled all fields are zero.
+// result is never nil-mapped; on a reference run all fields are zero.
 func (v *VM) FusionStats() FusionStats {
 	fs := FusionStats{ByKind: make(map[string]uint64), Instrs: v.fusedInstrs}
-	for _, fb := range v.fuse {
-		if fb == nil {
-			continue
-		}
-		fs.FusedBlocks++
-		fs.Supers += int(fb.supers)
-		fs.Covered += int(fb.covered)
-		runs := fb.execs
-		if runs == 0 {
-			continue
-		}
-		fs.BlockRuns += runs
-		fs.Dispatches += runs * uint64(len(fb.code))
-		fs.Fused += runs * uint64(fb.covered)
-		for _, kc := range fb.kinds {
-			fs.ByKind[superNames[kc.tok]] += runs * uint64(kc.n)
+	tabs := [][]*fusedBlock{v.fuse}
+	for _, st := range v.scaled {
+		tabs = append(tabs, st.blocks)
+	}
+	for i, tab := range tabs {
+		for _, fb := range tab {
+			if fb == nil {
+				continue
+			}
+			if i == 0 {
+				fs.FusedBlocks++
+				fs.Supers += int(fb.supers)
+				fs.Covered += int(fb.covered)
+			}
+			runs := fb.execs
+			if runs == 0 {
+				continue
+			}
+			fs.BlockRuns += runs
+			// An entry dispatches one token per superinstruction and
+			// per other instruction; a tail jump token only resumes.
+			fs.Dispatches += runs * (fb.count - uint64(fb.covered) + uint64(fb.supers))
+			fs.Fused += runs * uint64(fb.covered)
+			for _, kc := range fb.kinds {
+				fs.ByKind[superNames[kc.tok]] += runs * uint64(kc.n)
+			}
 		}
 	}
 	return fs
 }
 
-// buildFusion computes the GID-indexed fused-stream table v.fuse under
-// the VM's cost model. Called once per VM, lazily from Run.
+// scaledStreams is the stream table of one cost scale other than 1.
+type scaledStreams struct {
+	scale  uint32
+	blocks []*fusedBlock
+}
+
+// buildFusion builds the GID-indexed scale-1 stream table v.fuse under
+// the VM's cost model and reports whether streams can represent the
+// program; Run sends a program they cannot represent to the reference
+// dispatcher as a whole. That is a program whose GIDs gidsTrusted
+// rejects — the table must never charge one block with another block's
+// costs — or one with a block that does not end in its only terminator
+// or whose operands do not fit the compact encoding (fuseBlock).
 //
-// A program mutated after its last Seal can carry stale or colliding
-// GIDs, and a method the program does not list carries whatever GIDs
-// it last had, possibly a listed block's. The table must never charge
-// one block with another block's costs, so unless gidsTrusted holds,
-// the table stays empty and the whole run takes the always-correct
-// per-instruction path; stream never indexes past the table. An
-// observer whose mask has EvTransfer must see every block transfer,
-// which fused chains would hide, so it also leaves the table empty; the
-// per-instruction dispatch then emits a hook at each transfer (the
-// Observer cost contract). Any other observer gets wake yieldpoint
-// tokens and chains cut at sampling-episode boundaries.
-func (v *VM) buildFusion() {
-	v.fuse = []*fusedBlock{}
-	if !gidsTrusted(v.prog) || v.evMask&EvTransfer != 0 {
-		return
+// With an observer installed the yieldpoint tokens are swapped for
+// their wake variants, and price cuts the chain edges the observer
+// must see.
+func (v *VM) buildFusion() bool {
+	if !gidsTrusted(v.prog) {
+		return false
 	}
-	v.fuse = make([]*fusedBlock, v.prog.NumBlocks())
+	tab := make([]*fusedBlock, v.prog.NumBlocks())
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
-			if !fusible(b) {
-				continue
-			}
 			fb := fuseBlock(b)
 			if fb == nil {
-				continue
+				return false
 			}
-			fb.prefix = make([]uint64, len(b.Instrs)+1)
-			for i := range b.Instrs {
-				fb.prefix[i+1] = fb.prefix[i] + uint64(v.costTab[b.Instrs[i].Op])
-			}
-			fb.count = uint64(len(b.Instrs))
-			fb.total = fb.prefix[fb.count]
-			term := &b.Instrs[len(b.Instrs)-1]
-			fb.targets, fb.mask = term.Targets, term.BackedgeMask
 			if v.obs != nil {
 				for i := range fb.code {
 					if w, ok := wakeToks[fb.code[i].tok]; ok {
@@ -441,71 +451,100 @@ func (v *VM) buildFusion() {
 					}
 				}
 			}
-			v.fuse[b.GID] = fb
+			tab[b.GID] = fb
 		}
 	}
-	// Second pass: wire fused->fused successor pointers (all streams
-	// exist now). Under an observer a chain never crosses a
-	// sampling-episode boundary, so leaveFused can deliver it.
-	for _, m := range v.prog.Methods() {
-		for _, b := range m.Blocks {
-			fb := v.fuse[b.GID]
-			if fb == nil {
-				continue
-			}
-			fb.next = make([]*fusedBlock, len(fb.targets))
-			for i, tb := range fb.targets {
-				if v.obs == nil || !episodeEdge(b, tb) {
-					fb.next[i] = v.stream(tb)
-				}
-			}
-		}
-	}
-}
-
-// gidsTrusted reports whether the program's block GIDs can index the
-// fused-stream table: every listed block's GID is in [0, NumBlocks) and
-// no two share one, and every direct call or spawn targets a listed
-// method, so every block a run can reach is a listed one.
-func gidsTrusted(p *ir.Program) bool {
-	seen := make([]bool, p.NumBlocks())
-	for _, m := range p.Methods() {
-		for _, b := range m.Blocks {
-			if b.GID < 0 || b.GID >= len(seen) || seen[b.GID] {
-				return false
-			}
-			seen[b.GID] = true
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if (in.Op == ir.OpCall || in.Op == ir.OpSpawn) && !p.Lists(in.Method) {
-					return false
-				}
-			}
-		}
-	}
+	v.price(tab, 1)
+	v.fuse = tab
 	return true
 }
 
-// stream returns b's fused stream, or nil. The table is empty when GIDs
-// cannot be trusted, so an out-of-range GID is never an index.
-func (v *VM) stream(b *ir.Block) *fusedBlock {
-	if uint(b.GID) < uint(len(v.fuse)) {
-		return v.fuse[b.GID]
+// price fills in the cost-scale-dependent half of the stream table tab
+// at scale s: each stream's prefix sums, charged as per-instruction
+// dispatch charges them (the uint32 product cost*s wraps before it
+// widens), and its chain successors in tab. An edge is cut (nil) when
+// the observer must see it: every edge under a mask with EvTransfer,
+// and the sampling-episode boundaries under any other.
+func (v *VM) price(tab []*fusedBlock, s uint32) {
+	for _, m := range v.prog.Methods() {
+		for _, b := range m.Blocks {
+			fb := tab[b.GID]
+			fb.prefix = make([]uint64, len(b.Instrs)+1)
+			for i := range b.Instrs {
+				fb.prefix[i+1] = fb.prefix[i] + uint64(v.costTab[b.Instrs[i].Op]*s)
+			}
+			fb.count = uint64(len(b.Instrs))
+			fb.total = fb.prefix[fb.count]
+			term := &b.Instrs[len(b.Instrs)-1]
+			fb.targets, fb.mask = term.Targets, term.BackedgeMask
+			fb.next = make([]*fusedBlock, len(fb.targets))
+			for i, tb := range fb.targets {
+				if v.obs == nil || v.evMask&EvTransfer == 0 && !episodeEdge(b, tb) {
+					fb.next[i] = tab[tb.GID]
+				}
+			}
+		}
 	}
-	return nil
 }
 
-// fusible reports whether b may run as a fused stream: it ends in its
-// only terminator, a jump, branch, check, loop check or return, and it
-// neither spawns nor joins a thread. Every other opcode has a base
-// token; fuseBlock rejects one that does not.
-func fusible(b *ir.Block) bool {
-	if !wellFormed(b) {
-		return false
+// streamsAt returns the stream table a frame at cost scale s runs,
+// building it on first use from the scale-1 table's tokens.
+func (v *VM) streamsAt(s uint32) []*fusedBlock {
+	if s == 1 {
+		return v.fuse
 	}
-	for i := range b.Instrs {
-		if op := b.Instrs[i].Op; op == ir.OpSpawn || op == ir.OpJoin {
-			return false
+	for _, st := range v.scaled {
+		if st.scale == s {
+			return st.blocks
+		}
+	}
+	tab := make([]*fusedBlock, len(v.fuse))
+	for gid, fb := range v.fuse {
+		if fb != nil {
+			c := *fb
+			c.execs = 0
+			tab[gid] = &c
+		}
+	}
+	v.price(tab, s)
+	v.scaled = append(v.scaled, scaledStreams{s, tab})
+	return tab
+}
+
+// gidsTrusted reports whether the program's block GIDs can index the
+// stream table: every listed block's GID is in [0, NumBlocks) and no
+// two share one, every branch targets a listed block, every direct call
+// or spawn targets a listed method, and every new names a listed class
+// (whose methods, the only virtual callees, are listed), so every
+// block a run can reach is a listed one. A program mutated after its
+// last Seal can break any of these, and a method or block the program
+// does not list carries whatever GID it last had, possibly a listed
+// block's.
+func gidsTrusted(p *ir.Program) bool {
+	blocks := make([]*ir.Block, p.NumBlocks())
+	for _, m := range p.Methods() {
+		for _, b := range m.Blocks {
+			if b.GID < 0 || b.GID >= len(blocks) || blocks[b.GID] != nil {
+				return false
+			}
+			blocks[b.GID] = b
+		}
+	}
+	for _, m := range p.Methods() {
+		for _, b := range m.Blocks {
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				switch {
+				case (in.Op == ir.OpCall || in.Op == ir.OpSpawn) && !p.Lists(in.Method),
+					in.Op == ir.OpNew && !p.ListsClass(in.Class):
+					return false
+				}
+				for _, tb := range in.Targets {
+					if tb == nil || uint(tb.GID) >= uint(len(blocks)) || blocks[tb.GID] != tb {
+						return false
+					}
+				}
+			}
 		}
 	}
 	return true
@@ -522,13 +561,13 @@ func wellFormed(b *ir.Block) bool {
 	return n > 0
 }
 
-// fuseBlock translates one fusible block into a fused stream, greedily
-// matching superinstructions left to right (triples before pairs). It
-// returns nil when any operand overflows the compact fInstr encoding;
-// the block then runs per instruction.
+// fuseBlock translates one block into a fused stream, greedily matching
+// superinstructions left to right (triples before pairs). It returns
+// nil when the block does not end in its only terminator or an operand
+// overflows the compact fInstr encoding.
 func fuseBlock(b *ir.Block) *fusedBlock {
 	ins := b.Instrs
-	if len(ins) > 0xFFFF {
+	if len(ins) > 0xFFFF || !wellFormed(b) {
 		return nil
 	}
 	fb := &fusedBlock{resume: make([]uint16, len(ins))}
@@ -565,19 +604,29 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 		fb.code = append(fb.code, fi)
 		pc += n
 	}
+	// A latch's yieldpoint can reschedule the thread before the latch's
+	// jump runs: the jump then resumes through a tail token, which no
+	// entry reaches because the latch before it always transfers.
+	if last := fb.code[len(fb.code)-1].tok; last == fYieldJmp || last == fAddYieldJmp {
+		jmp := len(ins) - 1
+		fb.resume[jmp] = uint16(len(fb.code))
+		fb.code = append(fb.code, fInstr{tok: fJump, n: 1, pc: uint16(jmp)})
+	}
 	for tok, n := range kinds {
 		fb.kinds = append(fb.kinds, kindCount{tok, n})
 	}
 	return fb
 }
 
-// noResume marks a resume entry inside a superinstruction. Token
-// indices stay below it because a stream covers at most 0xFFFF
-// instructions.
+// noResume marks a resume entry where no frame can stop: inside a
+// superinstruction, other than a latch's jump. Token indices stay below
+// it because a stream holds at most one token per instruction (a tail
+// token follows a superinstruction of two or three) and covers at most
+// 0xFFFF instructions.
 const noResume = 0xFFFF
 
-// baseToks maps each fusible opcode to its base token; fuseInvalid
-// marks opcodes the fused tier cannot represent.
+// baseToks maps each opcode to its base token; fuseInvalid marks a
+// value that names no opcode.
 var baseToks = [ir.NumOpcodes]fuseTok{
 	ir.OpNop:          fNop,
 	ir.OpConst:        fConst,
@@ -617,6 +666,8 @@ var baseToks = [ir.NumOpcodes]fuseTok{
 	ir.OpBranch:       fBranch,
 	ir.OpCheck:        fCheck,
 	ir.OpLoopCheck:    fLoopCheck,
+	ir.OpSpawn:        fSpawn,
+	ir.OpJoin:         fJoin,
 	ir.OpCall:         fCall,
 	ir.OpCallVirt:     fCall,
 	ir.OpReturn:       fReturn,
@@ -715,11 +766,11 @@ func opSlots(in *ir.Instr) (s1, s2, s3 int16, ok bool) {
 		ir.OpProbe, ir.OpCheckedProbe, ir.OpCheck, ir.OpLoopCheck,
 		ir.OpCall, ir.OpCallVirt, ir.OpReturn:
 		return 0, 0, 0, true
-	case ir.OpConst:
+	case ir.OpConst, ir.OpSpawn:
 		s1, ok = reg16(in.Dst)
 		return s1, 0, 0, ok
 	case ir.OpMove, ir.OpNeg, ir.OpNot, ir.OpClassOf, ir.OpNew,
-		ir.OpNewArray, ir.OpArrayLen:
+		ir.OpNewArray, ir.OpArrayLen, ir.OpJoin:
 		var ok2 bool
 		s1, ok = reg16(in.Dst)
 		s2, ok2 = reg16(in.A)
@@ -766,34 +817,44 @@ func field16(f int) (int16, bool) {
 	return int16(f), true
 }
 
-// fusedExit says how runFusedBlocks left its loop. The frame switches
-// runFused handles come last.
+// fusedExit says how runFusedBlocks left its loop.
 type fusedExit uint8
 
 const (
-	// exitInstr: continue per instruction at f.Block/f.PC.
-	exitInstr fusedExit = iota
-	// exitSched: runThread returns (true, nil).
-	exitSched
-	// exitCall: the call at f.PC is charged; runFused pushes its frame.
+	// exitSched: the thread leaves the CPU (rescheduled, blocked, or
+	// stopped with an error); the counters are flushed.
+	exitSched fusedExit = iota
+	// exitCall: the call at f.PC is charged; runThread pushes its frame.
 	exitCall
-	// exitReturn: the return at f.PC is charged; runFused pops f.
+	// exitReturn: the return at f.PC is charged; runThread pops f.
 	exitReturn
 )
 
-// runFused runs fused code in frame f from token ti of its block's
-// stream fb (cost scale 1) until it has to leave the fused tier. It is
-// the trampoline around runFusedBlocks: at a call token it pushes the
-// callee's frame and continues in the callee's entry stream, and at a
-// return token it pops f and continues in the caller's stream at the
-// token after the call, each through the path per-instruction dispatch
-// uses (call, ret). It returns the updated local counters plus how the
-// caller should proceed: err != nil means trap or cancellation
-// (counters already flushed), sched means runThread should return
-// (true, nil) (counters already flushed), and otherwise dispatch
-// continues per instruction at the top frame's Block and PC.
-func (v *VM) runFused(t *Thread, f *Frame, fb *fusedBlock, ti int, cycles, icount uint64) (uint64, uint64, bool, error) {
+// runThread executes t until a scheduling event: quantum expiry at a
+// yieldpoint, a join on a running thread, or thread completion. It
+// enters the top frame's stream at its pc and is the trampoline around
+// runFusedBlocks: at a call token it pushes the callee's frame and
+// continues in the callee's entry stream, and at a return token it pops
+// the frame and continues in the caller's stream at the token after
+// the call, each through the call and ret paths. It returns a trap or
+// cancellation error, with the counters flushed.
+//
+// The cycle budget is checked at thread entry, block transfers and
+// frame pushes rather than per instruction: a runaway program traps
+// with the reference dispatcher's error, a block-bounded number of
+// instructions later than the reference would, never earlier.
+func (v *VM) runThread(t *Thread) error {
+	f := t.Top()
+	if f.PC == 0 {
+		v.touchCode(f.Block)
+	}
+	cycles, icount := v.cycles, v.stats.Instrs
+	if cycles > v.cfg.MaxCycles {
+		return v.trapBudgetAt(t, cycles, icount)
+	}
 	start := icount
+	fb := f.fuse[f.Block.GID]
+	ti := int(fb.resume[f.PC])
 	var exit fusedExit
 	var err error
 	for {
@@ -806,7 +867,7 @@ func (v *VM) runFused(t *Thread, f *Frame, fb *fusedBlock, ti int, cycles, icoun
 			icount -= uint64(p)
 		}
 		cycles, icount, exit, err = v.runFusedBlocks(t, f, fb, fb.code[ti:], cycles, icount)
-		if err != nil || exit < exitCall {
+		if err != nil || exit == exitSched {
 			break
 		}
 		in := &f.Block.Instrs[f.PC]
@@ -815,19 +876,15 @@ func (v *VM) runFused(t *Thread, f *Frame, fb *fusedBlock, ti int, cycles, icoun
 				break
 			}
 		} else if f, cycles = v.ret(t, f, in, cycles, icount); f == nil {
-			exit = exitSched
 			break
 		} else {
 			f.PC++ // step past the call
 		}
-		if fb = v.stream(f.Block); fb == nil || f.costScale != 1 {
-			exit = exitInstr
-			break
-		}
+		fb = f.fuse[f.Block.GID]
 		ti = int(fb.resume[f.PC])
 	}
 	v.fusedInstrs += icount - start
-	return cycles, icount, exit == exitSched, err
+	return err
 }
 
 // runFusedBlocks executes a chain of fused blocks in frame f, starting
@@ -971,6 +1028,36 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			case fPrint:
 				v.output = append(v.output, regs[in.a].I)
 
+			case fSpawn:
+				sp := &f.Block.Instrs[in.pc]
+				m := sp.Method
+				if len(sp.Args) != m.NumParams {
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum,
+						fmt.Sprintf("spawn %s with %d args, wants %d", m.FullName(), len(sp.Args), m.NumParams))
+				}
+				v.cycles = cycles + fb.prefix[int(in.pc)+1] // newThread fires OnEnter; keep Now exact
+				nt := v.newThread(m)
+				nr := nt.Frames[0].Regs
+				for i, r := range sp.Args {
+					nr[i] = regs[r]
+				}
+				v.stats.ThreadsSpawned++
+				v.runq.push(nt)
+				regs[in.dst] = RefVal(nt.handle)
+			case fJoin:
+				h := regs[in.a].R
+				if h == nil || h.Thread == nil {
+					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "join on non-thread")
+				}
+				if h.Thread.State != StateDone {
+					// Block at the join, which re-runs (charged again)
+					// when the target finishes and wakes this thread.
+					t.State = StateBlocked
+					h.Thread.waiters = append(h.Thread.waiters, t)
+					return v.fusedResched(f, int(in.pc), int(in.pc), fb.prefix, cycles, icount, quantum)
+				}
+				regs[in.dst] = h.Thread.Result
+
 			case fYieldWake:
 				if now := cycles + fb.prefix[int(in.pc)+1]; v.due(EvYield, now) {
 					v.wakeYield(t, f, now)
@@ -983,16 +1070,11 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					f.PC = int(in.pc) + 1
-					cycles += fb.prefix[int(in.pc)+1]
-					icount += uint64(in.pc) + 1
-					v.quantum = quantum
-					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, exitSched, nil
+					return v.fusedResched(f, int(in.pc), int(in.pc)+1, fb.prefix, cycles, icount, quantum)
 				}
 
 			// The framework's own opcodes. cycles + prefix[pc+1] is the
-			// count per-instruction dispatch has at the probe or check;
+			// count the reference dispatcher has at the probe or check;
 			// the VM's counter holds it while a handler or hook runs,
 			// and whatever the call adds is charged immediately.
 			case fProbe:
@@ -1002,7 +1084,8 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				v.execProbe(t, f, f.Block.Instrs[in.pc].Probe)
 				cycles = v.cycles - pre
 			case fCheckedProbe:
-				// No-Duplication guard (Figure 6), as in runThread.
+				// No-Duplication guard (Figure 6): a check wrapping a
+				// single instrumentation operation.
 				if v.cancelled() {
 					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
 				}
@@ -1060,7 +1143,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				}
 				goto transfer
 
-			// Frame switches leave the loop for runFused.
+			// Frame switches leave the loop for runThread.
 			case fCall:
 				f.PC = int(in.pc)
 				v.quantum = quantum
@@ -1205,19 +1288,14 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					f.PC = int(in.pc) + 1
-					cycles += fb.prefix[int(in.pc)+1]
-					icount += uint64(in.pc) + 1
-					v.quantum = quantum
-					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, exitSched, nil
+					return v.fusedResched(f, int(in.pc), int(in.pc)+1, fb.prefix, cycles, icount, quantum)
 				}
 				tgt = 0
 				goto transfer
 			case fAddYieldJmpWake:
 				if now := cycles + fb.prefix[int(in.pc)+2]; v.due(EvYield, now) {
-					// The hook sees the add applied, as under
-					// per-instruction dispatch; restoring the destination
+					// The hook sees the add applied, as on the
+					// reference dispatcher; restoring the destination
 					// lets the fallthrough redo the add from the same
 					// operands.
 					old := regs[in.dst]
@@ -1234,12 +1312,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					f.PC = int(in.pc) + 2
-					cycles += fb.prefix[int(in.pc)+2]
-					icount += uint64(in.pc) + 2
-					v.quantum = quantum
-					v.cycles, v.stats.Instrs = cycles, icount
-					return cycles, icount, exitSched, nil
+					return v.fusedResched(f, int(in.pc)+1, int(in.pc)+2, fb.prefix, cycles, icount, quantum)
 				}
 				tgt = 0
 				goto transfer
@@ -1358,8 +1431,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 		icount += fb.count
 		nfb := fb.next[tgt]
 		if nfb == nil {
-			v.quantum = quantum
-			return v.leaveFused(t, f, tgt, cycles, icount)
+			nfb = v.cutEdge(t, f, fb, tgt, cycles)
 		}
 		if fb.mask&(1<<uint(tgt)) != 0 {
 			v.stats.Backedges++
@@ -1373,7 +1445,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 		}
 		if cycles > limit {
 			v.quantum = quantum
-			return cycles, icount, exitInstr, v.trapBudgetAt(t, cycles, icount)
+			return cycles, icount, exitSched, v.trapBudgetAt(t, cycles, icount)
 		}
 		fb = nfb
 		fb.execs++
@@ -1381,18 +1453,19 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 	}
 }
 
-// leaveFused is the cold chain exit of runFusedBlocks: fb's terminator
-// transfers to target tgt, which has no stream or, under an observer,
-// lies across a sampling-episode boundary. It performs the transfer the
-// way per-instruction dispatch does — the OnTransfer hook sees the source
-// block — and returns runFusedBlocks' results.
-func (v *VM) leaveFused(t *Thread, f *Frame, tgt int, cycles, icount uint64) (uint64, uint64, fusedExit, error) {
-	cycles, err := v.transfer(t, f, &f.Block.Instrs[len(f.Block.Instrs)-1], tgt, cycles, icount)
-	return cycles, icount, exitInstr, err
+// cutEdge delivers the transfer of fb's terminator to target tgt, a
+// chain edge the observer must see (price), at cycle now, and returns
+// the target's stream. The hook sees the source block, as on the
+// reference dispatcher.
+func (v *VM) cutEdge(t *Thread, f *Frame, fb *fusedBlock, tgt int, now uint64) *fusedBlock {
+	v.cycles = now
+	v.obs.OnTransfer(t, f, &f.Block.Instrs[fb.count-1], tgt)
+	v.rewake()
+	return f.fuse[fb.targets[tgt].GID]
 }
 
 // wakeYield delivers a due OnYield from a fused yieldpoint at its exact
-// cycle now. Per-instruction dispatch counts the yield before its hook,
+// cycle now. The reference dispatcher counts the yield before its hook,
 // so the hook sees it counted here too; the token's fallthrough body
 // then counts it for real.
 func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
@@ -1403,26 +1476,30 @@ func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
 	v.rewake()
 }
 
+// fusedResched is the scheduling exit of runFusedBlocks: it charges
+// the block through original pc, flushes the counters and leaves the
+// frame to resume at original pc resume.
+func (v *VM) fusedResched(f *Frame, pc, resume int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
+	cycles += prefix[pc+1]
+	icount += uint64(pc) + 1
+	v.quantum = quantum
+	f.PC = resume
+	v.cycles, v.stats.Instrs = cycles, icount
+	return cycles, icount, exitSched, nil
+}
+
 // fusedCancel is the cold cancellation exit of runFusedBlocks at the
 // observation point (yieldpoint or check) at original pc, which stays
 // the frame's resume pc.
 func (v *VM) fusedCancel(f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
-	cycles += prefix[pc+1]
-	icount += uint64(pc) + 1
-	v.quantum = quantum
-	f.PC = pc
-	return cycles, icount, exitInstr, v.stopCancelled(cycles, icount)
+	cycles, icount, _, _ = v.fusedResched(f, pc, pc, prefix, cycles, icount, quantum)
+	return cycles, icount, exitSched, &CancelError{Cycles: cycles}
 }
 
 // fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the
 // exact per-instruction counters for the partially executed block,
-// flushes everything the per-instruction path keeps current, and builds
-// the trap.
+// flushes them, and builds the trap at original pc.
 func (v *VM) fusedTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, fusedExit, error) {
-	cycles += prefix[pc+1]
-	icount += uint64(pc) + 1
-	v.quantum = quantum
-	f.PC = pc
-	v.cycles, v.stats.Instrs = cycles, icount
-	return cycles, icount, exitInstr, v.trap(t, reason)
+	cycles, icount, _, _ = v.fusedResched(f, pc, pc, prefix, cycles, icount, quantum)
+	return cycles, icount, exitSched, v.trap(t, reason)
 }

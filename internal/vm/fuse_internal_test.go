@@ -43,8 +43,8 @@ func fuseTestBlock(t *testing.T, body []ir.Instr) *ir.Block {
 	fb.At(done).Return(0)
 	p := &ir.Program{Name: "fusetest", Funcs: []*ir.Method{fb.M}, Main: fb.M}
 	p.Seal()
-	if !fusible(entry) {
-		t.Fatalf("test body is not a fusible block")
+	if !wellFormed(entry) {
+		t.Fatalf("test body does not end in its only terminator")
 	}
 	return entry
 }
@@ -54,7 +54,8 @@ func fuseTestBlock(t *testing.T, body []ir.Instr) *ir.Block {
 // fusion, and the pc/n bookkeeping that reconstruction depends on.
 func TestFuseBlockMatching(t *testing.T) {
 	// const r1; add r2 = r1+r1; yield; jmp — greedy pairing takes
-	// (const,add), leaving (yield,jmp) as a latch pair.
+	// (const,add), leaving (yield,jmp) as a latch pair, whose jump
+	// resumes through the tail jump token.
 	b := fuseTestBlock(t, []ir.Instr{
 		{Op: ir.OpConst, Dst: 1, Imm: 7},
 		{Op: ir.OpAdd, Dst: 2, A: 1, B: 1},
@@ -64,7 +65,7 @@ func TestFuseBlockMatching(t *testing.T) {
 	if fb == nil {
 		t.Fatal("fuseBlock returned nil for an encodable block")
 	}
-	wantToks := []fuseTok{fConstAdd, fYieldJmp}
+	wantToks := []fuseTok{fConstAdd, fYieldJmp, fJump}
 	if len(fb.code) != len(wantToks) {
 		t.Fatalf("fused stream has %d tokens, want %d", len(fb.code), len(wantToks))
 	}
@@ -73,21 +74,29 @@ func TestFuseBlockMatching(t *testing.T) {
 			t.Errorf("code[%d].tok = %d, want %d", i, fb.code[i].tok, want)
 		}
 	}
-	if fb.code[0].pc != 0 || fb.code[0].n != 2 || fb.code[1].pc != 2 || fb.code[1].n != 2 {
+	if fb.code[0].pc != 0 || fb.code[0].n != 2 || fb.code[1].pc != 2 || fb.code[1].n != 2 ||
+		fb.code[2].pc != 3 || fb.code[2].n != 1 {
 		t.Errorf("pc/n bookkeeping wrong: %+v", fb.code)
+	}
+	if want := []uint16{0, noResume, 1, 2}; !slices.Equal(fb.resume, want) {
+		t.Errorf("resume = %v, want %v", fb.resume, want)
 	}
 	if fb.supers != 2 || fb.covered != 4 {
 		t.Errorf("supers=%d covered=%d, want 2/4", fb.supers, fb.covered)
 	}
 
-	// add; yield (+ appended jmp) must match the three-wide latch.
+	// add; yield (+ appended jmp) must match the three-wide latch, and
+	// its jump resume at the tail token.
 	b = fuseTestBlock(t, []ir.Instr{
 		{Op: ir.OpAdd, Dst: 1, A: 1, B: 1},
 		{Op: ir.OpYield},
 	})
 	fb = fuseBlock(b)
-	if len(fb.code) != 1 || fb.code[0].tok != fAddYieldJmp || fb.code[0].n != 3 {
+	if len(fb.code) != 2 || fb.code[0].tok != fAddYieldJmp || fb.code[0].n != 3 || fb.code[1].tok != fJump {
 		t.Fatalf("latch triple not matched: %+v", fb.code)
+	}
+	if want := []uint16{0, noResume, 1}; !slices.Equal(fb.resume, want) {
+		t.Errorf("resume = %v, want %v", fb.resume, want)
 	}
 
 	// cmplt feeding the branch fuses; a branch testing an unrelated
@@ -126,8 +135,8 @@ func TestFuseBlockMatching(t *testing.T) {
 	entry.Append(ir.Instr{Op: ir.OpAdd, Dst: 5, A: 4, B: 3})
 	entry.Append(ir.Instr{Op: ir.OpReturn, A: 5})
 	(&ir.Program{Name: "call", Funcs: []*ir.Method{leaf.M, cb.M}, Main: cb.M}).Seal()
-	if !fusible(entry) {
-		t.Fatal("a block with a call and a return is not fusible")
+	if !wellFormed(entry) {
+		t.Fatal("a block with a call and a return is not well formed")
 	}
 	fb = fuseBlock(entry)
 	var got []fuseTok

@@ -15,25 +15,24 @@ import (
 //
 // Cost contract (see DESIGN.md §8):
 //
-//   - A nil Config.Observer must be free. Both dispatchers test the
-//     observer exactly once per block transfer, check, probe, yieldpoint
-//     or frame push/pop — all of which are block-terminator or cold-path
-//     events — and never inside the per-instruction dispatch. Adding a
-//     hook site that tests the observer per instruction is a contract
-//     violation. A nil observer's fused streams (fuse.go) carry that
-//     one test per check and probe, like per-instruction dispatch, and
-//     nothing else: no test at a yieldpoint or a transfer inside a
-//     chain.
+//   - A nil Config.Observer must be free. The reference dispatcher
+//     tests the observer exactly once per block transfer, check, probe,
+//     yieldpoint or frame push/pop — all of which are block-terminator
+//     or cold-path events — and never per straight-line instruction.
+//     The fast path's fused streams (fuse.go) carry the one test per
+//     check, probe and frame push/pop, and nothing else: no test at a
+//     yieldpoint or a transfer inside a chain. Adding a hook site that
+//     tests the observer per instruction is a contract violation.
 //   - An observer that declares nothing (no EventFilter) gets every
-//     event: the fast path builds no fused streams and runs every block
-//     per instruction, so that every intra-frame transfer is visible.
-//     Such runs are slower, but their Results are bit-identical to
+//     event: the fast path keeps its fused streams with every chain
+//     edge cut, so that every intra-frame transfer is delivered. Such
+//     runs pay for the hooks, but their Results are bit-identical to
 //     unobserved runs under both dispatchers.
 //   - An observer may narrow its event stream (EventFilter): the
 //     fast path then delivers only what it asked for, plus the sampling
-//     episode boundaries, and keeps fused streams unless the mask has
-//     EvTransfer. The reference dispatcher ignores the declaration and
-//     delivers every event, which makes it the differential check.
+//     episode boundaries, cutting only those chain edges unless the mask
+//     has EvTransfer. The reference dispatcher ignores the declaration
+//     and delivers every event, which makes it the differential check.
 //
 // Hooks run synchronously on the VM's goroutine. They must not mutate
 // VM state and must not retain *Frame or Frame.Regs/Scratch past the
@@ -49,7 +48,7 @@ import (
 // an observer may call VM.Now to timestamp events in the simulated cycle
 // domain (package telemetry relies on this).
 //
-// Both dispatchers (interp.go, ref.go) emit the same event sequence for
+// Both dispatchers (fuse.go, ref.go) emit the same event sequence for
 // the same program and trigger; the oracle's differential tests rely on
 // this when comparing fast against reference runs. For an observer with
 // a narrow EventFilter the fast path emits a subsequence of it, each
@@ -108,7 +107,7 @@ const (
 // deadline, re-read after every delivered hook: the masked-out classes
 // other than EvTransfer are delivered at the first such event at or
 // after it (NoWake: never). A fused yieldpoint reports the exact cycle
-// it would under per-instruction dispatch, so a wake lands on the same
+// it would on the reference dispatcher, so a wake lands on the same
 // event either way. Outside the mask and the deadline, the fast path
 // delivers only the sampling-episode boundaries: a transfer between
 // checking and duplicated code, and an OnExit from a duplicated block.
@@ -213,8 +212,9 @@ func (m MultiObserver) OnYield(t *Thread, f *Frame) {
 // Event delivery. The hook sites test v.obs for nil themselves and call
 // these only with an observer installed; each flushes the cycle counter
 // (now) for the hook and refreshes the wake deadline afterwards. The
-// reference dispatcher calls the hooks directly instead: it delivers
-// every event.
+// fused streams deliver yieldpoints (wakeYield) and cut chain edges
+// (cutEdge) themselves, and the reference dispatcher calls the hooks
+// directly: it delivers every event.
 
 // due reports whether an event of class ev at cycle now goes to the
 // observer.
@@ -244,14 +244,6 @@ func (v *VM) observeExit(t *Thread, f *Frame, now uint64) {
 	}
 }
 
-func (v *VM) observeTransfer(t *Thread, f *Frame, in *ir.Instr, target int, now uint64) {
-	if v.evMask&EvTransfer != 0 || episodeEdge(f.Block, in.Targets[target]) {
-		v.cycles = now
-		v.obs.OnTransfer(t, f, in, target)
-		v.rewake()
-	}
-}
-
 func (v *VM) observeCheck(t *Thread, f *Frame, in *ir.Instr, fired bool, now uint64) {
 	if v.due(EvCheck, now) {
 		v.cycles = now
@@ -263,14 +255,6 @@ func (v *VM) observeCheck(t *Thread, f *Frame, in *ir.Instr, fired bool, now uin
 func (v *VM) observeProbe(t *Thread, f *Frame, p *ir.Probe) {
 	if v.due(EvProbe, v.cycles) {
 		v.obs.OnProbe(t, f, p)
-		v.rewake()
-	}
-}
-
-func (v *VM) observeYield(t *Thread, f *Frame, now uint64) {
-	if v.due(EvYield, now) {
-		v.cycles = now
-		v.obs.OnYield(t, f)
 		v.rewake()
 	}
 }

@@ -7,14 +7,16 @@ import (
 )
 
 // This file is the retained reference dispatch, selected by
-// Config.Reference. It preserves the original interpreter verbatim: the
-// scheduler rotates a re-slicing []*Thread queue, every instruction runs
-// the CostModel.opCost switch and the cycle-budget comparison, and every
+// Config.Reference, and the one Run hands a program the fast path's
+// streams cannot represent: the only per-instruction interpreter. It
+// preserves the original interpreter verbatim: the scheduler rotates a
+// re-slicing []*Thread queue, every instruction runs the
+// CostModel.opCost switch and the cycle-budget comparison, and every
 // call allocates a fresh frame and argument slice. It exists so the
 // differential tests (differential_test.go) can run any program under
 // both dispatchers and require bit-identical Results; it is not meant to
 // be fast. Keep semantic fixes (like the spawn arity trap) mirrored in
-// both files.
+// both dispatchers (this file and fuse.go).
 
 // runReference is the reference scheduler loop (the original VM.Run
 // body). It uses v.refq, not the fast path's ring buffer.

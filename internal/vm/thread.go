@@ -66,8 +66,11 @@ type Frame struct {
 	IterBudget int64
 
 	// costScale multiplies every instruction cost in this frame (models
-	// the method's compilation level; see vm.Config.CostScale).
+	// the method's compilation level; see vm.Config.CostScale) on the
+	// reference dispatcher; fuse is the stream table at that scale,
+	// which the fast path runs the frame's blocks from.
 	costScale uint32
+	fuse      []*fusedBlock
 }
 
 // Thread is a green thread. Threads are scheduled cooperatively at

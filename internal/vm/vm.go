@@ -69,13 +69,14 @@ type Config struct {
 	// extension is unused).
 	IterBudget int64
 	// Observer, when non-nil, receives execution events (frame pushes and
-	// pops, block transfers, checks, probes) for runtime verification;
-	// package oracle is the standard implementation. A nil Observer costs
-	// nothing (see Observer's cost contract). An observer that declares
-	// no EventFilter keeps every block of the fast path on
-	// per-instruction dispatch (no fused streams) so every transfer is
-	// observable; one whose mask lacks EvTransfer keeps fused streams.
-	// Results remain bit-identical to unobserved runs either way.
+	// pops, block transfers, checks, probes, yieldpoints) for runtime
+	// verification and telemetry; package oracle is the standard
+	// implementation. A nil Observer costs nothing (see Observer's cost
+	// contract). Every observer keeps the fast path's fused streams: one
+	// that declares no EventFilter, or whose mask has EvTransfer, gets
+	// every chain edge cut so every transfer is delivered; any other only
+	// the sampling-episode edges. Results remain bit-identical to
+	// unobserved runs either way.
 	Observer Observer
 	// Cancel, when non-nil, is an externally armed stop request polled at
 	// observation points (yieldpoints and sample checks) by both
@@ -101,14 +102,17 @@ type Config struct {
 	// cold-path event like the Observer hooks (never per instruction);
 	// the hook must not mutate VM state.
 	Sched func(threadID int)
-	// Reference selects the retained simple dispatch loop instead of the
-	// fast path: per-instruction opCost switch and cycle-budget check, a
-	// freshly allocated frame per call, the re-slicing scheduler queue,
-	// and no fused streams (fuse.go). It is slower and allocates per call
-	// but is deliberately boring; the differential tests run every
-	// program under both dispatchers and require identical results (see
-	// ref.go and DESIGN.md §7). Fused-stream coverage of a fast-path run
-	// is reported by VM.FusionStats, never in Stats.
+	// Reference selects the retained simple dispatch loop, the only
+	// per-instruction interpreter, instead of the fast path's fused
+	// streams (fuse.go): per-instruction opCost switch and cycle-budget
+	// check, a freshly allocated frame per call, the re-slicing
+	// scheduler queue. It is slower and allocates per call but is
+	// deliberately boring; the differential tests run every program
+	// under both dispatchers and require identical results (see ref.go
+	// and DESIGN.md §7). It is the only dispatcher switch: the fast path
+	// itself hands the reference a program its streams cannot represent
+	// (VM.Run). Fused-stream coverage of a fast-path run is reported by
+	// VM.FusionStats, never in Stats.
 	Reference bool
 }
 
@@ -200,11 +204,13 @@ type VM struct {
 	// the cost model at New time, so the hot loop never re-runs the
 	// opCost switch (see CostModel.table).
 	costTab [ir.NumOpcodes]uint32
-	// fuse is the GID-indexed fused-stream side table (see fuse.go),
-	// built lazily on the first fast-path Run. A nil entry means the
-	// block runs per instruction. It is per-VM: the shared ir.Program is
-	// never mutated.
-	fuse []*fusedBlock
+	// fuse is the GID-indexed scale-1 stream table (see fuse.go), built
+	// on the first fast-path Run; it stays nil when the program runs on
+	// the reference dispatcher. scaled holds the tables of the other
+	// cost scales, built as frames first need them. They are per-VM:
+	// the shared ir.Program is never mutated.
+	fuse   []*fusedBlock
+	scaled []scaledStreams
 	// fusedInstrs counts the instructions retired on fused streams
 	// (FusionStats.Instrs).
 	fusedInstrs uint64
@@ -252,10 +258,7 @@ func New(prog *ir.Program, cfg Config) *VM {
 	v := &VM{prog: prog, cfg: cfg, cost: cfg.Cost, trig: cfg.Trigger, obs: cfg.Observer, cancel: cfg.Cancel}
 	v.wake = NoWake
 	if v.obs != nil {
-		v.evMask = EvAll
-		if !cfg.Reference {
-			v.evMask, v.filter = observerEvents(v.obs)
-		}
+		v.evMask, v.filter = observerEvents(v.obs)
 	}
 	v.costTab = cfg.Cost.table()
 	if cfg.ICache != nil {
@@ -265,21 +268,24 @@ func New(prog *ir.Program, cfg Config) *VM {
 }
 
 // Run executes the program to completion of all threads and returns the
-// result. The trigger is reset before execution.
+// result. The trigger is reset before execution. The fast path runs
+// the program's fused streams; with Config.Reference set, or when the
+// streams cannot represent the program (buildFusion), the reference
+// dispatcher runs it instead, and delivers every event to an observer.
 func (v *VM) Run() (*Result, error) {
 	if !v.prog.Sealed() {
 		return nil, fmt.Errorf("vm: program %q is not sealed", v.prog.Name)
 	}
 	v.trig.Reset()
 	v.quantum = v.cfg.Quantum
-	v.rewake()
-	if v.cfg.Reference {
-		return v.runReference()
-	}
-	if v.fuse == nil {
-		v.buildFusion()
+	if v.fuse == nil && !v.cfg.Reference && v.buildFusion() {
 		v.buildEntryLive()
 	}
+	if v.fuse == nil {
+		v.evMask, v.filter = EvAll, nil
+		return v.runReference()
+	}
+	v.rewake()
 	main := v.newThread(v.prog.Main)
 	v.runq.push(main)
 
@@ -292,18 +298,15 @@ func (v *VM) Run() (*Result, error) {
 		if v.cfg.Sched != nil {
 			v.cfg.Sched(t.ID)
 		}
-		reschedule, err := v.runThread(t)
-		if err != nil {
+		if err := v.runThread(t); err != nil {
 			return nil, err
 		}
-		if reschedule || t.State != StateRunnable {
-			// Rotate: move to the back if still runnable.
-			v.runq.pop()
-			if t.State == StateRunnable {
-				v.runq.push(t)
-			}
-			v.quantum = v.cfg.Quantum
+		// Rotate: move to the back if still runnable.
+		v.runq.pop()
+		if t.State == StateRunnable {
+			v.runq.push(t)
 		}
+		v.quantum = v.cfg.Quantum
 	}
 	return v.finish(main)
 }
@@ -371,17 +374,18 @@ func (v *VM) newThread(m *ir.Method) *Thread {
 	return t
 }
 
-// acquireFrame returns a frame for m, reusing the free list when
-// possible. The zero register state is part of the IR semantics (an
-// unwritten register reads as 0 / null), so a recycled frame zeroes
-// every non-parameter register live at m's entry: the only ones the
-// method can read before writing them. Callers copy arguments into
-// the parameter registers directly, with no intermediate slice; every
-// other register is written before any read, so its stale value is
-// never seen (the Observer and ProbeHandler rule: read only registers
-// the program has written). A method missing from the entryLive table
-// gets every register zeroed. Scratch slots are always zeroed. The
-// frame returns to the pool when popped (releaseFrame).
+// acquireFrame returns a frame for m that runs the stream table of m's
+// cost scale, reusing the free list when possible. The zero register
+// state is part of the IR semantics (an unwritten register reads as 0 /
+// null), so a recycled frame zeroes every non-parameter register live
+// at m's entry: the only ones the method can read before writing them.
+// Callers copy arguments into the parameter registers directly, with no
+// intermediate slice; every other register is written before any read,
+// so its stale value is never seen (the Observer and ProbeHandler rule:
+// read only registers the program has written). A method missing from
+// the entryLive table gets every register zeroed. Scratch slots are
+// always zeroed. The frame returns to the pool when popped
+// (releaseFrame).
 func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site int) *Frame {
 	var f *Frame
 	if n := len(v.freeFrames); n > 0 {
@@ -420,10 +424,10 @@ func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site i
 	f.CallerMethod = caller
 	f.CallSite = site
 	f.IterBudget = 0
-	f.costScale = 1
+	f.fuse = v.fuse
 	if v.cfg.CostScale != nil {
 		if s := v.cfg.CostScale(m); s > 0 {
-			f.costScale = s
+			f.fuse = v.streamsAt(s)
 		}
 	}
 	return f
@@ -437,11 +441,11 @@ type entryLive struct {
 }
 
 // buildEntryLive computes the Method.ID-indexed frame-clear table once
-// per VM from ir liveness. Like buildFusion with GIDs, it leaves the
+// per VM from ir liveness. Like gidsTrusted with GIDs, it leaves the
 // table empty when a method ID is out of range or two methods share
-// one, and a method whose CFG liveness cannot describe (a block not
-// ending in its only terminator, or a target outside the method) gets
-// no row; acquireFrame then zeroes every register.
+// one, and a method whose CFG liveness cannot describe (a target
+// outside the method) gets no row; acquireFrame then zeroes every
+// register.
 func (v *VM) buildEntryLive() {
 	ms := v.prog.Methods()
 	table := make([]entryLive, len(ms))
@@ -452,11 +456,11 @@ func (v *VM) buildEntryLive() {
 		table[m.ID].m = m
 	}
 	for _, m := range ms {
-		lv := m.ComputeLiveness()
-		if !livenessExact(m, lv) {
+		if !closedCFG(m) {
 			table[m.ID].m = nil
 			continue
 		}
+		lv := m.ComputeLiveness()
 		for r := m.NumParams; r < m.NumRegs; r++ {
 			if lv.LiveInAt(m.Entry(), ir.Reg(r)) {
 				table[m.ID].regs = append(table[m.ID].regs, ir.Reg(r))
@@ -466,16 +470,14 @@ func (v *VM) buildEntryLive() {
 	v.entryLive = table
 }
 
-// livenessExact reports whether lv covers every path the VM can take
-// through m: each block ends in its only terminator, and every target
-// is a block of m.
-func livenessExact(m *ir.Method, lv *ir.Liveness) bool {
+// closedCFG reports whether liveness covers every path the VM can take
+// through m: every target is a block of m, found at its ID. (Every
+// block ends in its only terminator, or the program would not run on
+// streams.)
+func closedCFG(m *ir.Method) bool {
 	for _, b := range m.Blocks {
-		if !wellFormed(b) {
-			return false
-		}
 		for _, s := range b.Succs() {
-			if _, ok := lv.LiveIn[s]; !ok {
+			if s == nil || uint(s.ID) >= uint(len(m.Blocks)) || m.Blocks[s.ID] != s {
 				return false
 			}
 		}
