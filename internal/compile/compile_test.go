@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,6 +135,39 @@ func TestChecksOnlyExclusivity(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("ChecksOnly+instrumentation accepted")
+	}
+}
+
+// TestCompileRejectsUnlistedBranchTarget compiles the two programs of
+// vm's TestUnlistedBranchTarget, whose main jumps to a block it does
+// not list: a stray block of its own, or another method's entry. The
+// optimizer's liveness skips such a successor instead of panicking, so
+// Compile reaches verification and returns its error.
+func TestCompileRejectsUnlistedBranchTarget(t *testing.T) {
+	for _, stray := range []bool{true, false} {
+		mb := ir.NewFunc("main", 0)
+		mb.M.NumRegs = 2
+		ob := ir.NewFunc("other", 0)
+		target := ob.EntryBlock()
+		if stray {
+			target = mb.Block("stray")
+		}
+		c := mb.At(target)
+		c.Return(c.Const(5))
+		mb.At(mb.EntryBlock()).Jump(target)
+		mb.M.Blocks = mb.M.Blocks[:1]
+		if !stray {
+			mb.M.Blocks[0].Instrs = slices.Insert(mb.M.Blocks[0].Instrs, 0, ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 3})
+		}
+		p := &ir.Program{Name: "unlisted-target", Funcs: []*ir.Method{mb.M, ob.M}, Main: mb.M}
+		for _, opts := range []Options{{}, {
+			Instrumenters: []instr.Instrumenter{&instr.CallEdge{}},
+			Framework:     &core.Options{Variation: core.FullDuplication},
+		}} {
+			if _, err := Compile(p, opts); err == nil || !strings.Contains(err.Error(), "outside method") {
+				t.Errorf("stray=%v framework=%v: Compile = %v, want the target rejected", stray, opts.Framework != nil, err)
+			}
+		}
 	}
 }
 

@@ -62,6 +62,8 @@ type Liveness struct {
 }
 
 // ComputeLiveness runs an iterative backward dataflow over the method.
+// A successor that is not one of the method's blocks (HasBlock), which
+// only an unverified program has, contributes nothing.
 func (m *Method) ComputeLiveness() *Liveness {
 	words := (m.NumRegs + 63) / 64
 	lv := &Liveness{
@@ -100,7 +102,7 @@ func (m *Method) ComputeLiveness() *Liveness {
 				out[w] = 0
 			}
 			for _, s := range b.Succs() {
-				if s == nil {
+				if !m.HasBlock(s) {
 					continue
 				}
 				sin := lv.LiveIn[s]

@@ -52,6 +52,11 @@ func (m *Method) Entry() *Block {
 	return m.Blocks[0]
 }
 
+// HasBlock reports whether b is one of m's blocks, found at its ID.
+func (m *Method) HasBlock(b *Block) bool {
+	return b != nil && uint(b.ID) < uint(len(m.Blocks)) && m.Blocks[b.ID] == b
+}
+
 // NewBlock appends a fresh empty block to the method and returns it.
 func (m *Method) NewBlock(label string) *Block {
 	b := &Block{ID: len(m.Blocks), Label: label, rpoIndex: -1}

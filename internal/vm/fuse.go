@@ -80,6 +80,15 @@ import (
 //     it pushes the frame; a join whose target still runs leaves the
 //     same way, with f.PC = P, and is charged again when it re-runs.
 //
+// Stores (DESIGN.md §7.5): the loop stores a pointer only where one
+// changes, because Go puts a GC write barrier on every pointer store.
+// A register, field or element is written through setI (an integer)
+// or set (a copy), never as a whole Value, except a new reference
+// (RefVal); TestFusedStoresBarrierFree enforces it. And a chained
+// transfer leaves f.Block stale: each fusedBlock carries its block
+// (blk), which the loop writes to f.Block before every hook, handler,
+// exit and trap, where something can read it.
+//
 // Observers (DESIGN.md §7.6): every observer keeps the fused streams,
 // with two changes that a nil observer never pays for. The yieldpoint
 // tokens are swapped for wake variants (fYieldWake and friends) that
@@ -314,6 +323,10 @@ type kindCount struct {
 
 // fusedBlock is the fused stream for one block at one cost scale.
 type fusedBlock struct {
+	// blk is the block the stream runs. The fused loop leaves f.Block
+	// stale across chained transfers and writes blk there wherever
+	// something can read it: hooks, handlers, exits and traps.
+	blk  *ir.Block
 	code []fInstr
 	// total is the summed cycle cost of the whole block at the table's
 	// cost scale; count is len(Instrs); prefix[i] is the summed cycle
@@ -570,7 +583,7 @@ func fuseBlock(b *ir.Block) *fusedBlock {
 	if len(ins) > 0xFFFF || !wellFormed(b) {
 		return nil
 	}
-	fb := &fusedBlock{resume: make([]uint16, len(ins))}
+	fb := &fusedBlock{blk: b, resume: make([]uint16, len(ins))}
 	kinds := make(map[fuseTok]uint32)
 	for pc := 0; pc < len(ins); {
 		tok, n := matchSuper(ins, pc)
@@ -914,84 +927,84 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			case fNop:
 
 			case fConst:
-				regs[in.dst] = Value{I: in.imm}
+				setI(&regs[in.dst], in.imm)
 			case fMove:
-				regs[in.dst] = regs[in.a]
+				set(&regs[in.dst], regs[in.a])
 
 			case fAdd:
-				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
 			case fSub:
-				regs[in.dst] = Value{I: regs[in.a].I - regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I-regs[in.b].I)
 			case fMul:
-				regs[in.dst] = Value{I: regs[in.a].I * regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I*regs[in.b].I)
 			case fDiv:
 				d := regs[in.b].I
 				if d == 0 {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "division by zero")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "division by zero")
 				}
-				regs[in.dst] = Value{I: regs[in.a].I / d}
+				setI(&regs[in.dst], regs[in.a].I/d)
 			case fRem:
 				d := regs[in.b].I
 				if d == 0 {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "remainder by zero")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "remainder by zero")
 				}
-				regs[in.dst] = Value{I: regs[in.a].I % d}
+				setI(&regs[in.dst], regs[in.a].I%d)
 			case fAnd:
-				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I&regs[in.b].I)
 			case fOr:
-				regs[in.dst] = Value{I: regs[in.a].I | regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I|regs[in.b].I)
 			case fXor:
-				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I^regs[in.b].I)
 			case fShl:
-				regs[in.dst] = Value{I: regs[in.a].I << (uint64(regs[in.b].I) & 63)}
+				setI(&regs[in.dst], regs[in.a].I<<(uint64(regs[in.b].I)&63))
 			case fShr:
-				regs[in.dst] = Value{I: regs[in.a].I >> (uint64(regs[in.b].I) & 63)}
+				setI(&regs[in.dst], regs[in.a].I>>(uint64(regs[in.b].I)&63))
 			case fNeg:
-				regs[in.dst] = Value{I: -regs[in.a].I}
+				setI(&regs[in.dst], -regs[in.a].I)
 			case fNot:
-				regs[in.dst] = Value{I: ^regs[in.a].I}
+				setI(&regs[in.dst], ^regs[in.a].I)
 
 			case fCmpEQ:
-				regs[in.dst] = boolVal(cmpValues(regs[in.a], regs[in.b]) == 0)
+				setI(&regs[in.dst], b2i(cmpValues(regs[in.a], regs[in.b]) == 0))
 			case fCmpNE:
-				regs[in.dst] = boolVal(cmpValues(regs[in.a], regs[in.b]) != 0)
+				setI(&regs[in.dst], b2i(cmpValues(regs[in.a], regs[in.b]) != 0))
 			case fCmpLT:
-				regs[in.dst] = boolVal(regs[in.a].I < regs[in.b].I)
+				setI(&regs[in.dst], b2i(regs[in.a].I < regs[in.b].I))
 			case fCmpLE:
-				regs[in.dst] = boolVal(regs[in.a].I <= regs[in.b].I)
+				setI(&regs[in.dst], b2i(regs[in.a].I <= regs[in.b].I))
 			case fCmpGT:
-				regs[in.dst] = boolVal(regs[in.a].I > regs[in.b].I)
+				setI(&regs[in.dst], b2i(regs[in.a].I > regs[in.b].I))
 			case fCmpGE:
-				regs[in.dst] = boolVal(regs[in.a].I >= regs[in.b].I)
+				setI(&regs[in.dst], b2i(regs[in.a].I >= regs[in.b].I))
 
 			case fClassOf:
 				o := regs[in.a].R
 				if o == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "classof on null")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "classof on null")
 				}
 				if o.Class != nil {
-					regs[in.dst] = Value{I: int64(o.Class.ID)}
+					setI(&regs[in.dst], int64(o.Class.ID))
 				} else {
-					regs[in.dst] = Value{I: -1}
+					setI(&regs[in.dst], -1)
 				}
 			case fNew:
-				regs[in.dst] = RefVal(NewInstance(f.Block.Instrs[in.pc].Class))
+				regs[in.dst] = RefVal(NewInstance(fb.blk.Instrs[in.pc].Class))
 			case fGetField:
 				o := regs[in.a].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "getfield on null or non-object")
 				}
-				regs[in.dst] = o.Fields[in.b]
+				set(&regs[in.dst], o.Fields[in.b])
 			case fPutField:
 				o := regs[in.b].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "putfield on null or non-object")
 				}
-				o.Fields[in.dst] = regs[in.a]
+				set(&o.Fields[in.dst], regs[in.a])
 			case fNewArray:
 				n := regs[in.a].I
 				if n < 0 || n > 1<<28 {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("newarray with length %d", n))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("newarray with length %d", n))
 				}
 				regs[in.dst] = RefVal(NewArray(int(n)))
 				// Charge a small per-element cost for zeroing.
@@ -999,29 +1012,29 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			case fALoad:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				regs[in.dst] = a.Elems[i]
+				set(&regs[in.dst], a.Elems[i])
 			case fAStore:
 				a := regs[in.dst].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				a.Elems[i] = regs[in.a]
+				set(&a.Elems[i], regs[in.a])
 			case fALen:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "alen on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "alen on null or non-array")
 				}
-				regs[in.dst] = Value{I: int64(len(a.Elems))}
+				setI(&regs[in.dst], int64(len(a.Elems)))
 
 			case fIO:
 				cycles += uint64(in.imm)
@@ -1029,13 +1042,15 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				v.output = append(v.output, regs[in.a].I)
 
 			case fSpawn:
-				sp := &f.Block.Instrs[in.pc]
+				sp := &fb.blk.Instrs[in.pc]
 				m := sp.Method
 				if len(sp.Args) != m.NumParams {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum,
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum,
 						fmt.Sprintf("spawn %s with %d args, wants %d", m.FullName(), len(sp.Args), m.NumParams))
 				}
-				v.cycles = cycles + fb.prefix[int(in.pc)+1] // newThread fires OnEnter; keep Now exact
+				// newThread fires OnEnter; keep Now and f.Block exact.
+				v.cycles = cycles + fb.prefix[int(in.pc)+1]
+				f.Block = fb.blk
 				nt := v.newThread(m)
 				nr := nt.Frames[0].Regs
 				for i, r := range sp.Args {
@@ -1047,30 +1062,30 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			case fJoin:
 				h := regs[in.a].R
 				if h == nil || h.Thread == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "join on non-thread")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "join on non-thread")
 				}
 				if h.Thread.State != StateDone {
 					// Block at the join, which re-runs (charged again)
 					// when the target finishes and wakes this thread.
 					t.State = StateBlocked
 					h.Thread.waiters = append(h.Thread.waiters, t)
-					return v.fusedResched(f, int(in.pc), int(in.pc), fb.prefix, cycles, icount, quantum)
+					return v.fusedResched(f, fb, int(in.pc), int(in.pc), cycles, icount, quantum)
 				}
-				regs[in.dst] = h.Thread.Result
+				set(&regs[in.dst], h.Thread.Result)
 
 			case fYieldWake:
 				if now := cycles + fb.prefix[int(in.pc)+1]; v.due(EvYield, now) {
-					v.wakeYield(t, f, now)
+					v.wakeYield(t, f, fb, now)
 				}
 				fallthrough
 			case fYield:
 				v.stats.Yields++
 				if v.cancelled() {
-					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+					return v.fusedCancel(f, fb, int(in.pc), cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					return v.fusedResched(f, int(in.pc), int(in.pc)+1, fb.prefix, cycles, icount, quantum)
+					return v.fusedResched(f, fb, int(in.pc), int(in.pc)+1, cycles, icount, quantum)
 				}
 
 			// The framework's own opcodes. cycles + prefix[pc+1] is the
@@ -1079,15 +1094,15 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			// and whatever the call adds is charged immediately.
 			case fProbe:
 				pre := fb.prefix[int(in.pc)+1]
-				f.PC = int(in.pc)
+				f.Block, f.PC = fb.blk, int(in.pc)
 				v.cycles = cycles + pre
-				v.execProbe(t, f, f.Block.Instrs[in.pc].Probe)
+				v.execProbe(t, f, fb.blk.Instrs[in.pc].Probe)
 				cycles = v.cycles - pre
 			case fCheckedProbe:
 				// No-Duplication guard (Figure 6): a check wrapping a
 				// single instrumentation operation.
 				if v.cancelled() {
-					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+					return v.fusedCancel(f, fb, int(in.pc), cycles, icount, quantum)
 				}
 				cycles += uint64(v.cost.Check)
 				v.stats.Checks++
@@ -1095,13 +1110,14 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				now := cycles + pre
 				fired := v.trig.Poll(t.ID, now)
 				if v.obs != nil {
-					v.observeCheck(t, f, &f.Block.Instrs[in.pc], fired, now)
+					f.Block = fb.blk
+					v.observeCheck(t, f, &fb.blk.Instrs[in.pc], fired, now)
 				}
 				if fired {
 					v.stats.CheckFires++
-					f.PC = int(in.pc)
+					f.Block, f.PC = fb.blk, int(in.pc)
 					v.cycles = now
-					v.execProbe(t, f, f.Block.Instrs[in.pc].Probe)
+					v.execProbe(t, f, fb.blk.Instrs[in.pc].Probe)
 					cycles = v.cycles - pre
 				}
 
@@ -1116,7 +1132,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCheck:
 				if v.cancelled() {
-					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+					return v.fusedCancel(f, fb, int(in.pc), cycles, icount, quantum)
 				}
 				v.stats.Checks++
 				// The check is the terminator: prefix[pc+1] is total.
@@ -1131,7 +1147,8 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 					tgt = 0
 				}
 				if v.obs != nil {
-					v.observeCheck(t, f, &f.Block.Instrs[in.pc], tgt == 0, now)
+					f.Block = fb.blk
+					v.observeCheck(t, f, &fb.blk.Instrs[in.pc], tgt == 0, now)
 				}
 				goto transfer
 			case fLoopCheck:
@@ -1145,91 +1162,91 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 
 			// Frame switches leave the loop for runThread.
 			case fCall:
-				f.PC = int(in.pc)
+				f.Block, f.PC = fb.blk, int(in.pc)
 				v.quantum = quantum
 				return cycles + fb.prefix[int(in.pc)+1], icount + uint64(in.pc) + 1, exitCall, nil
 			case fReturn:
-				f.PC = int(in.pc)
+				f.Block, f.PC = fb.blk, int(in.pc)
 				v.quantum = quantum
 				return cycles + fb.total, icount + fb.count, exitReturn, nil
 
 			// ---- superinstructions ----
 
 			case fConstAdd:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I + regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I+regs[in.e].I)
 			case fConstSub:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I - regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I-regs[in.e].I)
 			case fConstMul:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I * regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I*regs[in.e].I)
 			case fConstAnd:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I & regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I&regs[in.e].I)
 			case fConstOr:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I | regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I|regs[in.e].I)
 			case fConstXor:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I ^ regs[in.e].I}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I^regs[in.e].I)
 			case fConstShl:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I << (uint64(regs[in.e].I) & 63)}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I<<(uint64(regs[in.e].I)&63))
 			case fConstShr:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: regs[in.d].I >> (uint64(regs[in.e].I) & 63)}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], regs[in.d].I>>(uint64(regs[in.e].I)&63))
 			case fConstConst:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], in.imm2)
 			case fConstCmpEQ:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = boolVal(cmpValues(regs[in.d], regs[in.e]) == 0)
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], b2i(cmpValues(regs[in.d], regs[in.e]) == 0))
 			case fConstCmpLT:
-				regs[in.dst] = Value{I: in.imm}
-				regs[in.c] = boolVal(regs[in.d].I < regs[in.e].I)
+				setI(&regs[in.dst], in.imm)
+				setI(&regs[in.c], b2i(regs[in.d].I < regs[in.e].I))
 
 			case fAddConst:
-				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
+				setI(&regs[in.c], in.imm2)
 			case fMulConst:
-				regs[in.dst] = Value{I: regs[in.a].I * regs[in.b].I}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I*regs[in.b].I)
+				setI(&regs[in.c], in.imm2)
 			case fAndConst:
-				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I&regs[in.b].I)
+				setI(&regs[in.c], in.imm2)
 			case fXorConst:
-				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I^regs[in.b].I)
+				setI(&regs[in.c], in.imm2)
 			case fShlConst:
-				regs[in.dst] = Value{I: regs[in.a].I << (uint64(regs[in.b].I) & 63)}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I<<(uint64(regs[in.b].I)&63))
+				setI(&regs[in.c], in.imm2)
 			case fShrConst:
-				regs[in.dst] = Value{I: regs[in.a].I >> (uint64(regs[in.b].I) & 63)}
-				regs[in.c] = Value{I: in.imm2}
+				setI(&regs[in.dst], regs[in.a].I>>(uint64(regs[in.b].I)&63))
+				setI(&regs[in.c], in.imm2)
 
 			case fShlXor:
-				regs[in.dst] = Value{I: regs[in.a].I << (uint64(regs[in.b].I) & 63)}
-				regs[in.c] = Value{I: regs[in.d].I ^ regs[in.e].I}
+				setI(&regs[in.dst], regs[in.a].I<<(uint64(regs[in.b].I)&63))
+				setI(&regs[in.c], regs[in.d].I^regs[in.e].I)
 			case fShrXor:
-				regs[in.dst] = Value{I: regs[in.a].I >> (uint64(regs[in.b].I) & 63)}
-				regs[in.c] = Value{I: regs[in.d].I ^ regs[in.e].I}
+				setI(&regs[in.dst], regs[in.a].I>>(uint64(regs[in.b].I)&63))
+				setI(&regs[in.c], regs[in.d].I^regs[in.e].I)
 			case fXorShl:
-				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
-				regs[in.c] = Value{I: regs[in.d].I << (uint64(regs[in.e].I) & 63)}
+				setI(&regs[in.dst], regs[in.a].I^regs[in.b].I)
+				setI(&regs[in.c], regs[in.d].I<<(uint64(regs[in.e].I)&63))
 			case fXorShr:
-				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
-				regs[in.c] = Value{I: regs[in.d].I >> (uint64(regs[in.e].I) & 63)}
+				setI(&regs[in.dst], regs[in.a].I^regs[in.b].I)
+				setI(&regs[in.c], regs[in.d].I>>(uint64(regs[in.e].I)&63))
 			case fMulXor:
-				regs[in.dst] = Value{I: regs[in.a].I * regs[in.b].I}
-				regs[in.c] = Value{I: regs[in.d].I ^ regs[in.e].I}
+				setI(&regs[in.dst], regs[in.a].I*regs[in.b].I)
+				setI(&regs[in.c], regs[in.d].I^regs[in.e].I)
 			case fMulAdd:
-				regs[in.dst] = Value{I: regs[in.a].I * regs[in.b].I}
-				regs[in.c] = Value{I: regs[in.d].I + regs[in.e].I}
+				setI(&regs[in.dst], regs[in.a].I*regs[in.b].I)
+				setI(&regs[in.c], regs[in.d].I+regs[in.e].I)
 
 			case fCmpEQBr:
 				cond := cmpValues(regs[in.a], regs[in.b]) == 0
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1237,7 +1254,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCmpNEBr:
 				cond := cmpValues(regs[in.a], regs[in.b]) != 0
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1245,7 +1262,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCmpLTBr:
 				cond := regs[in.a].I < regs[in.b].I
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1253,7 +1270,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCmpLEBr:
 				cond := regs[in.a].I <= regs[in.b].I
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1261,7 +1278,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCmpGTBr:
 				cond := regs[in.a].I > regs[in.b].I
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1269,7 +1286,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				goto transfer
 			case fCmpGEBr:
 				cond := regs[in.a].I >= regs[in.b].I
-				regs[in.dst] = boolVal(cond)
+				setI(&regs[in.dst], b2i(cond))
 				tgt = 1
 				if cond {
 					tgt = 0
@@ -1278,17 +1295,17 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 
 			case fYieldJmpWake:
 				if now := cycles + fb.prefix[int(in.pc)+1]; v.due(EvYield, now) {
-					v.wakeYield(t, f, now)
+					v.wakeYield(t, f, fb, now)
 				}
 				fallthrough
 			case fYieldJmp:
 				v.stats.Yields++
 				if v.cancelled() {
-					return v.fusedCancel(f, int(in.pc), fb.prefix, cycles, icount, quantum)
+					return v.fusedCancel(f, fb, int(in.pc), cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					return v.fusedResched(f, int(in.pc), int(in.pc)+1, fb.prefix, cycles, icount, quantum)
+					return v.fusedResched(f, fb, int(in.pc), int(in.pc)+1, cycles, icount, quantum)
 				}
 				tgt = 0
 				goto transfer
@@ -1299,20 +1316,20 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 					// lets the fallthrough redo the add from the same
 					// operands.
 					old := regs[in.dst]
-					regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
-					v.wakeYield(t, f, now)
-					regs[in.dst] = old
+					setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
+					v.wakeYield(t, f, fb, now)
+					set(&regs[in.dst], old)
 				}
 				fallthrough
 			case fAddYieldJmp:
-				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
 				v.stats.Yields++
 				if v.cancelled() {
-					return v.fusedCancel(f, int(in.pc)+1, fb.prefix, cycles, icount, quantum)
+					return v.fusedCancel(f, fb, int(in.pc)+1, cycles, icount, quantum)
 				}
 				quantum--
 				if quantum <= 0 && v.runq.len() > 1 {
-					return v.fusedResched(f, int(in.pc)+1, int(in.pc)+2, fb.prefix, cycles, icount, quantum)
+					return v.fusedResched(f, fb, int(in.pc)+1, int(in.pc)+2, cycles, icount, quantum)
 				}
 				tgt = 0
 				goto transfer
@@ -1320,111 +1337,111 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			case fGetFieldConst:
 				o := regs[in.a].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "getfield on null or non-object")
 				}
-				regs[in.dst] = o.Fields[in.b]
-				regs[in.c] = Value{I: in.imm2}
+				set(&regs[in.dst], o.Fields[in.b])
+				setI(&regs[in.c], in.imm2)
 			case fPutFieldGetField:
 				o := regs[in.b].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "putfield on null or non-object")
 				}
-				o.Fields[in.dst] = regs[in.a]
+				set(&o.Fields[in.dst], regs[in.a])
 				o2 := regs[in.d].R
 				if o2 == nil || o2.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "getfield on null or non-object")
 				}
-				regs[in.c] = o2.Fields[in.e]
+				set(&regs[in.c], o2.Fields[in.e])
 			case fALoadGetField:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				regs[in.dst] = a.Elems[i]
+				set(&regs[in.dst], a.Elems[i])
 				o := regs[in.d].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "getfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "getfield on null or non-object")
 				}
-				regs[in.c] = o.Fields[in.e]
+				set(&regs[in.c], o.Fields[in.e])
 			case fALoadMul:
 				a := regs[in.a].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				regs[in.dst] = a.Elems[i]
-				regs[in.c] = Value{I: regs[in.d].I * regs[in.e].I}
+				set(&regs[in.dst], a.Elems[i])
+				setI(&regs[in.c], regs[in.d].I*regs[in.e].I)
 			case fAddALoad:
-				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
 				a := regs[in.d].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "aload on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "aload on null or non-array")
 				}
 				i := regs[in.e].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				regs[in.c] = a.Elems[i]
+				set(&regs[in.c], a.Elems[i])
 			case fAddPutField:
-				regs[in.dst] = Value{I: regs[in.a].I + regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I+regs[in.b].I)
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "putfield on null or non-object")
 				}
-				o.Fields[in.c] = regs[in.d]
+				set(&o.Fields[in.c], regs[in.d])
 			case fAndPutField:
-				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I&regs[in.b].I)
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "putfield on null or non-object")
 				}
-				o.Fields[in.c] = regs[in.d]
+				set(&o.Fields[in.c], regs[in.d])
 			case fXorPutField:
-				regs[in.dst] = Value{I: regs[in.a].I ^ regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I^regs[in.b].I)
 				o := regs[in.e].R
 				if o == nil || o.Fields == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "putfield on null or non-object")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "putfield on null or non-object")
 				}
-				o.Fields[in.c] = regs[in.d]
+				set(&o.Fields[in.c], regs[in.d])
 			case fAndAStore:
-				regs[in.dst] = Value{I: regs[in.a].I & regs[in.b].I}
+				setI(&regs[in.dst], regs[in.a].I&regs[in.b].I)
 				a := regs[in.c].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.e].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc)+1, fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc)+1, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				a.Elems[i] = regs[in.d]
+				set(&a.Elems[i], regs[in.d])
 			case fAStoreJmp:
 				a := regs[in.dst].R
 				if a == nil || a.Elems == nil {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, "astore on null or non-array")
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, "astore on null or non-array")
 				}
 				i := regs[in.b].I
 				if i < 0 || i >= int64(len(a.Elems)) {
-					return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
+					return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
 				}
-				a.Elems[i] = regs[in.a]
+				set(&a.Elems[i], regs[in.a])
 				tgt = 0
 				goto transfer
 
 			default:
-				return v.fusedTrap(t, f, int(in.pc), fb.prefix, cycles, icount, quantum,
+				return v.fusedTrap(t, f, fb, int(in.pc), cycles, icount, quantum,
 					fmt.Sprintf("fused dispatch: invalid token %d", in.tok))
 			}
 		}
 		// Unreachable: fuseBlock always emits a terminator token last,
 		// and every terminator jumps to transfer or returns.
-		return v.fusedTrap(t, f, 0, fb.prefix, cycles, icount, quantum, "fused dispatch: stream without terminator")
+		return v.fusedTrap(t, f, fb, 0, cycles, icount, quantum, "fused dispatch: stream without terminator")
 
 	transfer:
 		cycles += fb.total
@@ -1436,18 +1453,20 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 		if fb.mask&(1<<uint(tgt)) != 0 {
 			v.stats.Backedges++
 		}
-		b := fb.targets[tgt]
-		f.Block, f.PC = b, 0
+		// f.Block is left stale here, so a chained transfer stores no
+		// pointer; every hook, handler, exit and trap sets it first.
+		fb = nfb
+		f.PC = 0
 		if v.ic != nil {
 			v.cycles = cycles
-			v.touchCode(b)
+			v.touchCode(fb.blk)
 			cycles = v.cycles
 		}
 		if cycles > limit {
+			f.Block = fb.blk
 			v.quantum = quantum
 			return cycles, icount, exitSched, v.trapBudgetAt(t, cycles, icount)
 		}
-		fb = nfb
 		fb.execs++
 		code = fb.code
 	}
@@ -1459,17 +1478,19 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 // reference dispatcher.
 func (v *VM) cutEdge(t *Thread, f *Frame, fb *fusedBlock, tgt int, now uint64) *fusedBlock {
 	v.cycles = now
-	v.obs.OnTransfer(t, f, &f.Block.Instrs[fb.count-1], tgt)
+	f.Block = fb.blk
+	v.obs.OnTransfer(t, f, &fb.blk.Instrs[fb.count-1], tgt)
 	v.rewake()
 	return f.fuse[fb.targets[tgt].GID]
 }
 
-// wakeYield delivers a due OnYield from a fused yieldpoint at its exact
-// cycle now. The reference dispatcher counts the yield before its hook,
-// so the hook sees it counted here too; the token's fallthrough body
-// then counts it for real.
-func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
+// wakeYield delivers a due OnYield from a fused yieldpoint in fb at its
+// exact cycle now. The reference dispatcher counts the yield before its
+// hook, so the hook sees it counted here too; the token's fallthrough
+// body then counts it for real.
+func (v *VM) wakeYield(t *Thread, f *Frame, fb *fusedBlock, now uint64) {
 	v.cycles = now
+	f.Block = fb.blk
 	v.stats.Yields++
 	v.obs.OnYield(t, f)
 	v.stats.Yields--
@@ -1477,13 +1498,13 @@ func (v *VM) wakeYield(t *Thread, f *Frame, now uint64) {
 }
 
 // fusedResched is the scheduling exit of runFusedBlocks: it charges
-// the block through original pc, flushes the counters and leaves the
-// frame to resume at original pc resume.
-func (v *VM) fusedResched(f *Frame, pc, resume int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
-	cycles += prefix[pc+1]
+// fb's block through original pc, flushes the counters and leaves the
+// frame to resume at original pc resume of that block.
+func (v *VM) fusedResched(f *Frame, fb *fusedBlock, pc, resume int, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
+	cycles += fb.prefix[pc+1]
 	icount += uint64(pc) + 1
 	v.quantum = quantum
-	f.PC = resume
+	f.Block, f.PC = fb.blk, resume
 	v.cycles, v.stats.Instrs = cycles, icount
 	return cycles, icount, exitSched, nil
 }
@@ -1491,15 +1512,15 @@ func (v *VM) fusedResched(f *Frame, pc, resume int, prefix []uint64, cycles, ico
 // fusedCancel is the cold cancellation exit of runFusedBlocks at the
 // observation point (yieldpoint or check) at original pc, which stays
 // the frame's resume pc.
-func (v *VM) fusedCancel(f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
-	cycles, icount, _, _ = v.fusedResched(f, pc, pc, prefix, cycles, icount, quantum)
+func (v *VM) fusedCancel(f *Frame, fb *fusedBlock, pc int, cycles, icount uint64, quantum int) (uint64, uint64, fusedExit, error) {
+	cycles, icount, _, _ = v.fusedResched(f, fb, pc, pc, cycles, icount, quantum)
 	return cycles, icount, exitSched, &CancelError{Cycles: cycles}
 }
 
 // fusedTrap is the cold trap exit of runFusedBlocks: it reconstructs the
 // exact per-instruction counters for the partially executed block,
 // flushes them, and builds the trap at original pc.
-func (v *VM) fusedTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, fusedExit, error) {
-	cycles, icount, _, _ = v.fusedResched(f, pc, pc, prefix, cycles, icount, quantum)
+func (v *VM) fusedTrap(t *Thread, f *Frame, fb *fusedBlock, pc int, cycles, icount uint64, quantum int, reason string) (uint64, uint64, fusedExit, error) {
+	cycles, icount, _, _ = v.fusedResched(f, fb, pc, pc, cycles, icount, quantum)
 	return cycles, icount, exitSched, v.trap(t, reason)
 }

@@ -151,11 +151,14 @@ func (v *VM) execProbe(t *Thread, f *Frame, p *ir.Probe) {
 	}
 }
 
-func boolVal(b bool) Value {
+func boolVal(b bool) Value { return Value{I: b2i(b)} }
+
+// b2i is a comparison's integer result: 1 for true, 0 for false.
+func b2i(b bool) int64 {
 	if b {
-		return Value{I: 1}
+		return 1
 	}
-	return Value{}
+	return 0
 }
 
 // cmpValues compares two values for equality semantics: references compare

@@ -41,7 +41,7 @@ import (
 // has not written: a recycled frame zeroes only the registers its
 // method can read before writing them. On the fast path Frame.PC may be
 // stale at hook time (the dispatcher tracks it lazily); observers must
-// not read it.
+// not read it. Frame.Block is current at every hook.
 //
 // Timestamps: at every hook the VM's cycle counter is current — the fast
 // path flushes its lazily tracked counter before invoking any hook — so

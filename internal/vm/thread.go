@@ -51,7 +51,10 @@ type Frame struct {
 	// Scratch holds per-frame instrumentation state (e.g. the Ball–Larus
 	// path register), sized by Method.ProbeRegs.
 	Scratch []int64
-	// Block and PC locate the next instruction.
+	// Block and PC locate the next instruction. On the fast path Block
+	// is current at every hook, probe handler, exit and trap; a chained
+	// transfer between blocks leaves it stale, since storing a pointer
+	// costs a GC write barrier (DESIGN.md §7.5).
 	Block *ir.Block
 	// PC indexes into Block.Instrs.
 	PC int

@@ -35,9 +35,31 @@ import (
 
 // Value is a single register or field slot: either an integer or a
 // reference. The zero Value is the integer 0 / null reference.
+//
+// The fused loop writes a register, field or element through setI (an
+// integer) or set (a copy), never by assigning a whole Value, so that
+// storing an integer stores no pointer and pays no GC write barrier
+// (DESIGN.md §7.5); only a new reference (RefVal) is assigned whole.
 type Value struct {
 	I int64
 	R *Object
+}
+
+// setI writes the integer x into *r and clears its reference only when
+// one is there.
+func setI(r *Value, x int64) {
+	r.I = x
+	if r.R != nil {
+		r.R = nil
+	}
+}
+
+// set copies x into *r and writes the reference only when it changes.
+func set(r *Value, x Value) {
+	r.I = x.I
+	if r.R != x.R {
+		r.R = x.R
+	}
 }
 
 // RefVal wraps a reference.

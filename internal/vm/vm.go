@@ -477,7 +477,7 @@ func (v *VM) buildEntryLive() {
 func closedCFG(m *ir.Method) bool {
 	for _, b := range m.Blocks {
 		for _, s := range b.Succs() {
-			if s == nil || uint(s.ID) >= uint(len(m.Blocks)) || m.Blocks[s.ID] != s {
+			if !m.HasBlock(s) {
 				return false
 			}
 		}
