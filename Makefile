@@ -31,7 +31,7 @@ test:
 
 # The experiment engine runs measurement cells on concurrent goroutines
 # that share results and compiled programs through its stores, the VM's
-# differential tests run parallel subtests over the frame pools
+# differential tests run parallel subtests over the thread stacks
 # and scheduler, the oracle tests exercise the observer hooks from
 # parallel seeds, the trigger tests drive fault-injected timers under
 # threaded programs, the service daemon runs its queue/worker/SSE

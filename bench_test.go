@@ -160,7 +160,8 @@ func BenchmarkInterpreter(b *testing.B) {
 
 // BenchmarkInterpreterReference measures the retained reference dispatch
 // on the same kernel; the gap to BenchmarkInterpreter is the fast path's
-// win (precomputed cost table, pooled frames, hoisted budget checks).
+// win (fused streams, precomputed cost table, frames kept on the
+// thread's stack, hoisted budget checks).
 func BenchmarkInterpreterReference(b *testing.B) {
 	prog := bench.Compress(benchScale)
 	res, err := compile.Compile(prog, compile.Options{})
@@ -235,48 +236,82 @@ func BenchmarkFusedVsReference(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreterCalls measures call-dense throughput (naive fib,
-// two calls per node) — the workload where frame pooling matters most.
+// BenchmarkInterpreterCalls measures call-dense throughput: naive
+// fib(22), two calls per node, through direct calls and through virtual
+// calls on one receiver, which resolve through the VM's slot table.
+// Frames stay on their thread's stack, so the calls allocate nothing:
+// B/op is the per-run set-up.
 func BenchmarkInterpreterCalls(b *testing.B) {
-	fb := ir.NewFunc("fib", 1)
+	for _, virtual := range []bool{false, true} {
+		name := "direct"
+		if virtual {
+			name = "virtual"
+		}
+		b.Run(name, func(b *testing.B) {
+			res, err := compile.Compile(fibProgram(virtual), compile.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				out, err := vm.New(res.Prog, vm.Config{}).Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += out.Stats.Instrs
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
+		})
+	}
+}
+
+// fibProgram builds main returning fib(22), where fib is a free
+// function, or with virtual set a method of class Fib that main and fib
+// call on one instance.
+func fibProgram(virtual bool) *ir.Program {
+	cl := &ir.Class{Name: "Fib"}
+	var fb *ir.Builder
+	n := ir.Reg(0) // fib's argument register
+	if virtual {
+		fb, n = ir.NewMethod(cl, "fib", 2), 1
+	} else {
+		fb = ir.NewFunc("fib", 1)
+	}
+	call := func(c *ir.Cursor, arg ir.Reg) ir.Reg {
+		if virtual {
+			return c.CallVirt("fib", 0, arg)
+		}
+		return c.Call(fb.M, arg)
+	}
 	{
 		c := fb.At(fb.EntryBlock())
 		two := c.Const(2)
-		cond := c.Bin(ir.OpCmpLT, 0, two)
+		cond := c.Bin(ir.OpCmpLT, n, two)
 		thenB := fb.Block("")
 		elseB := fb.Block("")
 		c.Branch(cond, thenB, elseB)
 		tc := fb.At(thenB)
-		tc.Return(0)
+		tc.Return(n)
 		ec := fb.At(elseB)
 		one := ec.Const(1)
-		n1 := ec.Bin(ir.OpSub, 0, one)
+		n1 := ec.Bin(ir.OpSub, n, one)
 		n2 := ec.Bin(ir.OpSub, n1, one)
-		ec.Return(ec.Bin(ir.OpAdd, ec.Call(fb.M, n1), ec.Call(fb.M, n2)))
+		ec.Return(ec.Bin(ir.OpAdd, call(ec, n1), call(ec, n2)))
 	}
 	mb := ir.NewFunc("main", 0)
-	{
-		c := mb.At(mb.EntryBlock())
-		n := c.Const(22)
-		c.Return(c.Call(fb.M, n))
+	p := &ir.Program{Name: "fib", Funcs: []*ir.Method{mb.M}, Main: mb.M}
+	c := mb.At(mb.EntryBlock())
+	if virtual {
+		p.Classes = []*ir.Class{cl}
+		c.Return(c.CallVirt("fib", c.New(cl), c.Const(22)))
+	} else {
+		p.Funcs = append(p.Funcs, fb.M)
+		c.Return(c.Call(fb.M, c.Const(22)))
 	}
-	p := &ir.Program{Name: "fib", Funcs: []*ir.Method{fb.M, mb.M}, Main: mb.M}
 	p.Seal()
-	res, err := compile.Compile(p, compile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		out, err := vm.New(res.Prog, vm.Config{}).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += out.Stats.Instrs
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
+	return p
 }
 
 // BenchmarkInterpreterICache measures the same kernel with the i-cache
@@ -412,6 +447,7 @@ func benchCompile(b *testing.B, fw *core.Options) {
 	if fw != nil {
 		ins = []instr.Instrumenter{&instr.CallEdge{}, &instr.FieldAccess{}}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compile.Compile(prog, compile.Options{Instrumenters: ins, Framework: fw}); err != nil {

@@ -144,9 +144,11 @@ func Compile(src *ir.Program, opts Options) (*Result, error) {
 	if opts.Inline {
 		res.CallsInlined = InlineProgram(p, opts.InlinePolicy)
 	}
+	var opt *optimizer
 	if !opts.NoOptimize {
+		opt = newOptimizer(p.Methods()...)
 		for _, m := range p.Methods() {
-			Optimize(m)
+			opt.optimize(m)
 		}
 	}
 	instr.AssignCallSiteIDs(p)
@@ -160,7 +162,7 @@ func Compile(src *ir.Program, opts Options) (*Result, error) {
 		}
 		if !opts.NoOptimize {
 			for _, m := range p.Methods() {
-				Optimize(m)
+				opt.optimize(m)
 			}
 		}
 		// Renumber sites so downstream instrumentation stays dense.

@@ -11,12 +11,41 @@ import "instrsample/internal/ir"
 // phases (liveness, layout) are doubled by code duplication.
 //
 // It returns the number of instructions removed or simplified.
-func Optimize(m *ir.Method) int {
+func Optimize(m *ir.Method) int { return newOptimizer(m).optimize(m) }
+
+// optimizer holds the tables of the block-local passes. Compile makes
+// one and optimizes every method with it, and each pass clears its
+// table for each block, so a compile makes them once instead of once
+// per block, method and round.
+type optimizer struct {
+	known  map[ir.Reg]int64  // foldConstants: registers' constant values
+	avail  map[exprKey]expr  // localCSE: available expressions
+	copyOf map[ir.Reg]ir.Reg // propagateCopies: moves still in force
+}
+
+// newOptimizer makes the tables for optimizing ms, each sized to the
+// longest block among them, which bounds the entries a pass puts in
+// one, so they do not grow by doubling.
+func newOptimizer(ms ...*ir.Method) *optimizer {
+	longest := 0
+	for _, m := range ms {
+		for _, b := range m.Blocks {
+			longest = max(longest, len(b.Instrs))
+		}
+	}
+	return &optimizer{
+		known:  make(map[ir.Reg]int64, longest),
+		avail:  make(map[exprKey]expr, longest),
+		copyOf: make(map[ir.Reg]ir.Reg, longest),
+	}
+}
+
+func (o *optimizer) optimize(m *ir.Method) int {
 	changed := 0
 	defs := newDefClock(m)
 	// To a fixpoint, bounded to keep compile times predictable.
 	for round := 0; round < 4; round++ {
-		n := foldConstants(m) + localCSE(m, defs) + propagateCopies(m, defs) +
+		n := o.foldConstants(m) + o.localCSE(m, defs) + o.propagateCopies(m, defs) +
 			eliminateDeadCode(m) + threadJumps(m)
 		changed += n
 		if n == 0 {
@@ -32,26 +61,30 @@ func Optimize(m *ir.Method) int {
 	return changed
 }
 
+// exprKey is a pure computation localCSE can find again.
+type exprKey struct {
+	op   ir.Op
+	a, b ir.Reg
+	imm  int64
+}
+
+// expr is an expression computed into dst at time at.
+type expr struct {
+	dst ir.Reg
+	at  uint32
+}
+
 // localCSE eliminates common pure subexpressions within a block: a
 // repeated (op, a, b, imm) computation over unmodified operands becomes a
 // register copy, which copy propagation then folds away. An expression
 // stays available until its dst or one of its a and b fields is
 // redefined; unused fields count too (a def of r0 kills every constant,
 // whose A and B are 0).
-func localCSE(m *ir.Method, defs *defClock) int {
-	type exprKey struct {
-		op   ir.Op
-		a, b ir.Reg
-		imm  int64
-	}
-	// expr is an expression computed into dst at time at.
-	type expr struct {
-		dst ir.Reg
-		at  uint32
-	}
+func (o *optimizer) localCSE(m *ir.Method, defs *defClock) int {
 	changed := 0
+	avail := o.avail
 	for _, blk := range m.Blocks {
-		avail := make(map[exprKey]expr)
+		clear(avail)
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
 			defs.now++
@@ -125,10 +158,11 @@ func (c *defClock) lastDef(r ir.Reg) uint32 {
 // foldConstants evaluates arithmetic over registers whose values are
 // known constants within a block (local value tracking only — no
 // cross-block propagation, matching a quick O2 local pass).
-func foldConstants(m *ir.Method) int {
+func (o *optimizer) foldConstants(m *ir.Method) int {
 	changed := 0
+	known := o.known
 	for _, b := range m.Blocks {
-		known := make(map[ir.Reg]int64)
+		clear(known)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {
@@ -239,13 +273,14 @@ func b2i(b bool) int64 {
 
 // propagateCopies rewrites uses of move destinations to their sources
 // within a block, when neither register is redefined in between.
-func propagateCopies(m *ir.Method, defs *defClock) int {
+func (o *optimizer) propagateCopies(m *ir.Method, defs *defClock) int {
 	changed := 0
+	// copyOf[d] = s is the move d = s, which stays d's last definition
+	// (any other deletes it); it holds while s has not been defined
+	// since.
+	copyOf := o.copyOf
 	for _, b := range m.Blocks {
-		// copyOf[d] = s is the move d = s, which stays d's last
-		// definition (any other deletes it); it holds while s has not
-		// been defined since.
-		copyOf := make(map[ir.Reg]ir.Reg)
+		clear(copyOf)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			defs.now++

@@ -2,6 +2,9 @@ package compile
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"instrsample/internal/ir"
@@ -126,9 +129,9 @@ func TestLocalPassKillRules(t *testing.T) {
 			}
 			var changed int
 			if tc.pass == cse {
-				changed = localCSE(m, newDefClock(m))
+				changed = newOptimizer(m).localCSE(m, newDefClock(m))
 			} else {
-				changed = propagateCopies(m, newDefClock(m))
+				changed = newOptimizer(m).propagateCopies(m, newDefClock(m))
 			}
 			for i, b := range m.Blocks {
 				if !reflect.DeepEqual(b.Instrs, tc.want[i]) {
@@ -139,5 +142,81 @@ func TestLocalPassKillRules(t *testing.T) {
 				t.Errorf("changed %d, want %d", changed, tc.changed)
 			}
 		})
+	}
+}
+
+// TestOptimizerTablesPerCompile: Compile makes the tables of the
+// block-local passes once, not once per block, method and round. With
+// the heap profiler recording every allocation, it counts those made
+// inside newOptimizer, foldConstants, localCSE and propagateCopies
+// while compiling a method of 4 blocks and one of 32, whose every block
+// keeps more constants, expressions and copies than a map holds before
+// it first grows. A table made per block is made and grows again in
+// every block; tables made once per Compile cost the same at 4 blocks
+// as at 32.
+func TestOptimizerTablesPerCompile(t *testing.T) {
+	// chain builds work(p), called by main: blocks in a chain, each
+	// computing p*c for 12 constants c and printing each product
+	// through a copy of it.
+	chain := func(blocks int) *ir.Program {
+		b := ir.NewFunc("work", 1)
+		c := b.At(b.EntryBlock())
+		for k := 0; k < blocks; k++ {
+			for j := 0; j < 12; j++ {
+				e := c.Bin(ir.OpMul, 0, c.Const(int64(100*k+j)))
+				m := b.FreshReg()
+				c.Move(m, e)
+				c.Print(m)
+			}
+			c = c.Jump(b.Block(""))
+		}
+		c.Return(0)
+		mb := ir.NewFunc("main", 0)
+		mc := mb.At(mb.EntryBlock())
+		mc.Return(mc.Call(b.M, mc.Const(3)))
+		p := &ir.Program{Name: "chain", Funcs: []*ir.Method{b.M, mb.M}, Main: mb.M}
+		p.Seal()
+		return p
+	}
+	passes := []string{".newOptimizer", ".foldConstants", ".localCSE", ".propagateCopies"}
+	// allocs returns the allocations the heap profile has recorded
+	// inside the passes and the tables' constructor so far.
+	allocs := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		n, _ := runtime.MemProfile(nil, true)
+		recs := make([]runtime.MemProfileRecord, n+64)
+		n, _ = runtime.MemProfile(recs, true)
+		var total int64
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for {
+				fr, more := frames.Next()
+				if slices.ContainsFunc(passes, func(p string) bool { return strings.HasSuffix(fr.Function, p) }) {
+					total += r.AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return total
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	counts := make(map[int]int64)
+	for _, blocks := range []int{4, 32} {
+		p := chain(blocks)
+		before := allocs()
+		if _, err := Compile(p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		counts[blocks] = allocs() - before
+	}
+	t.Logf("the tables allocated %d times compiling 4 blocks and %d compiling 32", counts[4], counts[32])
+	if counts[4] == 0 || counts[32] != counts[4] {
+		t.Fatalf("the tables allocated %d times compiling 4 blocks and %d compiling 32: want the same, above 0",
+			counts[4], counts[32])
 	}
 }

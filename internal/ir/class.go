@@ -23,9 +23,9 @@ type Class struct {
 	fieldBase int
 	// vtab is the flattened dispatch table built by Program.Seal: every
 	// method visible on this class (own or inherited), keyed by name, so
-	// Lookup is a single map hit instead of a superclass-chain walk on the
-	// interpreter's OpCallVirt path. Nil before Seal; AddMethod drops it
-	// (mutating a sealed hierarchy requires re-sealing).
+	// Lookup is a single map hit instead of a superclass-chain walk. Nil
+	// before Seal; AddMethod drops it (mutating a sealed hierarchy
+	// requires re-sealing).
 	vtab map[string]*Method
 }
 
@@ -62,7 +62,10 @@ func (c *Class) FieldName(idx int) string {
 // Lookup resolves a virtual method name against this class. After Seal it
 // is a single lookup in the flattened vtable; before Seal (or after a
 // post-seal AddMethod) it walks the superclass chain. The second result is
-// false if no class in the chain declares the method.
+// false if no class in the chain declares the method. The VM's reference
+// dispatcher calls it per virtual call; the fast path calls it once per
+// class and call name when it builds its slot table, and per call only
+// for a receiver whose class the program does not list at its ID.
 func (c *Class) Lookup(name string) (*Method, bool) {
 	if c.vtab != nil {
 		m, ok := c.vtab[name]

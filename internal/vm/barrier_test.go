@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -303,4 +305,171 @@ func TestFusedStoresBarrierFree(t *testing.T) {
 	if stores == 0 {
 		t.Error("no RefVal store found in runFusedBlocks: the guard no longer sees the loop's stores")
 	}
+}
+
+// TestCallPathStoresBarrierFree extends the store rule from the fused
+// loop to the stores a call, a return or a probe makes (DESIGN.md
+// §7.5). It parses call, virtual, ret and execProbe (interp.go) and
+// pushFrame and newThread (vm.go) and fails on a register written as a
+// whole Value other than a new reference, on a whole Frame or
+// ProbeEvent stored at once, and on a store to a pointer-holding field
+// of Frame or ProbeEvent, or to the stack Thread.Frames, that is
+// neither a reslice of that field (which stores no pointer) nor inside
+// an if whose condition reads it, as store, set and the register
+// growth do.
+func TestCallPathStoresBarrierFree(t *testing.T) {
+	guarded := map[string][]string{
+		"interp.go": {"call", "virtual", "ret", "execProbe"},
+		"vm.go":     {"pushFrame", "newThread"},
+	}
+	// ptrs maps a field name to whether the field itself holds a
+	// pointer; elems to whether its elements do.
+	ptrs, elems := map[string]bool{}, map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Frame{}), reflect.TypeOf(ProbeEvent{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			fd := typ.Field(i)
+			ptrs[fd.Name] = ptrs[fd.Name] || holdsPointer(fd.Type)
+			if fd.Type.Kind() == reflect.Slice {
+				elems[fd.Name] = elems[fd.Name] || holdsPointer(fd.Type.Elem())
+			}
+		}
+	}
+	ptrs["Frames"], elems["Frames"] = true, true
+	regFile := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name == "regs" || x.Name == "nr"
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "Regs"
+		}
+		return false
+	}
+	// pointerStore reports whether lhs stores a pointer into a frame,
+	// the probe event or the stack.
+	pointerStore := func(lhs ast.Expr) bool {
+		switch x := lhs.(type) {
+		case *ast.SelectorExpr:
+			return ptrs[x.Sel.Name]
+		case *ast.IndexExpr:
+			sel, ok := x.X.(*ast.SelectorExpr)
+			return ok && elems[sel.Sel.Name] && !regFile(sel)
+		}
+		return false
+	}
+	wholeStruct := func(rhs ast.Expr) bool {
+		lit, ok := rhs.(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		id, ok := lit.Type.(*ast.Ident)
+		return ok && (id.Name == "Frame" || id.Name == "ProbeEvent")
+	}
+	refVal := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "RefVal"
+	}
+	// reads reports whether e mentions an expression printed as want.
+	reads := func(e ast.Expr, want string) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if x, ok := n.(ast.Expr); ok && types.ExprString(x) == want {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	fset := token.NewFileSet()
+	guardedStores := 0
+	for name, funcs := range guarded {
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range funcs {
+			var decl *ast.FuncDecl
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == fn {
+					decl = fd
+				}
+			}
+			if decl == nil {
+				t.Fatalf("%s not found in %s", fn, name)
+			}
+			var stack []ast.Node
+			ast.Inspect(decl.Body, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				as, ok := n.(*ast.AssignStmt)
+				if !ok {
+					return true
+				}
+				line := fset.Position(as.Pos()).Line
+				for i, lhs := range as.Lhs {
+					var rhs ast.Expr
+					if len(as.Rhs) == len(as.Lhs) {
+						rhs = as.Rhs[i]
+					}
+					switch ix, _ := lhs.(*ast.IndexExpr); {
+					case ix != nil && regFile(ix.X):
+						if rhs == nil || !refVal(rhs) {
+							t.Errorf("%s line %d (%s): a register is assigned a whole Value; write it with set or setI", name, line, fn)
+						}
+					case isStar(lhs) || rhs != nil && wholeStruct(rhs):
+						t.Errorf("%s line %d (%s): a whole Frame or ProbeEvent is stored; store its fields where they change", name, line, fn)
+					case pointerStore(lhs):
+						want := types.ExprString(lhs)
+						if sl, ok := rhs.(*ast.SliceExpr); ok && sl.Low == nil && types.ExprString(sl.X) == want {
+							guardedStores++
+							continue // a reslice stores no pointer
+						}
+						behind := false
+						for _, outer := range stack {
+							if ifs, ok := outer.(*ast.IfStmt); ok && as.Pos() >= ifs.Body.Pos() && reads(ifs.Cond, want) {
+								behind = true
+							}
+						}
+						if !behind {
+							t.Errorf("%s line %d (%s): %s is stored without checking that it changes; write it through store or behind such a check", name, line, fn, want)
+						}
+						guardedStores++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if guardedStores == 0 {
+		t.Error("no guarded pointer store found: the test no longer sees the call path's stores")
+	}
+}
+
+func isStar(e ast.Expr) bool {
+	_, ok := e.(*ast.StarExpr)
+	return ok
+}
+
+// holdsPointer reports whether a value of type typ holds a pointer the
+// garbage collector traces, so that storing it costs a write barrier.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	}
+	return false
 }

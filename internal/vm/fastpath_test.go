@@ -120,9 +120,9 @@ func TestSpawnArityTraps(t *testing.T) {
 	}
 }
 
-// callHeavyProg builds a deliberately call-dense program: fib(18) by
-// naive double recursion.
-func callHeavyProg() *ir.Program {
+// fibProg builds a deliberately call-dense program: naive fib(n),
+// two calls per node, at most n+1 frames deep.
+func fibProg(n int64) *ir.Program {
 	fb := ir.NewFunc("fib", 1)
 	{
 		c := fb.At(fb.EntryBlock())
@@ -144,49 +144,81 @@ func callHeavyProg() *ir.Program {
 	mb := ir.NewFunc("main", 0)
 	{
 		c := mb.At(mb.EntryBlock())
-		n := c.Const(18)
-		c.Return(c.Call(fb.M, n))
+		c.Return(c.Call(fb.M, c.Const(n)))
 	}
 	p := &ir.Program{Name: "t", Funcs: []*ir.Method{fb.M, mb.M}, Main: mb.M}
 	p.Seal()
 	return p
 }
 
-// TestFramePoolRecycles verifies the tentpole's allocation win: on a
-// call-dense program the pooled fast path allocates a small constant
-// number of frames (bounded by peak stack depth), while the reference
-// dispatch allocates per call.
-func TestFramePoolRecycles(t *testing.T) {
-	p := callHeavyProg()
-	out, err := New(p, Config{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Return != 2584 { // fib(18)
-		t.Fatalf("fib(18) = %d, want 2584", out.Return)
-	}
-	calls := out.Stats.MethodEntries
+// frameCensus is an observer that records, per thread, every distinct
+// frame pushed, and the deepest stack.
+type frameCensus struct {
+	nopObserver
+	frames map[*Frame]int // frame -> the thread that pushed it
+	shared int            // frames pushed by a second thread
+	peak   int
+}
 
-	v := New(p, Config{})
-	if _, err := v.Run(); err != nil {
-		t.Fatal(err)
+func (c *frameCensus) OnEnter(t *Thread, f *Frame) {
+	if c.frames == nil {
+		c.frames = make(map[*Frame]int)
 	}
-	// After the run every frame has been popped back into the pool; the
-	// pool must hold far fewer frames than the program made calls (it is
-	// bounded by the peak call depth, ~20 here).
-	if got := uint64(len(v.freeFrames)); got*100 > calls {
-		t.Errorf("pool holds %d frames after %d calls; recycling broken", got, calls)
+	if id, ok := c.frames[f]; ok && id != t.ID {
+		c.shared++
 	}
-	if len(v.freeFrames) == 0 {
-		t.Error("pool empty after run; frames were never released")
+	c.frames[f] = t.ID
+	c.peak = max(c.peak, len(t.Frames))
+}
+
+// TestThreadStackReusesFrames checks that frames stay on their
+// thread's stack: a push reuses the frame last popped at its depth, so
+// a run makes one frame per depth it reaches, however many calls it
+// makes. fib(18) enters 8,362 methods and fib(10) 178; the larger run
+// may make no more frames than the smaller plus the difference in
+// their peak depths, and allocate little more: a frame, its
+// registers and a stack growth per extra level at most.
+func TestThreadStackReusesFrames(t *testing.T) {
+	census := func(n int64) (*frameCensus, uint64) {
+		c := &frameCensus{}
+		out, err := New(fibProg(n), Config{Observer: c}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, out.Stats.MethodEntries
+	}
+	small, smallCalls := census(10)
+	large, largeCalls := census(18)
+	if smallCalls != 178 || largeCalls != 8362 {
+		t.Fatalf("method entries %d and %d, want 178 and 8362", smallCalls, largeCalls)
+	}
+	if small.peak != 11 || large.peak != 19 {
+		t.Fatalf("peak depths %d and %d, want 11 and 19", small.peak, large.peak)
+	}
+	if got, limit := len(large.frames), len(small.frames)+large.peak-small.peak; got > limit {
+		t.Fatalf("fib(18) made %d frames, fib(10) %d: want at most %d", got, len(small.frames), limit)
+	}
+	allocs := func(n int64) float64 {
+		p := fibProg(n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(p, Config{}).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a18 := allocs(10), allocs(18); a18-a10 > 3*float64(large.peak-small.peak) {
+		t.Fatalf("fib(18) allocates %.0f times, fib(10) %.0f: calls allocate", a18, a10)
 	}
 }
 
-// TestPooledRegistersZeroed guards the zero-at-acquire rule: a reused
-// frame must not leak the previous occupant's register or scratch values,
-// because IR semantics give every unwritten register the value 0/null.
+// TestPooledRegistersZeroed guards the zero-at-push rule: a reused
+// frame must not leak the previous occupant's register or scratch
+// values, because IR semantics give every unwritten register the value
+// 0/null. Its threads leg runs two threads that push and pop at equal
+// depths, rotating at every yieldpoint: each thread's frames stay its
+// own, so no frame reads another thread's registers.
 func TestPooledRegistersZeroed(t *testing.T) {
-	// dirty() fills its registers with junk; probe() then reads an
+	// dirty() fills its registers with junk; clean() then reads an
 	// unwritten register, which must still be 0.
 	dirty := ir.NewFunc("dirty", 0)
 	{
@@ -203,27 +235,77 @@ func TestPooledRegistersZeroed(t *testing.T) {
 		unwritten := clean.FreshReg()
 		c.Return(unwritten)
 	}
-	// dirty's frame must be at least as wide as clean's, so the pool
-	// serves clean out of dirty's recycled (junk-filled) registers.
+	// dirty's frame must be at least as wide as clean's, so the stack
+	// serves clean out of dirty's popped (junk-filled) registers.
 	if dirty.M.NumRegs < clean.M.NumRegs {
 		t.Fatalf("test setup: dirty %d regs < clean %d regs; reuse path not exercised",
 			dirty.M.NumRegs, clean.M.NumRegs)
 	}
-	mb := ir.NewFunc("main", 0)
-	{
-		c := mb.At(mb.EntryBlock())
-		c.Call(dirty.M)
-		c.Return(c.Call(clean.M))
-	}
-	p := &ir.Program{Name: "t", Funcs: []*ir.Method{dirty.M, clean.M, mb.M}, Main: mb.M}
-	p.Seal()
-	out, err := New(p, Config{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Return != 0 {
-		t.Fatalf("unwritten register in pooled frame reads %#x, want 0", out.Return)
-	}
+	t.Run("one-thread", func(t *testing.T) {
+		mb := ir.NewFunc("main", 0)
+		{
+			c := mb.At(mb.EntryBlock())
+			c.Call(dirty.M)
+			c.Return(c.Call(clean.M))
+		}
+		p := &ir.Program{Name: "t", Funcs: []*ir.Method{dirty.M, clean.M, mb.M}, Main: mb.M}
+		p.Seal()
+		out, err := New(p, Config{}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Return != 0 {
+			t.Fatalf("unwritten register in reused frame reads %#x, want 0", out.Return)
+		}
+	})
+	t.Run("threads", func(t *testing.T) {
+		// worker: 20 times { yield; dirty(); yield; sum += clean() }.
+		worker := ir.NewFunc("worker", 0)
+		{
+			c := worker.At(worker.EntryBlock())
+			sum := c.Const(0)
+			lp := c.CountedLoop(c.Const(20), "l")
+			lp.Body.Blk().Append(ir.Instr{Op: ir.OpYield})
+			lp.Body.Call(dirty.M)
+			lp.Body.Blk().Append(ir.Instr{Op: ir.OpYield})
+			lp.Body.BinTo(ir.OpAdd, sum, sum, lp.Body.Call(clean.M))
+			lp.Body.Jump(lp.Latch)
+			lp.After.Return(sum)
+		}
+		mb := ir.NewFunc("main", 0)
+		{
+			c := mb.At(mb.EntryBlock())
+			h1 := c.Spawn(worker.M)
+			h2 := c.Spawn(worker.M)
+			c.Return(c.Bin(ir.OpAdd, c.Join(h1), c.Join(h2)))
+		}
+		p := &ir.Program{Name: "t", Funcs: []*ir.Method{dirty.M, clean.M, worker.M, mb.M}, Main: mb.M}
+		p.Seal()
+		var want *Result
+		for _, ref := range []bool{true, false} {
+			census := &frameCensus{}
+			out, err := New(p, Config{Quantum: 1, Reference: ref, Observer: census}).Run()
+			if err != nil {
+				t.Fatalf("reference=%v: %v", ref, err)
+			}
+			if out.Return != 0 {
+				t.Fatalf("reference=%v: unwritten registers read %#x, want 0", ref, out.Return)
+			}
+			if ref {
+				want = out
+				continue
+			}
+			if out.Stats != want.Stats {
+				t.Fatalf("fast path stats %+v, reference %+v", out.Stats, want.Stats)
+			}
+			if census.shared != 0 {
+				t.Fatalf("%d frame pushes reused a frame another thread had pushed", census.shared)
+			}
+			if len(census.frames) != 5 {
+				t.Fatalf("%d frames, want 5: main's, and a root and one callee frame per worker", len(census.frames))
+			}
+		}
+	})
 }
 
 // frameClearProg builds main calling dirty(), which leaves junk in
@@ -338,8 +420,8 @@ func TestFrameClearLiveRegisters(t *testing.T) {
 				unlisted.M.NumRegs = 4
 				unlisted.M.ID = p.Main.ID
 				junk := &Frame{Regs: []Value{{I: 1}, {I: 2}, {I: 3}, {I: 4}}}
-				v.freeFrames = append(v.freeFrames, junk)
-				if f := v.acquireFrame(unlisted.M, ir.NoReg, nil, -1); f != junk || slices.ContainsFunc(f.Regs, func(r Value) bool { return r != Value{} }) {
+				th := &Thread{Frames: []*Frame{junk}[:0]}
+				if f := v.pushFrame(th, unlisted.M, ir.NoReg, nil, -1); f != junk || slices.ContainsFunc(f.Regs, func(r Value) bool { return r != Value{} }) {
 					t.Fatalf("recycled frame for an unlisted method kept registers %v", f.Regs)
 				}
 			}
@@ -534,6 +616,45 @@ func TestUnlistedBranchTarget(t *testing.T) {
 			if fs := v.FusionStats(); (fs.Instrs == 0) != stray {
 				t.Fatalf("stray=%v: fused instructions %d", stray, fs.Instrs)
 			}
+		}
+	}
+}
+
+// TestSlotTableGuard: the slot table answers a virtual call only for
+// the class its row was built for. A class whose ID another program's
+// Seal changed after the table was built, to another class's row or
+// past the table, resolves through Class.Lookup, and a selector the
+// class lacks reports no method.
+func TestSlotTableGuard(t *testing.T) {
+	a := &ir.Class{Name: "A"}
+	b := &ir.Class{Name: "B", Super: a}
+	for _, cl := range []*ir.Class{a, b} {
+		m := ir.NewMethod(cl, "f", 1)
+		m.At(m.EntryBlock()).Return(m.At(m.EntryBlock()).Const(int64(len(cl.Name))))
+	}
+	mb := ir.NewFunc("main", 0)
+	{
+		c := mb.At(mb.EntryBlock())
+		o := c.New(b)
+		c.Return(c.Bin(ir.OpAdd, c.CallVirt("f", o), c.CallVirt("g", c.New(a))))
+	}
+	p := &ir.Program{Name: "guard", Classes: []*ir.Class{a, b}, Funcs: []*ir.Method{mb.M}, Main: mb.M}
+	p.Seal()
+	v := New(p, Config{})
+	if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), "no method g on class A") {
+		t.Fatalf("Run = %v, want the missing-method trap", err)
+	}
+	if v.nsel != 2 || len(v.slots) != 2*2 {
+		t.Fatalf("table of %d selectors and %d slots, want 2 and 4", v.nsel, len(v.slots))
+	}
+	bf := b.Methods["f"]
+	for _, id := range []int{1, 0, 5, -1} {
+		b.ID = id
+		if m, ok := v.virtual(b, 0, "f"); !ok || m != bf {
+			t.Fatalf("B at ID %d resolves f to %v, want B.f", id, m)
+		}
+		if m, ok := v.virtual(b, 1, "g"); ok {
+			t.Fatalf("B at ID %d resolves g to %v, want none", id, m)
 		}
 	}
 }

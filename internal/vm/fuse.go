@@ -86,8 +86,9 @@ import (
 // or set (a copy), never as a whole Value, except a new reference
 // (RefVal); TestFusedStoresBarrierFree enforces it. And a chained
 // transfer leaves f.Block stale: each fusedBlock carries its block
-// (blk), which the loop writes to f.Block before every hook, handler,
-// exit and trap, where something can read it.
+// (blk), which the loop stores in f.Block, when it differs, before
+// every hook, handler, exit and trap, where something can read it. The
+// call and ret paths keep the same rule (TestCallPathStoresBarrierFree).
 //
 // Observers (DESIGN.md §7.6): every observer keeps the fused streams,
 // with two changes that a nil observer never pays for. The yieldpoint
@@ -154,7 +155,8 @@ const (
 	fSpawn
 	fJoin
 	// fCall serves OpCall and OpCallVirt: runThread reads the callee,
-	// receiver and arguments from the original instruction.
+	// receiver and arguments from the original instruction, and a
+	// virtual call's selector from the token's imm2 (buildFusion).
 	fCall
 	fReturn
 
@@ -293,7 +295,7 @@ var superNames = map[fuseTok]string{
 //	branch           a=A
 //	io               imm=Imm
 //	probe/check/…    (none)
-//	call/return      (none)
+//	call/return      (none)             imm2=selector (callvirt)
 //
 // pc is the original index of sub-op 1 in Block.Instrs; n is the number
 // of original instructions the token covers. Targets, classes, probes
@@ -445,23 +447,35 @@ type scaledStreams struct {
 //
 // With an observer installed the yieldpoint tokens are swapped for
 // their wake variants, and price cuts the chain edges the observer
-// must see.
+// must see. Each virtual call's token gets its selector, the index of
+// its method name among the program's virtual-call names, which
+// buildSlots turns into the slot table.
 func (v *VM) buildFusion() bool {
 	if !gidsTrusted(v.prog) {
 		return false
 	}
 	tab := make([]*fusedBlock, v.prog.NumBlocks())
+	sels := make(map[string]int)
+	var names []string
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
 			fb := fuseBlock(b)
 			if fb == nil {
 				return false
 			}
-			if v.obs != nil {
-				for i := range fb.code {
-					if w, ok := wakeToks[fb.code[i].tok]; ok {
-						fb.code[i].tok = w
+			for i := range fb.code {
+				fi := &fb.code[i]
+				if w, ok := wakeToks[fi.tok]; ok && v.obs != nil {
+					fi.tok = w
+				}
+				if in := &b.Instrs[fi.pc]; fi.tok == fCall && in.Op == ir.OpCallVirt {
+					s, ok := sels[in.Name]
+					if !ok {
+						s = len(names)
+						sels[in.Name] = s
+						names = append(names, in.Name)
 					}
+					fi.imm2 = int64(s)
 				}
 			}
 			tab[b.GID] = fb
@@ -469,7 +483,25 @@ func (v *VM) buildFusion() bool {
 	}
 	v.price(tab, 1)
 	v.fuse = tab
+	v.buildSlots(names)
 	return true
+}
+
+// buildSlots builds the virtual-call table for the selectors names:
+// one row per class, at the index the program lists it, resolved by
+// Class.Lookup once per VM instead of once per call. The rows are the
+// VM's, not the class's: a class sealed into two programs carries the
+// ID of the last Seal, which may index another class's row here, so
+// virtual checks at every call that the program lists the receiver's
+// class at its ID.
+func (v *VM) buildSlots(names []string) {
+	v.nsel = len(names)
+	v.slots = make([]*ir.Method, len(v.prog.Classes)*len(names))
+	for id, c := range v.prog.Classes {
+		for s, name := range names {
+			v.slots[id*len(names)+s], _ = c.Lookup(name)
+		}
+	}
 }
 
 // price fills in the cost-scale-dependent half of the stream table tab
@@ -522,6 +554,11 @@ func (v *VM) streamsAt(s uint32) []*fusedBlock {
 	v.price(tab, s)
 	v.scaled = append(v.scaled, scaledStreams{s, tab})
 	return tab
+}
+
+// sameTable reports whether a and b are the same stream table.
+func sameTable(a, b []*fusedBlock) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // gidsTrusted reports whether the program's block GIDs can index the
@@ -1050,11 +1087,11 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				}
 				// newThread fires OnEnter; keep Now and f.Block exact.
 				v.cycles = cycles + fb.prefix[int(in.pc)+1]
-				f.Block = fb.blk
+				store(&f.Block, fb.blk)
 				nt := v.newThread(m)
 				nr := nt.Frames[0].Regs
 				for i, r := range sp.Args {
-					nr[i] = regs[r]
+					set(&nr[i], regs[r])
 				}
 				v.stats.ThreadsSpawned++
 				v.runq.push(nt)
@@ -1094,7 +1131,8 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			// and whatever the call adds is charged immediately.
 			case fProbe:
 				pre := fb.prefix[int(in.pc)+1]
-				f.Block, f.PC = fb.blk, int(in.pc)
+				store(&f.Block, fb.blk)
+				f.PC = int(in.pc)
 				v.cycles = cycles + pre
 				v.execProbe(t, f, fb.blk.Instrs[in.pc].Probe)
 				cycles = v.cycles - pre
@@ -1110,12 +1148,13 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 				now := cycles + pre
 				fired := v.trig.Poll(t.ID, now)
 				if v.obs != nil {
-					f.Block = fb.blk
+					store(&f.Block, fb.blk)
 					v.observeCheck(t, f, &fb.blk.Instrs[in.pc], fired, now)
 				}
 				if fired {
 					v.stats.CheckFires++
-					f.Block, f.PC = fb.blk, int(in.pc)
+					store(&f.Block, fb.blk)
+					f.PC = int(in.pc)
 					v.cycles = now
 					v.execProbe(t, f, fb.blk.Instrs[in.pc].Probe)
 					cycles = v.cycles - pre
@@ -1147,7 +1186,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 					tgt = 0
 				}
 				if v.obs != nil {
-					f.Block = fb.blk
+					store(&f.Block, fb.blk)
 					v.observeCheck(t, f, &fb.blk.Instrs[in.pc], tgt == 0, now)
 				}
 				goto transfer
@@ -1162,11 +1201,13 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 
 			// Frame switches leave the loop for runThread.
 			case fCall:
-				f.Block, f.PC = fb.blk, int(in.pc)
+				store(&f.Block, fb.blk)
+				f.PC = int(in.pc)
 				v.quantum = quantum
 				return cycles + fb.prefix[int(in.pc)+1], icount + uint64(in.pc) + 1, exitCall, nil
 			case fReturn:
-				f.Block, f.PC = fb.blk, int(in.pc)
+				store(&f.Block, fb.blk)
+				f.PC = int(in.pc)
 				v.quantum = quantum
 				return cycles + fb.total, icount + fb.count, exitReturn, nil
 
@@ -1463,7 +1504,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 			cycles = v.cycles
 		}
 		if cycles > limit {
-			f.Block = fb.blk
+			store(&f.Block, fb.blk)
 			v.quantum = quantum
 			return cycles, icount, exitSched, v.trapBudgetAt(t, cycles, icount)
 		}
@@ -1478,7 +1519,7 @@ func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, code []fInstr, 
 // reference dispatcher.
 func (v *VM) cutEdge(t *Thread, f *Frame, fb *fusedBlock, tgt int, now uint64) *fusedBlock {
 	v.cycles = now
-	f.Block = fb.blk
+	store(&f.Block, fb.blk)
 	v.obs.OnTransfer(t, f, &fb.blk.Instrs[fb.count-1], tgt)
 	v.rewake()
 	return f.fuse[fb.targets[tgt].GID]
@@ -1490,7 +1531,7 @@ func (v *VM) cutEdge(t *Thread, f *Frame, fb *fusedBlock, tgt int, now uint64) *
 // body then counts it for real.
 func (v *VM) wakeYield(t *Thread, f *Frame, fb *fusedBlock, now uint64) {
 	v.cycles = now
-	f.Block = fb.blk
+	store(&f.Block, fb.blk)
 	v.stats.Yields++
 	v.obs.OnYield(t, f)
 	v.stats.Yields--
@@ -1504,7 +1545,8 @@ func (v *VM) fusedResched(f *Frame, fb *fusedBlock, pc, resume int, cycles, icou
 	cycles += fb.prefix[pc+1]
 	icount += uint64(pc) + 1
 	v.quantum = quantum
-	f.Block, f.PC = fb.blk, resume
+	store(&f.Block, fb.blk)
+	f.PC = resume
 	v.cycles, v.stats.Instrs = cycles, icount
 	return cycles, icount, exitSched, nil
 }

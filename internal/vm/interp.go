@@ -17,10 +17,10 @@ func (v *VM) trapBudgetAt(t *Thread, cycles, icount uint64) error {
 }
 
 // call performs the call in at f.PC, which runFusedBlocks has charged:
-// it flushes the counters, resolves a virtual call (with the
-// reference's null-receiver and missing-method traps), pushes a frame
-// for the callee with the argument registers copied straight from f
-// into the (pooled) callee registers, delivers OnEnter, touches the
+// it flushes the counters, resolves a virtual call through the slot
+// table (with the reference's null-receiver and missing-method traps),
+// pushes a frame for the callee onto t's stack with the argument
+// registers copied straight from f, delivers OnEnter, touches the
 // callee's entry block and checks the cycle budget. It returns the new
 // frame and the cycle counter, which the i-cache touch may have raised.
 func (v *VM) call(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Frame, uint64, error) {
@@ -31,8 +31,10 @@ func (v *VM) call(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Fr
 		if recv == nil || recv.Class == nil {
 			return nil, cycles, v.trap(t, "callvirt on null or classless receiver")
 		}
+		// The call's token carries its selector (buildFusion).
+		fb := f.fuse[f.Block.GID]
 		var ok bool
-		if m, ok = recv.Class.Lookup(in.Name); !ok {
+		if m, ok = v.virtual(recv.Class, int(fb.code[fb.resume[f.PC]].imm2), in.Name); !ok {
 			return nil, cycles, v.trap(t, fmt.Sprintf("no method %s on class %s", in.Name, recv.Class.Name))
 		}
 	}
@@ -42,11 +44,10 @@ func (v *VM) call(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Fr
 	if len(in.Args) != m.NumParams {
 		return nil, cycles, v.trap(t, fmt.Sprintf("call %s with %d args, wants %d", m.FullName(), len(in.Args), m.NumParams))
 	}
-	nf := v.acquireFrame(m, in.Dst, f.Method, int(in.Imm))
+	nf := v.pushFrame(t, m, in.Dst, f.Method, int(in.Imm))
 	for i, r := range in.Args {
-		nf.Regs[i] = f.Regs[r]
+		set(&nf.Regs[i], f.Regs[r])
 	}
-	t.Frames = append(t.Frames, nf)
 	v.stats.MethodEntries++
 	if v.obs != nil {
 		v.observeEnter(t, nf)
@@ -58,12 +59,26 @@ func (v *VM) call(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Fr
 	return nf, v.cycles, nil
 }
 
+// virtual resolves selector sel, named name, on the receiver class c:
+// one index into the slot table when the program lists c at its ID,
+// and otherwise c.Lookup, so a class another program's Seal renumbered
+// still dispatches by name.
+func (v *VM) virtual(c *ir.Class, sel int, name string) (*ir.Method, bool) {
+	if v.prog.ListsClass(c) {
+		m := v.slots[c.ID*v.nsel+sel]
+		return m, m != nil
+	}
+	return c.Lookup(name)
+}
+
 // ret performs the return in ending frame f, the top of t, which
-// runFusedBlocks has charged: it delivers OnExit, pops and recycles f
-// and writes the return value into the caller's RetDst register. When the stack empties it finishes the thread, wakes its
-// joiners, flushes the counters and returns a nil frame. Otherwise it
-// touches the caller's block and returns the caller, whose PC is still
-// the call's, and the cycle counter.
+// runFusedBlocks has charged: it delivers OnExit, pops f, which stays
+// on the stack past its length for the next push at its depth, and
+// writes the return value into the caller's RetDst register. When the
+// stack empties it finishes the thread, wakes its joiners, flushes the
+// counters and returns a nil frame. Otherwise it touches the caller's
+// block and returns the caller, whose PC is still the call's, and the
+// cycle counter.
 func (v *VM) ret(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Frame, uint64) {
 	var r Value
 	if in.A != ir.NoReg {
@@ -74,7 +89,6 @@ func (v *VM) ret(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Fra
 		v.observeExit(t, f, cycles)
 	}
 	t.Frames = t.Frames[:len(t.Frames)-1]
-	v.releaseFrame(f)
 	if len(t.Frames) == 0 {
 		t.State = StateDone
 		t.Result = r
@@ -90,7 +104,7 @@ func (v *VM) ret(t *Thread, f *Frame, in *ir.Instr, cycles, icount uint64) (*Fra
 	}
 	f = t.Top()
 	if retDst != ir.NoReg {
-		f.Regs[retDst] = r
+		set(&f.Regs[retDst], r)
 	}
 	if v.ic != nil {
 		v.cycles = cycles
@@ -121,16 +135,16 @@ func (v *VM) execProbe(t *Thread, f *Frame, p *ir.Probe) {
 		return
 	}
 	// The VM's one event, refilled per probe: a local would escape to
-	// the heap through the interface call.
+	// the heap through the interface call. Its pointers are written only
+	// when they change, like a frame's (DESIGN.md §7.5).
 	ev := &v.probeEv
-	*ev = ProbeEvent{
-		Probe:        p,
-		Method:       f.Method,
-		CallerMethod: f.CallerMethod,
-		CallSite:     f.CallSite,
-		ThreadID:     t.ID,
-		Thread:       t,
-	}
+	store(&ev.Probe, p)
+	store(&ev.Method, f.Method)
+	store(&ev.CallerMethod, f.CallerMethod)
+	ev.CallSite = f.CallSite
+	ev.ThreadID = t.ID
+	store(&ev.Thread, t)
+	ev.Value = 0
 	switch p.Kind {
 	case ir.ProbeValue:
 		ev.Value = f.Regs[p.Reg].I

@@ -36,12 +36,14 @@ import (
 //
 // Hooks run synchronously on the VM's goroutine. They must not mutate
 // VM state and must not retain *Frame or Frame.Regs/Scratch past the
-// call: the fast path pools frames (DESIGN.md §7), so a retained pointer
-// is recycled by a later call. Nor may they read a register the program
-// has not written: a recycled frame zeroes only the registers its
-// method can read before writing them. On the fast path Frame.PC may be
-// stale at hook time (the dispatcher tracks it lazily); observers must
-// not read it. Frame.Block is current at every hook.
+// call: the fast path keeps popped frames on the thread's stack and
+// reuses each for the next call at its depth (DESIGN.md §7), so a
+// retained pointer is overwritten by a later call. A hook walking
+// Thread.Frames reads it up to its length only. Nor may a hook read a
+// register the program has not written: a reused frame zeroes only the
+// registers its method can read before writing them. On the fast path
+// Frame.PC may be stale at hook time (the dispatcher tracks it lazily);
+// observers must not read it. Frame.Block is current at every hook.
 //
 // Timestamps: at every hook the VM's cycle counter is current — the fast
 // path flushes its lazily tracked counter before invoking any hook — so
@@ -60,7 +62,7 @@ type Observer interface {
 	// counts. f is the new frame, positioned at its method's entry block.
 	OnEnter(t *Thread, f *Frame)
 	// OnExit fires when OpReturn pops a frame, before the frame is
-	// recycled. f is the popped frame.
+	// reused. f is the popped frame.
 	OnExit(t *Thread, f *Frame)
 	// OnTransfer fires at every intra-frame control transfer: the
 	// terminator in (OpJump, OpBranch, OpCheck or OpLoopCheck) in the

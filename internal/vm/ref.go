@@ -392,7 +392,8 @@ func (v *VM) newThreadRef(m *ir.Method, args []Value) *Thread {
 
 // newFrameRef is the original allocating frame constructor: a fresh Frame,
 // fresh register and scratch slices, arguments copied from a temporary
-// slice. The fast path's acquireFrame replaces all of this with pooling.
+// slice. The fast path's pushFrame replaces all of this by reusing the
+// frame the thread's stack keeps at the new depth.
 func (v *VM) newFrameRef(m *ir.Method, args []Value, retDst ir.Reg, caller *ir.Method, site int) *Frame {
 	f := &Frame{
 		Method:       m,

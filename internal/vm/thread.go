@@ -37,16 +37,18 @@ func (s ThreadState) String() string {
 // instrumentation can "examine the call stack" (§4.2) at probe cost
 // rather than interpreter cost.
 //
-// The fast path recycles frames (DESIGN.md §7): nothing may keep a
-// *Frame past the hook or handler it was handed to, and a register the
-// program has not written yet may hold a stale value, which the program
-// itself never reads.
+// On the fast path a frame lives on its thread's stack (Thread.Frames)
+// and is reused by the next call at its depth, which writes a pointer
+// field only when its value changes (DESIGN.md §7.3, §7.5): nothing may
+// keep a *Frame past the hook or handler it was handed to, and a
+// register the program has not written yet may hold a stale value,
+// which the program itself never reads.
 type Frame struct {
 	// Method is the executing method.
 	Method *ir.Method
 	// Regs are the frame's virtual registers. Read only registers the
-	// program has written: a recycled frame zeroes just the registers
-	// its method can read before writing them.
+	// program has written: a reused frame zeroes just the registers its
+	// method can read before writing them.
 	Regs []Value
 	// Scratch holds per-frame instrumentation state (e.g. the Ball–Larus
 	// path register), sized by Method.ProbeRegs.
@@ -82,6 +84,8 @@ type Thread struct {
 	// ID is the dense thread index (0 = main).
 	ID int
 	// Frames is the call stack; the last element is the active frame.
+	// Read it up to its length only: past it, the fast path keeps the
+	// frames it popped, for the next call at their depth to reuse.
 	Frames []*Frame
 	// State is the scheduling state.
 	State ThreadState

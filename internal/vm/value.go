@@ -62,6 +62,14 @@ func set(r *Value, x Value) {
 	}
 }
 
+// store writes x to *p only when *p differs: the frame and probe-event
+// form of set, for the call path's pointer fields (DESIGN.md §7.5).
+func store[T comparable](p *T, x T) {
+	if *p != x {
+		*p = x
+	}
+}
+
 // RefVal wraps a reference.
 func RefVal(o *Object) Value { return Value{R: o} }
 

@@ -36,12 +36,13 @@ type ProbeEvent struct {
 // Handlers[i].
 //
 // The event belongs to the VM, which refills the same one for every
-// probe so that executing a probe allocates nothing. A handler must not
-// retain ev (or any pointer into it) after HandleProbe returns, the same
-// rule that holds for *Frame (DESIGN.md §7): copy the fields it needs.
-// A handler walking ev.Thread's frames must not read a register the
-// program has not written: a recycled frame may still hold an earlier
-// frame's value there.
+// probe, writing a pointer field only when it changes, so that
+// executing a probe allocates nothing and stores little. A handler must
+// not retain ev (or any pointer into it) after HandleProbe returns, the
+// same rule that holds for *Frame (DESIGN.md §7): copy the fields it
+// needs. A handler may walk ev.Thread.Frames up to its length (popped
+// frames lie past it), and must not read a register the program has not
+// written: a reused frame may still hold an earlier frame's value there.
 type ProbeHandler interface {
 	HandleProbe(ev *ProbeEvent)
 }
@@ -215,8 +216,13 @@ type VM struct {
 	// (FusionStats.Instrs).
 	fusedInstrs uint64
 	// entryLive is the Method.ID-indexed frame-clear table (see
-	// acquireFrame), built with fuse; nil clears every register.
+	// pushFrame), built with fuse; nil clears every register.
 	entryLive []entryLive
+	// slots is the virtual-call table, built with fuse: slots[c*nsel+s]
+	// is the method selector s names on the class the program lists at
+	// c, nil when that class has none (see virtual).
+	slots []*ir.Method
+	nsel  int
 
 	threads []*Thread
 	runq    threadQueue // fast-path scheduler queue
@@ -226,12 +232,6 @@ type VM struct {
 	output  []int64
 	quantum int
 
-	// freeFrames is the frame free list: frames (and their register and
-	// scratch slices) are recycled when popped, so steady-state call
-	// traffic allocates nothing. Pools are per-VM and a VM runs on a
-	// single goroutine, so no locking is needed; see DESIGN.md §7 for the
-	// lifetime rules probe handlers must respect.
-	freeFrames []*Frame
 	// probeEv is the one event execProbe fills and hands to a handler
 	// (see ProbeHandler's lifetime rule).
 	probeEv ProbeEvent
@@ -363,9 +363,7 @@ func (v *VM) Now() uint64 { return v.cycles }
 func (v *VM) newThread(m *ir.Method) *Thread {
 	t := &Thread{ID: len(v.threads), State: StateRunnable}
 	t.handle = &Object{Thread: t}
-	f := v.acquireFrame(m, ir.NoReg, nil, -1)
-	clear(f.Regs[:min(m.NumParams, len(f.Regs))])
-	t.Frames = append(t.Frames, f)
+	f := v.pushFrame(t, m, ir.NoReg, nil, -1)
 	v.threads = append(v.threads, t)
 	v.stats.MethodEntries++
 	if v.obs != nil {
@@ -374,61 +372,71 @@ func (v *VM) newThread(m *ir.Method) *Thread {
 	return t
 }
 
-// acquireFrame returns a frame for m that runs the stream table of m's
-// cost scale, reusing the free list when possible. The zero register
-// state is part of the IR semantics (an unwritten register reads as 0 /
-// null), so a recycled frame zeroes every non-parameter register live
-// at m's entry: the only ones the method can read before writing them.
-// Callers copy arguments into the parameter registers directly, with no
-// intermediate slice; every other register is written before any read,
-// so its stale value is never seen (the Observer and ProbeHandler rule:
-// read only registers the program has written). A method missing from
-// the entryLive table gets every register zeroed. Scratch slots are
-// always zeroed. The frame returns to the pool when popped
-// (releaseFrame).
-func (v *VM) acquireFrame(m *ir.Method, retDst ir.Reg, caller *ir.Method, site int) *Frame {
-	var f *Frame
-	if n := len(v.freeFrames); n > 0 {
-		f = v.freeFrames[n-1]
-		v.freeFrames[n-1] = nil
-		v.freeFrames = v.freeFrames[:n-1]
+// pushFrame pushes a frame for m onto t's stack, positioned at m's
+// entry block and running the stream table of m's cost scale, and
+// returns it. The stack keeps its popped frames past its length, so a
+// push reuses the frame last popped at that depth, with its register
+// and scratch slices, and steady-state calls allocate nothing. A new
+// thread's stack is empty, so its root frame is new and all zero.
+//
+// The zero register state is part of the IR semantics (an unwritten
+// register reads as 0 / null), so a reused frame zeroes every
+// non-parameter register live at m's entry: the only ones the method
+// can read before writing them. Callers copy arguments into the
+// parameter registers directly, with no intermediate slice; every other
+// register is written before any read, so its stale value is never
+// seen (the Observer and ProbeHandler rule: read only registers the
+// program has written). A method missing from the entryLive table gets
+// every register zeroed. Scratch slots are always zeroed.
+//
+// Like the fused loop, the push stores a pointer only where one
+// changes (DESIGN.md §7.5): the same method called again at the same
+// depth, from the same caller, writes no pointer field, and the stack
+// grows by reslicing.
+func (v *VM) pushFrame(t *Thread, m *ir.Method, retDst ir.Reg, caller *ir.Method, site int) *Frame {
+	n := len(t.Frames)
+	if n < cap(t.Frames) {
+		t.Frames = t.Frames[:n+1]
 	} else {
-		f = &Frame{}
+		t.Frames = append(t.Frames, nil)
 	}
-	if cap(f.Regs) >= m.NumRegs {
+	if t.Frames[n] == nil {
+		t.Frames[n] = &Frame{}
+	}
+	f := t.Frames[n]
+	if cap(f.Regs) < m.NumRegs {
+		f.Regs = make([]Value, m.NumRegs)
+	} else {
 		f.Regs = f.Regs[:m.NumRegs]
 		if id := m.ID; id >= 0 && id < len(v.entryLive) && v.entryLive[id].m == m {
 			for _, r := range v.entryLive[id].regs {
-				f.Regs[r] = Value{}
+				setI(&f.Regs[r], 0)
 			}
 		} else {
 			clear(f.Regs)
 		}
-	} else {
-		f.Regs = make([]Value, m.NumRegs)
 	}
-	if m.ProbeRegs > 0 {
-		if cap(f.Scratch) >= m.ProbeRegs {
-			f.Scratch = f.Scratch[:m.ProbeRegs]
-			clear(f.Scratch)
-		} else {
-			f.Scratch = make([]int64, m.ProbeRegs)
-		}
+	if cap(f.Scratch) < m.ProbeRegs {
+		f.Scratch = make([]int64, m.ProbeRegs)
 	} else {
-		f.Scratch = nil
+		f.Scratch = f.Scratch[:m.ProbeRegs]
+		clear(f.Scratch)
 	}
-	f.Method = m
-	f.Block = m.Entry()
+	store(&f.Method, m)
+	store(&f.Block, m.Entry())
 	f.PC = 0
 	f.RetDst = retDst
-	f.CallerMethod = caller
+	store(&f.CallerMethod, caller)
 	f.CallSite = site
 	f.IterBudget = 0
-	f.fuse = v.fuse
+	fuse := v.fuse
 	if v.cfg.CostScale != nil {
 		if s := v.cfg.CostScale(m); s > 0 {
-			f.fuse = v.streamsAt(s)
+			fuse = v.streamsAt(s)
 		}
+	}
+	if !sameTable(f.fuse, fuse) {
+		f.fuse = fuse
 	}
 	return f
 }
@@ -444,7 +452,7 @@ type entryLive struct {
 // per VM from ir liveness. Like gidsTrusted with GIDs, it leaves the
 // table empty when a method ID is out of range or two methods share
 // one, and a method whose CFG liveness cannot describe (a target
-// outside the method) gets no row; acquireFrame then zeroes every
+// outside the method) gets no row; pushFrame then zeroes every
 // register.
 func (v *VM) buildEntryLive() {
 	ms := v.prog.Methods()
@@ -483,15 +491,6 @@ func closedCFG(m *ir.Method) bool {
 		}
 	}
 	return len(m.Blocks) > 0
-}
-
-// releaseFrame recycles a popped frame. The registers are cleared lazily
-// on the next acquire, as far as the next method can read them; until
-// then, and past it, the pooled slices may pin heap objects the program
-// no longer references, which is an accepted trade for a simulator
-// whose heap dies with the run.
-func (v *VM) releaseFrame(f *Frame) {
-	v.freeFrames = append(v.freeFrames, f)
 }
 
 func (v *VM) trap(t *Thread, reason string) error {
